@@ -9,7 +9,7 @@
 //! longer aborts the rest of the table.
 
 use hwst_bench::cli::BenchArgs;
-use hwst_bench::runs::{fig4_results_with, serial_wall};
+use hwst_bench::runs::{fig4_results, serial_wall};
 use hwst_bench::summary::{fig4_summary, write_json};
 use hwst_bench::{fig4_geomean, pct, Fig4Row};
 use hwst_harness::collect_ok;
@@ -19,9 +19,8 @@ fn main() {
     let args = BenchArgs::parse();
     let scale = args.scale();
     let pool = args.pool();
-    let engine = args.engine();
     println!(
-        "Fig. 4 — performance overhead (Eq. 7), scale {scale:?}, {} worker(s), {engine} engine",
+        "Fig. 4 — performance overhead (Eq. 7), scale {scale:?}, {} worker(s)",
         pool.workers
     );
     println!(
@@ -29,7 +28,7 @@ fn main() {
         "workload", "suite", "base cycles", "SBCETS", "HWST128", "_tchk"
     );
     let start = Instant::now();
-    let results = fig4_results_with(scale, engine, &pool, args.sink().as_mut());
+    let results = fig4_results(scale, &pool, args.sink().as_mut());
     let wall = start.elapsed();
     let serial = serial_wall(&results);
     let (rows, failed) = collect_ok(results.clone());

@@ -5,7 +5,7 @@
 //! frame-slot elimination + metadata-op scheduling)?
 //!
 //! Accepts the harness family of flags (`--jobs`, `--json`,
-//! `--timeout-secs`, `--bench-scale`, `--engine`) plus `--smoke` for
+//! `--timeout-secs`, `--bench-scale`) plus `--smoke` for
 //! the 4-workload CI subset. The JSON summary (`BENCH_fig4_o1.json`)
 //! reports per-workload `-O0`/`-O1` cycle counts, the geomean baseline
 //! speedup against the 1.3× target, and both tiers' Eq. 7 overhead
@@ -22,12 +22,11 @@ fn main() {
     let args = BenchArgs::parse();
     let scale = args.scale();
     let pool = args.pool();
-    let engine = args.engine();
     let smoke = args.flag("--smoke");
     let names = profile_names(smoke);
     println!(
         "O1 experiment — Fig. 4 at both back-end tiers{}, scale {scale:?}, {} workload(s), \
-         {} worker(s), {engine} engine",
+         {} worker(s)",
         if smoke { " [smoke]" } else { "" },
         names.len(),
         pool.workers
@@ -37,7 +36,7 @@ fn main() {
         "workload", "suite", "O0 cycles", "O1 cycles", "speedup", "O1 SBC", "O1 H128", "O1 _tchk"
     );
     let start = Instant::now();
-    let results = fig4_o1_results(&names, scale, engine, &pool, args.sink().as_mut());
+    let results = fig4_o1_results(&names, scale, &pool, args.sink().as_mut());
     let wall = start.elapsed();
     let serial = serial_wall(&results);
     let (rows, failed) = collect_ok(results.clone());

@@ -25,7 +25,7 @@ use hwst128::telemetry::Breakdown;
 use hwst128::workloads::Workload;
 use hwst_bench::cli::BenchArgs;
 use hwst_bench::profile::{profile_mean_fractions, try_profile_trace};
-use hwst_bench::runs::{profile_names, profile_results_with, serial_wall};
+use hwst_bench::runs::{profile_names, profile_results, serial_wall};
 use hwst_bench::summary::{profile_summary, write_json};
 use hwst_harness::collect_ok;
 use std::time::Instant;
@@ -66,14 +66,13 @@ fn main() {
     let scale = args.scale();
     let pool = args.pool();
     let names = profile_names(smoke);
-    let engine = args.engine();
     println!(
-        "P1 — per-function overhead attribution{} ({} workloads, {engine} engine)",
+        "P1 — per-function overhead attribution{} ({} workloads)",
         if smoke { " [smoke]" } else { "" },
         names.len()
     );
     let start = Instant::now();
-    let results = profile_results_with(&names, scale, engine, &pool, args.sink().as_mut());
+    let results = profile_results(&names, scale, &pool, args.sink().as_mut());
     let wall = start.elapsed();
     let (rows, failed) = collect_ok(results.clone());
     println!(

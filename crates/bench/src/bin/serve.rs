@@ -32,17 +32,15 @@ fn main() {
         cooldown_ticks: 8,
         ..TenantQuota::default()
     };
-    let engine = args.engine();
     let cfg = ServeConfig {
         workers: jobs,
         queue_capacity: 64,
         batch: 8,
         quota,
-        engine,
         ..ServeConfig::default()
     };
     println!(
-        "S1 — service robustness{}, {} worker(s), {engine} engine",
+        "S1 — service robustness{}, {} worker(s)",
         if smoke { " [smoke]" } else { "" },
         jobs
     );

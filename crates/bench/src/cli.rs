@@ -14,7 +14,6 @@
 //! [`BenchArgs::flag`] / [`BenchArgs::value`].
 
 use hwst128::compiler::Scheme;
-use hwst128::exec::Engine;
 use hwst128::workloads::Scale;
 use hwst_harness::{ConsoleSink, NullSink, PoolConfig, Sink};
 use std::path::{Path, PathBuf};
@@ -60,12 +59,6 @@ impl BenchArgs {
                 std::process::exit(2)
             })
         })
-    }
-
-    /// The execution engine: `--engine fast|cycle`, default `fast`
-    /// (bit-identical to `cycle`; only wall-clock differs).
-    pub fn engine(&self) -> Engine {
-        self.parsed_value::<Engine>("--engine").unwrap_or_default()
     }
 
     /// `Scale::Bench` when `--bench-scale` is given, else `Scale::Test`.
@@ -197,15 +190,6 @@ mod tests {
         assert_eq!(a.json_path(), Some(Path::new("out.json")));
         assert_eq!(a.scale(), Scale::Test);
         assert!(!a.flag("--smoke"));
-        assert_eq!(a.engine(), Engine::Fast);
-    }
-
-    #[test]
-    fn parses_engine_flag() {
-        let cycle = BenchArgs::from_vec(vec!["--engine".into(), "cycle".into()]);
-        assert_eq!(cycle.engine(), Engine::Cycle);
-        let fast = BenchArgs::from_vec(vec!["--engine".into(), "fast".into()]);
-        assert_eq!(fast.engine(), Engine::Fast);
     }
 
     #[test]

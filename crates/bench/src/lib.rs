@@ -28,10 +28,9 @@ pub mod runs;
 pub mod summary;
 
 use hwst128::compiler::{compile, OptLevel, Scheme};
-use hwst128::exec::Engine;
 use hwst128::sim::{Machine, SafetyConfig};
 use hwst128::workloads::{all, Scale, Suite, Workload};
-use hwst128::{run_scheme_opt_with, run_scheme_with};
+use hwst128::{run_scheme, run_scheme_opt};
 
 /// One Fig. 4 row: per-scheme overhead percentages for a workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,30 +56,18 @@ pub fn fig4_row(wl: &Workload, scale: Scale) -> Fig4Row {
     try_fig4_row(wl, scale).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`fig4_row`] with structured errors. Sweeps default to the fast
-/// engine ([`Engine::Fast`]) — bit-identical to the cycle reference by
-/// the `hwst-exec` contract; use [`try_fig4_row_with`] to pin the
-/// engine.
+/// [`fig4_row`] with structured errors.
 ///
 /// # Errors
 ///
 /// Returns `"<workload> (<scheme>): <trap/compile error>"` for the
 /// first scheme that fails to compile or run clean.
 pub fn try_fig4_row(wl: &Workload, scale: Scale) -> Result<Fig4Row, String> {
-    try_fig4_row_with(wl, scale, Engine::Fast)
-}
-
-/// [`try_fig4_row`] under an explicit execution engine.
-///
-/// # Errors
-///
-/// Same as [`try_fig4_row`].
-pub fn try_fig4_row_with(wl: &Workload, scale: Scale, engine: Engine) -> Result<Fig4Row, String> {
     let module = wl.module(scale);
     let fuel = wl.fuel(scale);
     let mut cycles = [0.0f64; 4];
     for (slot, &s) in cycles.iter_mut().zip(Scheme::ALL.iter()) {
-        *slot = run_scheme_with(&module, s, fuel, engine)
+        *slot = run_scheme(&module, s, fuel)
             .map_err(|e| format!("{} ({s}): {e}", wl.name))?
             .stats
             .total_cycles() as f64;
@@ -145,19 +132,19 @@ impl Fig4O1Row {
 }
 
 /// Computes one O1-experiment row: all four schemes at both tiers
-/// (eight runs) under `engine`.
+/// (eight runs).
 ///
 /// # Errors
 ///
 /// Returns `"<workload> (<scheme>@<tier>): <trap/compile error>"` for
 /// the first cell that fails to compile or run clean.
-pub fn try_fig4_o1_row(wl: &Workload, scale: Scale, engine: Engine) -> Result<Fig4O1Row, String> {
+pub fn try_fig4_o1_row(wl: &Workload, scale: Scale) -> Result<Fig4O1Row, String> {
     let module = wl.module(scale);
     let fuel = wl.fuel(scale);
     let mut cycles = [[0.0f64; 4]; 2];
     for (t, &opt) in [OptLevel::O0, OptLevel::O1].iter().enumerate() {
         for (slot, &s) in cycles[t].iter_mut().zip(Scheme::ALL.iter()) {
-            *slot = run_scheme_opt_with(&module, s, fuel, opt, engine)
+            *slot = run_scheme_opt(&module, s, fuel, opt)
                 .map_err(|e| format!("{} ({s}@{}): {e}", wl.name, opt.label()))?
                 .stats
                 .total_cycles() as f64;

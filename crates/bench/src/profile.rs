@@ -1,7 +1,8 @@
 //! Experiment P1: per-function overhead attribution.
 //!
 //! Each workload is compiled for `HWST128_tchk` with the lowering plan
-//! kept alongside, run under [`hwst128::sim::Machine::run_profiled`],
+//! kept alongside, run under [`hwst128::sim::Machine::run_profiled`]
+//! (the reference interpreter),
 //! and the per-PC profile is folded through the plan's symbol ranges
 //! into a hot-function table. The row carries the whole-run cycle split
 //! (base / check / shadow / keybuffer / runtime), the uninstrumented
@@ -11,13 +12,12 @@
 //! row, bit for bit, on any worker count.
 
 use hwst128::compiler::{compile, compile_with_plan, LowerPlan, Scheme};
-use hwst128::exec::{BlockCache, Engine};
 use hwst128::sim::Machine;
 use hwst128::telemetry::{
     attribute, chrome_trace, collapsed_stacks, Breakdown, FnTable, Profiler, Symbol, SymbolTable,
 };
 use hwst128::workloads::{Scale, Workload};
-use hwst128::{config_for, run_scheme_with};
+use hwst128::{config_for, run_scheme};
 use hwst_harness::Json;
 
 /// Hot functions carried per row (the table is truncated, the JSON
@@ -79,15 +79,12 @@ fn profiled_table(
     wl: &Workload,
     scale: Scale,
     profiler: &mut Profiler,
-    engine: Engine,
 ) -> Result<(FnTable, u64), String> {
     let module = wl.module(scale);
     let (prog, plan) = compile_with_plan(&module, Scheme::Hwst128Tchk)
         .map_err(|e| format!("{} (Hwst128Tchk): {e}", wl.name))?;
-    let mut m = Machine::new(prog, config_for(Scheme::Hwst128Tchk));
-    let mut cache = BlockCache::new();
-    let exit = engine
-        .run_profiled(&mut m, wl.fuel(scale), profiler, &mut cache)
+    let exit = Machine::new(prog, config_for(Scheme::Hwst128Tchk))
+        .run_profiled(wl.fuel(scale), profiler)
         .map_err(|e| format!("{} (Hwst128Tchk): {e}", wl.name))?;
     let table = attribute(&profiler.profile, &symbol_table(&plan));
     debug_assert_eq!(table.total().total(), exit.stats.total_cycles());
@@ -99,31 +96,16 @@ pub fn profile_row(wl: &Workload, scale: Scale) -> ProfileRow {
     try_profile_row(wl, scale).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`profile_row`] with structured errors. Runs under the fast engine
-/// (the sweep default — attribution is bit-identical to the cycle
-/// reference); use [`try_profile_row_with`] to pin the engine.
+/// [`profile_row`] with structured errors.
 ///
 /// # Errors
 ///
 /// Returns `"<workload> (<scheme>): <compile error/trap>"` when either
 /// the profiled `HWST128_tchk` run or the baseline run fails.
 pub fn try_profile_row(wl: &Workload, scale: Scale) -> Result<ProfileRow, String> {
-    try_profile_row_with(wl, scale, Engine::Fast)
-}
-
-/// [`try_profile_row`] under an explicit execution engine.
-///
-/// # Errors
-///
-/// Same as [`try_profile_row`].
-pub fn try_profile_row_with(
-    wl: &Workload,
-    scale: Scale,
-    engine: Engine,
-) -> Result<ProfileRow, String> {
     let mut profiler = Profiler::new();
-    let (table, _) = profiled_table(wl, scale, &mut profiler, engine)?;
-    let baseline_cycles = run_scheme_with(&wl.module(scale), Scheme::None, wl.fuel(scale), engine)
+    let (table, _) = profiled_table(wl, scale, &mut profiler)?;
+    let baseline_cycles = run_scheme(&wl.module(scale), Scheme::None, wl.fuel(scale))
         .map_err(|e| format!("{} (None): {e}", wl.name))?
         .stats
         .total_cycles();
@@ -166,7 +148,7 @@ pub struct ProfileTrace {
 /// Same as [`try_profile_row`]'s profiled run.
 pub fn try_profile_trace(wl: &Workload, scale: Scale) -> Result<ProfileTrace, String> {
     let mut profiler = Profiler::with_recorder(TRACE_RING);
-    let (table, _) = profiled_table(wl, scale, &mut profiler, Engine::Fast)?;
+    let (table, _) = profiled_table(wl, scale, &mut profiler)?;
     let recorder = profiler.recorder.as_ref();
     let events: Vec<_> = recorder.map(|r| r.to_vec()).unwrap_or_default();
     Ok(ProfileTrace {
@@ -257,17 +239,6 @@ mod tests {
     fn profiled_run_has_no_observer_effect() {
         let wl = Workload::by_name("treeadd").unwrap();
         check_profile_parity(&wl, Scale::Test).unwrap();
-    }
-
-    #[test]
-    fn fast_engine_attribution_matches_cycle_reference() {
-        let wl = Workload::by_name("string").unwrap();
-        let cycle = try_profile_row_with(&wl, Scale::Test, Engine::Cycle).unwrap();
-        let fast = try_profile_row_with(&wl, Scale::Test, Engine::Fast).unwrap();
-        assert_eq!(
-            cycle, fast,
-            "per-row attribution must be engine-independent"
-        );
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! determinism test).
 
 use crate::{
-    try_cycles_with_keybuffer, try_fig4_o1_row, try_fig4_row_with, try_fig5_row, Fig4O1Row,
-    Fig4Row, Fig5Row, ResilienceConfig, ResilienceRow,
+    try_cycles_with_keybuffer, try_fig4_o1_row, try_fig4_row, try_fig5_row, Fig4O1Row, Fig4Row,
+    Fig5Row, ResilienceConfig, ResilienceRow,
 };
 use hwst128::compiler::binval;
 use hwst128::compiler::{compile, OptLevel, Scheme};
-use hwst128::exec::Engine;
 use hwst128::isa::Program;
 use hwst128::juliet::{measure_case, CoverageReport};
 use hwst128::sim::inject::{campaign, FaultClass, OutcomeCounts};
@@ -22,19 +21,13 @@ use hwst128::sim::Machine;
 use hwst128::workloads::{all, spec_suite, Scale, Workload};
 use hwst_harness::{collect_ok, run, FailedJob, Job, JobResult, PoolConfig, Sink};
 
-/// One job per Fig. 4 workload, in the paper's row order, under the
-/// sweep-default fast engine.
+/// One job per Fig. 4 workload, in the paper's row order.
 pub fn fig4_jobs(scale: Scale) -> Vec<Job<Fig4Row>> {
-    fig4_jobs_with(scale, Engine::Fast)
-}
-
-/// [`fig4_jobs`] under an explicit execution engine.
-pub fn fig4_jobs_with(scale: Scale, engine: Engine) -> Vec<Job<Fig4Row>> {
     all()
         .into_iter()
         .map(|wl| {
             Job::new(format!("fig4/{}", wl.name), move || {
-                try_fig4_row_with(&wl, scale, engine)
+                try_fig4_row(&wl, scale)
             })
         })
         .collect()
@@ -49,24 +42,14 @@ pub fn fig4_results(
     run(fig4_jobs(scale), cfg, sink)
 }
 
-/// [`fig4_results`] under an explicit execution engine.
-pub fn fig4_results_with(
-    scale: Scale,
-    engine: Engine,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<Fig4Row>> {
-    run(fig4_jobs_with(scale, engine), cfg, sink)
-}
-
 /// One job per O1-experiment workload, in `names` order. Unknown names
 /// become failing jobs (structured failures, not panics).
-pub fn fig4_o1_jobs(names: &[&str], scale: Scale, engine: Engine) -> Vec<Job<Fig4O1Row>> {
+pub fn fig4_o1_jobs(names: &[&str], scale: Scale) -> Vec<Job<Fig4O1Row>> {
     names
         .iter()
         .map(|name| match Workload::by_name(name) {
             Some(wl) => Job::new(format!("fig4_o1/{}", wl.name), move || {
-                try_fig4_o1_row(&wl, scale, engine)
+                try_fig4_o1_row(&wl, scale)
             }),
             None => {
                 let name = name.to_string();
@@ -82,11 +65,10 @@ pub fn fig4_o1_jobs(names: &[&str], scale: Scale, engine: Engine) -> Vec<Job<Fig
 pub fn fig4_o1_results(
     names: &[&str],
     scale: Scale,
-    engine: Engine,
     cfg: &PoolConfig,
     sink: &mut dyn Sink,
 ) -> Vec<JobResult<Fig4O1Row>> {
-    run(fig4_o1_jobs(names, scale, engine), cfg, sink)
+    run(fig4_o1_jobs(names, scale), cfg, sink)
 }
 
 /// One job per Fig. 5 SPEC workload, in the paper's row order.
@@ -513,24 +495,14 @@ pub fn profile_names(smoke: bool) -> Vec<&'static str> {
     }
 }
 
-/// One job per P1 workload, in `names` order, under the sweep-default
-/// fast engine. Unknown names become failing jobs (structured failures,
-/// not panics).
+/// One job per P1 workload, in `names` order. Unknown names become
+/// failing jobs (structured failures, not panics).
 pub fn profile_jobs(names: &[&str], scale: Scale) -> Vec<Job<crate::profile::ProfileRow>> {
-    profile_jobs_with(names, scale, Engine::Fast)
-}
-
-/// [`profile_jobs`] under an explicit execution engine.
-pub fn profile_jobs_with(
-    names: &[&str],
-    scale: Scale,
-    engine: Engine,
-) -> Vec<Job<crate::profile::ProfileRow>> {
     names
         .iter()
         .map(|name| match Workload::by_name(name) {
             Some(wl) => Job::new(format!("profile/{}", wl.name), move || {
-                crate::profile::try_profile_row_with(&wl, scale, engine)
+                crate::profile::try_profile_row(&wl, scale)
             }),
             None => {
                 let name = name.to_string();
@@ -550,17 +522,6 @@ pub fn profile_results(
     sink: &mut dyn Sink,
 ) -> Vec<JobResult<crate::profile::ProfileRow>> {
     run(profile_jobs(names, scale), cfg, sink)
-}
-
-/// [`profile_results`] under an explicit execution engine.
-pub fn profile_results_with(
-    names: &[&str],
-    scale: Scale,
-    engine: Engine,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<crate::profile::ProfileRow>> {
-    run(profile_jobs_with(names, scale, engine), cfg, sink)
 }
 
 /// One job per X1 workload, in `names` order: both engines timed, the
@@ -711,16 +672,6 @@ mod tests {
             rows[0].cycles[1],
             crate::cycles_with_keybuffer(&wl, Scale::Test, 1)
         );
-    }
-
-    /// Engine choice never changes a Fig. 4 row — the hwst-exec
-    /// bit-identity contract seen from the sweep level.
-    #[test]
-    fn fig4_rows_are_engine_independent() {
-        let wl = Workload::by_name("math").unwrap();
-        let cycle = try_fig4_row_with(&wl, Scale::Test, Engine::Cycle).unwrap();
-        let fast = try_fig4_row_with(&wl, Scale::Test, Engine::Fast).unwrap();
-        assert_eq!(cycle, fast);
     }
 
     /// An unknown workload in the A1 grid is a structured failure, not

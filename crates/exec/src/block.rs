@@ -161,15 +161,13 @@ pub(crate) enum OpKind {
 }
 
 /// A decoded operation: one or two instruction components plus their
-/// pre-resolved retire shapes and the raw instructions (kept for
-/// telemetry classification in profiled runs).
+/// retire facts.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Op {
     pub(crate) kind: OpKind,
     /// Component count (2 for fused superinstructions).
     pub(crate) n: u8,
     pub(crate) info: [RetireInfo; 2],
-    pub(crate) raw: [Instr; 2],
 }
 
 impl Op {
@@ -179,7 +177,6 @@ impl Op {
             kind,
             n: 1,
             info: [info, info],
-            raw: [instr, instr],
         }
     }
 
@@ -188,7 +185,6 @@ impl Op {
             kind,
             n: 2,
             info: [RetireInfo::of(&first), RetireInfo::of(&second)],
-            raw: [first, second],
         }
     }
 
@@ -203,7 +199,7 @@ impl Op {
 
 /// A decoded basic block: the ops from the entry PC up to (and
 /// including) the first control transfer, the end of the program, or
-/// the size cap — plus the decode-time prefix sums the plain engine's
+/// the size cap — plus the decode-time prefix sums the engine's
 /// batched retirement consumes.
 #[derive(Debug)]
 pub(crate) struct Block {

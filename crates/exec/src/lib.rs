@@ -6,8 +6,7 @@
 //! shapes pre-classified), hot HWST128 pairs are fused into
 //! superinstructions (`sbdl`+`sbdu`, `lbdls`+`lbdus`,
 //! `lbdls`+checked-load), and subsequent executions dispatch straight
-//! over the cached block — no per-step fetch, decode match or source-
-//! register allocation.
+//! over the cached block — no per-step fetch or decode match.
 //!
 //! ## The bit-identity contract
 //!
@@ -16,18 +15,18 @@
 //! [`run_fast`] returns exactly what [`Machine::run`] returns — the same
 //! [`ExitStatus`] (code, output **and**
 //! [`CycleStats`](hwst_pipeline::CycleStats)) or the same
-//! [`Trap`] — and leaves the machine in the same architectural state
-//! (registers, PC, memory, SRF, pipeline counters). Profiled execution
-//! ([`run_profiled_fast`]) attributes the same per-PC cycle breakdown as
-//! [`Machine::run_profiled`]. This holds because the tier *shares* the
-//! cycle model rather than approximating it:
+//! [`Trap`] — and leaves the machine with the same
+//! [`Observation`](hwst_sim::Observation) (registers, PC, memory, SRF,
+//! pipeline counters). This holds because the tier *shares* the cycle
+//! model rather than approximating it:
 //!
-//! * every component of every op (fused or not) retires through
-//!   [`hwst_pipeline::Pipeline::retire_decoded`], which charges exactly
-//!   what `retire` charges;
+//! * every component's static share comes from the same
+//!   [`hwst_pipeline::RetireInfo::of`] facts [`Machine::step`] retires,
+//!   summed per block into `StaticCharges` prefixes, and its dynamic
+//!   share goes through the same `Pipeline::charge_*` calls, in the
+//!   same order;
 //! * spatial checks go through [`Machine::spatial_check`] — the same SCU
-//!   predicate the cycle engine uses;
-//! * telemetry splits go through [`hwst_sim::classify`];
+//!   predicate the reference uses;
 //! * instructions with environment interactions (`ecall`, `csr*`,
 //!   `ebreak`) fall back to [`Machine::step`] itself.
 //!
@@ -35,6 +34,9 @@
 //! retires as two components, each consuming one fuel unit — the fusion
 //! only collapses dispatch and shares address computation that is
 //! provably identical between the halves.
+//!
+//! Profiling has no fast path: per-PC attribution runs on
+//! [`Machine::run_profiled`], the reference.
 //!
 //! ## Invalidation
 //!
@@ -70,20 +72,19 @@ mod block;
 mod run;
 
 pub use block::BlockCache;
-pub use run::{run_fast, run_profiled_fast};
+pub use run::run_fast;
 
 use hwst_sim::{ExitStatus, Machine, Trap};
-use hwst_telemetry::Profiler;
 
 /// Which execution engine drives a [`Machine`].
 ///
-/// Both engines produce bit-identical results (state, traps, stats,
-/// telemetry); the choice only changes wall-clock time. `Cycle` is the
-/// reference interpreter ([`Machine::run`]); `Fast` is the decoded-block
-/// tier and the default for sweeps.
+/// Both engines produce bit-identical results (state, traps, stats);
+/// the choice only changes wall-clock time. `Cycle` is the reference
+/// interpreter ([`Machine::run`]); `Fast` is the decoded-block tier and
+/// the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The reference cycle interpreter: fetch/decode/execute per step.
+    /// The reference interpreter: fetch/decode/execute per step.
     Cycle,
     /// The decoded-block tier with superinstruction fusion.
     #[default]
@@ -91,17 +92,6 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Both engines, cycle first (the reference).
-    pub const ALL: [Engine; 2] = [Engine::Cycle, Engine::Fast];
-
-    /// The CLI name (`cycle` / `fast`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Cycle => "cycle",
-            Engine::Fast => "fast",
-        }
-    }
-
     /// Runs `m` for `fuel` instructions under this engine. The `cache`
     /// is only consulted by `Fast`; passing a warm cache skips
     /// re-decoding.
@@ -119,43 +109,5 @@ impl Engine {
             Engine::Cycle => m.run(fuel),
             Engine::Fast => run_fast(m, fuel, cache),
         }
-    }
-
-    /// [`Self::run`] with per-PC cycle attribution into `prof`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Machine::run_profiled`].
-    pub fn run_profiled(
-        self,
-        m: &mut Machine,
-        fuel: u64,
-        prof: &mut Profiler,
-        cache: &mut BlockCache,
-    ) -> Result<ExitStatus, Trap> {
-        match self {
-            Engine::Cycle => m.run_profiled(fuel, prof),
-            Engine::Fast => run_profiled_fast(m, fuel, prof, cache),
-        }
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "cycle" => Ok(Engine::Cycle),
-            "fast" => Ok(Engine::Fast),
-            other => Err(format!(
-                "unknown engine `{other}` (expected `fast` or `cycle`)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }

@@ -65,7 +65,7 @@ pub use hwst_workloads as workloads;
 pub mod prelude {
     pub use hwst_compiler::ir::{BinOp, Width};
     pub use hwst_compiler::{compile, FuncBuilder, ModuleBuilder, Scheme};
-    pub use hwst_exec::{BlockCache, Engine};
+    pub use hwst_exec::{run_fast, BlockCache};
     pub use hwst_isa::{Instr, Program, Reg};
     pub use hwst_metadata::{CompressionConfig, Metadata, ShadowCodec};
     pub use hwst_sim::{ExitStatus, Machine, SafetyConfig, Trap};
@@ -100,7 +100,8 @@ pub fn config_for(scheme: compiler::Scheme) -> sim::SafetyConfig {
 }
 
 /// Compiles `module` for `scheme` and runs it with the matching safety
-/// configuration — the one-call experiment step.
+/// configuration on the fast engine ([`exec::run_fast`], bit-identical
+/// to [`sim::Machine::run`]) — the one-call experiment step.
 ///
 /// # Errors
 ///
@@ -112,29 +113,7 @@ pub fn run_scheme(
     fuel: u64,
 ) -> Result<sim::ExitStatus, Box<dyn std::error::Error + Send + Sync>> {
     let prog = compiler::compile(module, scheme)?;
-    let exit = sim::Machine::new(prog, config_for(scheme)).run(fuel)?;
-    Ok(exit)
-}
-
-/// [`run_scheme`] under a caller-chosen [`exec::Engine`]. Both engines
-/// return bit-identical results; `Engine::Fast` is the sweep default,
-/// `Engine::Cycle` the per-step reference interpreter.
-///
-/// # Errors
-///
-/// Returns the compile error or the trap that stopped execution, both as
-/// boxed errors.
-pub fn run_scheme_with(
-    module: &compiler::ir::Module,
-    scheme: compiler::Scheme,
-    fuel: u64,
-    engine: exec::Engine,
-) -> Result<sim::ExitStatus, Box<dyn std::error::Error + Send + Sync>> {
-    let prog = compiler::compile(module, scheme)?;
-    let mut cache = exec::BlockCache::new();
-    let mut m = sim::Machine::new(prog, config_for(scheme));
-    let exit = engine.run(&mut m, fuel, &mut cache)?;
-    Ok(exit)
+    run_program(prog, scheme, fuel)
 }
 
 /// [`run_scheme`] at an explicit back-end [`compiler::OptLevel`] —
@@ -153,29 +132,16 @@ pub fn run_scheme_opt(
 ) -> Result<sim::ExitStatus, Box<dyn std::error::Error + Send + Sync>> {
     let opts = compiler::CompileOptions::new(scheme).with_opt(opt);
     let prog = compiler::compile_with_options(module, opts)?.program;
-    let exit = sim::Machine::new(prog, config_for(scheme)).run(fuel)?;
-    Ok(exit)
+    run_program(prog, scheme, fuel)
 }
 
-/// [`run_scheme_opt`] under a caller-chosen [`exec::Engine`].
-///
-/// # Errors
-///
-/// Returns the compile error or the trap that stopped execution, both as
-/// boxed errors.
-pub fn run_scheme_opt_with(
-    module: &compiler::ir::Module,
+fn run_program(
+    prog: isa::Program,
     scheme: compiler::Scheme,
     fuel: u64,
-    opt: compiler::OptLevel,
-    engine: exec::Engine,
 ) -> Result<sim::ExitStatus, Box<dyn std::error::Error + Send + Sync>> {
-    let opts = compiler::CompileOptions::new(scheme).with_opt(opt);
-    let prog = compiler::compile_with_options(module, opts)?.program;
-    let mut cache = exec::BlockCache::new();
     let mut m = sim::Machine::new(prog, config_for(scheme));
-    let exit = engine.run(&mut m, fuel, &mut cache)?;
-    Ok(exit)
+    Ok(exec::run_fast(&mut m, fuel, &mut exec::BlockCache::new())?)
 }
 
 #[cfg(test)]
@@ -206,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_through_the_facade() {
+    fn run_scheme_matches_the_reference_interpreter() {
         let mut mb = compiler::ModuleBuilder::new();
         let mut f = mb.func("main");
         let p = f.malloc_bytes(24);
@@ -217,10 +183,13 @@ mod tests {
         f.finish();
         let m = mb.finish();
         for s in Scheme::ALL {
-            let cycle = run_scheme_with(&m, s, 100_000, exec::Engine::Cycle).unwrap();
-            let fast = run_scheme_with(&m, s, 100_000, exec::Engine::Fast).unwrap();
-            assert_eq!(cycle, fast, "scheme {s:?}");
-            assert_eq!(run_scheme(&m, s, 100_000).unwrap(), cycle);
+            let prog = compiler::compile(&m, s).unwrap();
+            let reference = sim::Machine::new(prog, config_for(s)).run(100_000);
+            assert_eq!(
+                run_scheme(&m, s, 100_000).unwrap(),
+                reference.unwrap(),
+                "scheme {s:?}"
+            );
         }
     }
 }

@@ -682,10 +682,11 @@ impl Instr {
         (!rd.is_zero()).then_some(rd)
     }
 
-    /// The GPRs read by this instruction.
-    pub fn src_gprs(self) -> Vec<Reg> {
-        let mut v = Vec::with_capacity(2);
-        match self {
+    /// The GPRs read by this instruction, in operand order. `x0` is
+    /// dropped (it always reads zero, so it never carries a
+    /// dependence).
+    pub fn src_gprs(self) -> [Option<Reg>; 2] {
+        let (rs1, rs2) = match self {
             Instr::Jalr { rs1, .. }
             | Instr::Load { rs1, .. }
             | Instr::AluImm { rs1, .. }
@@ -696,20 +697,19 @@ impl Instr {
             | Instr::Lbnd { rs1, .. }
             | Instr::Lkey { rs1, .. }
             | Instr::Lloc { rs1, .. }
-            | Instr::Tchk { rs1 } => v.push(rs1),
+            | Instr::Tchk { rs1 } => (Some(rs1), None),
             Instr::Branch { rs1, rs2, .. }
             | Instr::Store { rs1, rs2, .. }
             | Instr::Alu { rs1, rs2, .. }
             | Instr::Bndrs { rs1, rs2, .. }
-            | Instr::Bndrt { rs1, rs2, .. } => {
-                v.push(rs1);
-                v.push(rs2);
-            }
-            Instr::Sbdl { rs1, .. } | Instr::Sbdu { rs1, .. } => v.push(rs1),
-            _ => {}
-        }
-        v.retain(|r| !r.is_zero());
-        v
+            | Instr::Bndrt { rs1, rs2, .. } => (Some(rs1), Some(rs2)),
+            // The metadata stores read only the container pointer: the
+            // SRF entry travels the metadata path, not the GPR path.
+            Instr::Sbdl { rs1, .. } | Instr::Sbdu { rs1, .. } => (Some(rs1), None),
+            _ => (None, None),
+        };
+        let live = |r: Option<Reg>| r.filter(|r| !r.is_zero());
+        [live(rs1), live(rs2)]
     }
 }
 
@@ -819,7 +819,7 @@ mod tests {
             rs2: Reg::A2,
         };
         assert_eq!(i.dest_gpr(), Some(Reg::A0));
-        assert_eq!(i.src_gprs(), vec![Reg::A1, Reg::A2]);
+        assert_eq!(i.src_gprs(), [Some(Reg::A1), Some(Reg::A2)]);
 
         // Writes to zero are discarded.
         let i = Instr::AluImm {
@@ -837,7 +837,7 @@ mod tests {
             rs2: Reg::A2,
         };
         assert_eq!(i.dest_gpr(), None);
-        assert_eq!(i.src_gprs(), vec![Reg::A1, Reg::A2]);
+        assert_eq!(i.src_gprs(), [Some(Reg::A1), Some(Reg::A2)]);
 
         // lbas writes a GPR.
         let i = Instr::Lbas {
@@ -854,6 +854,6 @@ mod tests {
             rs1: Reg::Zero,
             rs2: Reg::A2,
         };
-        assert_eq!(i.src_gprs(), vec![Reg::A2]);
+        assert_eq!(i.src_gprs(), [None, Some(Reg::A2)]);
     }
 }

@@ -13,6 +13,14 @@
 //!   penalties, multi-cycle mul/div, memory latency, metadata
 //!   operations) and [`CycleStats`] with a per-category breakdown.
 //!
+//! Timing is defined once. [`RetireInfo::of`] is the only
+//! instruction-to-timing decision; an instruction's static share is
+//! charged through [`StaticCharges`] and [`Pipeline::charge_static`]
+//! (one instruction at a time by [`Pipeline::retire`], or a decoded
+//! block prefix at a time by the `hwst-exec` fast engine), and its
+//! dynamic share through the `charge_*` calls the executor makes where
+//! each access happens.
+//!
 //! The absolute cycle numbers are a calibrated model, not RTL; what the
 //! reproduction relies on is that the *same* core model executes the
 //! baseline, SBCETS-instrumented and HWST128-instrumented programs, so
@@ -21,13 +29,13 @@
 //! ## Example
 //!
 //! ```
-//! use hwst_pipeline::{Pipeline, PipelineConfig, ExecEvents};
+//! use hwst_pipeline::{Pipeline, PipelineConfig, RetireInfo};
 //! use hwst_isa::{Instr, Reg, AluOp};
 //!
 //! let mut pipe = Pipeline::new(PipelineConfig::default());
 //! let add = Instr::Alu { op: AluOp::Add, rd: Reg::A0, rs1: Reg::A1, rs2: Reg::A2 };
-//! let cycles = pipe.retire(&add, &ExecEvents::default());
-//! assert_eq!(cycles, 1, "an ALU op retires in one cycle");
+//! pipe.retire(&RetireInfo::of(&add));
+//! assert_eq!(pipe.stats().total_cycles(), 1, "an ALU op retires in one cycle");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,7 +50,7 @@ mod stats;
 pub use cache::{Cache, CacheConfig};
 pub use keybuffer::KeyBuffer;
 pub use pipeline::{
-    ExecEvents, Pipeline, PipelineConfig, RetireClass, RetireInfo, ShadowLayout, StaticCharges,
+    Pipeline, PipelineConfig, RetireClass, RetireInfo, ShadowLayout, StaticCharges,
 };
 pub use srf::ShadowRegisterFile;
 pub use stats::CycleStats;

@@ -54,25 +54,8 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Dynamic facts about one executed instruction that the timing model
-/// needs but cannot derive from the opcode alone.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecEvents {
-    /// Effective user-memory address of a load/store.
-    pub mem_addr: Option<u64>,
-    /// Effective shadow-memory address of a metadata access.
-    pub shadow_addr: Option<u64>,
-    /// A conditional branch resolved taken.
-    pub branch_taken: bool,
-    /// For `tchk`: the pointer's lock address and the key that lives at
-    /// it (for keybuffer fill on miss).
-    pub tchk: Option<(u64, u64)>,
-}
-
-/// The timing-relevant shape of an instruction, pre-resolved once at
-/// decode time so the fast execution tier can retire without
-/// re-matching the full [`Instr`] (and without the per-retire source
-/// register `Vec` that [`Instr::src_gprs`] allocates).
+/// The timing-relevant shape of an instruction, as decided by
+/// [`RetireInfo::of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetireClass {
     /// A load (plain or checked) writing `rd`.
@@ -109,60 +92,23 @@ pub enum RetireClass {
     Other,
 }
 
-/// Pre-resolved retire facts for one instruction: source registers
-/// (for the load-use interlock), HWST membership and timing class.
+/// An instruction's retire facts: source registers (for the load-use
+/// interlock), HWST membership and timing class.
 ///
-/// [`Pipeline::retire_decoded`] consumes this and charges exactly the
-/// cycles [`Pipeline::retire`] would charge for the instruction it was
-/// built from — the equivalence the decoded-block engine's bit-identity
-/// guarantee rests on.
+/// [`Self::of`] is the model's only instruction-to-timing decision.
+/// [`Pipeline::retire`] charges one instruction from it; the
+/// decoded-block engine sums the same facts into [`StaticCharges`]
+/// prefixes at decode time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetireInfo {
-    srcs: [Reg; 2],
-    nsrcs: u8,
+    srcs: [Option<Reg>; 2],
     is_hwst: bool,
     class: RetireClass,
 }
 
 impl RetireInfo {
-    /// Pre-resolves `instr` (mirrors [`Instr::src_gprs`],
-    /// [`Instr::is_hwst`] and the [`Pipeline::retire`] match arms).
+    /// Resolves `instr`'s retire facts.
     pub fn of(instr: &Instr) -> Self {
-        let mut srcs = [Reg::Zero; 2];
-        let mut nsrcs = 0u8;
-        let mut push = |r: Reg| {
-            // src_gprs() drops x0: it always reads zero, so it can
-            // never carry a load-use dependence.
-            if !r.is_zero() {
-                srcs[nsrcs as usize] = r;
-                nsrcs += 1;
-            }
-        };
-        match *instr {
-            Instr::Jalr { rs1, .. }
-            | Instr::Load { rs1, .. }
-            | Instr::AluImm { rs1, .. }
-            | Instr::Csr { rs1, .. }
-            | Instr::Lbdls { rs1, .. }
-            | Instr::Lbdus { rs1, .. }
-            | Instr::Lbas { rs1, .. }
-            | Instr::Lbnd { rs1, .. }
-            | Instr::Lkey { rs1, .. }
-            | Instr::Lloc { rs1, .. }
-            | Instr::Tchk { rs1 } => push(rs1),
-            Instr::Branch { rs1, rs2, .. }
-            | Instr::Store { rs1, rs2, .. }
-            | Instr::Alu { rs1, rs2, .. }
-            | Instr::Bndrs { rs1, rs2, .. }
-            | Instr::Bndrt { rs1, rs2, .. } => {
-                push(rs1);
-                push(rs2);
-            }
-            // The metadata stores read only the container pointer: the
-            // SRF entry travels the metadata path, not the GPR path.
-            Instr::Sbdl { rs1, .. } | Instr::Sbdu { rs1, .. } => push(rs1),
-            _ => {}
-        }
         let class = match *instr {
             Instr::Load { rd, checked, .. } => RetireClass::Load { rd, checked },
             Instr::Store { checked, .. } => RetireClass::Store { checked },
@@ -182,6 +128,10 @@ impl RetireInfo {
                     RetireClass::Div
                 }
             }
+            // Metadata stores/loads go through the D-cache at the shadow
+            // address; COMP/DECOMP is folded into the pipe stages
+            // (paper: the compression adds critical-path latency, not
+            // extra cycles).
             Instr::Sbdl { .. } | Instr::Sbdu { .. } => RetireClass::ShadowStore,
             Instr::Lbdls { rd, .. }
             | Instr::Lbdus { rd, .. }
@@ -193,8 +143,7 @@ impl RetireInfo {
             _ => RetireClass::Other,
         };
         RetireInfo {
-            srcs,
-            nsrcs,
+            srcs: instr.src_gprs(),
             is_hwst: instr.is_hwst(),
             class,
         }
@@ -211,14 +160,14 @@ impl RetireInfo {
     }
 
     /// Whether the instruction reads GPR `r` (x0 never reads as a
-    /// dependence, mirroring `src_gprs`).
+    /// dependence: it always reads zero).
     #[inline]
     pub fn reads(&self, r: Reg) -> bool {
-        self.srcs[..self.nsrcs as usize].contains(&r)
+        self.srcs.contains(&Some(r))
     }
 
     /// The destination this instruction arms the load-use interlock
-    /// with, if any — i.e. the value [`Pipeline::retire`] leaves in
+    /// with, if any — the value [`Pipeline::retire`] leaves in
     /// `prev_load_dest` after retiring it.
     #[inline]
     pub fn load_dest(&self) -> Option<Reg> {
@@ -229,12 +178,12 @@ impl RetireInfo {
     }
 }
 
-/// The statically-determined portion of a run of retires: everything
-/// [`Pipeline::retire`] charges that depends only on the instructions
-/// themselves, not on addresses or cache state. A decoded block
-/// precomputes prefix sums of these, so the plain (non-profiled) fast
-/// engine applies one `charge_static` per block instead of the
-/// arithmetic part of one `retire` per instruction.
+/// The static share of a run of retires: everything that depends only
+/// on the instructions themselves, not on addresses or cache state.
+/// [`Pipeline::retire`] charges one instruction's share; a decoded
+/// block precomputes prefix sums of these, so the fast engine applies
+/// one [`Pipeline::charge_static`] per block instead of one `retire`
+/// per instruction.
 ///
 /// Fields are counts (latency multipliers are applied by
 /// [`Pipeline::charge_static`] against the live config), sized `u16`:
@@ -304,17 +253,27 @@ impl std::ops::Sub for StaticCharges {
 /// accumulates a [`CycleStats`] breakdown as the simulator retires
 /// instructions through it.
 ///
+/// An instruction's cycles are charged in two shares. The executor
+/// charges the *dynamic* share where the access happens
+/// ([`Self::charge_mem_dyn`], [`Self::charge_shadow_dyn`],
+/// [`Self::charge_tchk_dyn`], [`Self::charge_taken_branch`]), so
+/// D-cache and keybuffer state sees accesses in program order; then
+/// [`Self::retire`] charges the *static* share.
+///
 /// # Example
 ///
 /// ```
-/// use hwst_pipeline::{Pipeline, PipelineConfig, ExecEvents};
+/// use hwst_pipeline::{Pipeline, PipelineConfig, RetireInfo};
 /// use hwst_isa::{Instr, Reg, LoadWidth};
 ///
 /// let mut p = Pipeline::new(PipelineConfig::default());
-/// let ld = Instr::Load { width: LoadWidth::D, rd: Reg::A0, rs1: Reg::Sp, offset: 0, checked: false };
-/// let ev = ExecEvents { mem_addr: Some(0x1000), ..Default::default() };
-/// let cold = p.retire(&ld, &ev);
-/// let warm = p.retire(&ld, &ev);
+/// let ld = RetireInfo::of(&Instr::Load { width: LoadWidth::D, rd: Reg::A0, rs1: Reg::Sp, offset: 0, checked: false });
+/// p.charge_mem_dyn(0x1000);
+/// p.retire(&ld);
+/// let cold = p.stats().total_cycles();
+/// p.charge_mem_dyn(0x1000);
+/// p.retire(&ld);
+/// let warm = p.stats().total_cycles() - cold;
 /// assert!(cold > warm, "second access hits the D-cache");
 /// ```
 #[derive(Debug, Clone)]
@@ -429,220 +388,21 @@ impl Pipeline {
         }
     }
 
-    /// Retires one instruction, charging its cycles; returns the cycles
-    /// charged.
-    pub fn retire(&mut self, instr: &Instr, ev: &ExecEvents) -> u64 {
-        self.stats.instret += 1;
-        self.stats.base_cycles += 1;
-        let mut cycles = 1;
-        if instr.is_hwst() {
-            self.counters.incr(self.ids.hwst_instrs);
-        }
-
-        // Load-use interlock against the previous instruction.
-        if let Some(dest) = self.prev_load_dest.take() {
-            if instr.src_gprs().contains(&dest) {
-                self.stats.load_use_stalls += self.cfg.load_use_stall;
-                cycles += self.cfg.load_use_stall;
-            }
-        }
-
-        match *instr {
-            Instr::Load { rd, checked, .. } => {
-                let extra = self.dcache.access(ev.mem_addr.unwrap_or_default());
-                self.stats.mem_stalls += extra;
-                self.counters.add(self.ids.checked_mem, checked as u64);
-                cycles += extra;
-                self.prev_load_dest = Some(rd);
-            }
-            Instr::Store { checked, .. } => {
-                let extra = self.dcache.access(ev.mem_addr.unwrap_or_default());
-                self.stats.mem_stalls += extra;
-                self.counters.add(self.ids.checked_mem, checked as u64);
-                cycles += extra;
-            }
-            Instr::Branch { .. } if ev.branch_taken => {
-                self.stats.control_stalls += self.cfg.control_penalty;
-                cycles += self.cfg.control_penalty;
-            }
-            Instr::Jal { .. } | Instr::Jalr { .. } => {
-                self.stats.control_stalls += self.cfg.control_penalty;
-                cycles += self.cfg.control_penalty;
-            }
-            Instr::Alu { op, .. } if op.is_muldiv() => {
-                let lat = if matches!(
-                    op,
-                    hwst_isa::AluOp::Mul
-                        | hwst_isa::AluOp::Mulh
-                        | hwst_isa::AluOp::Mulhsu
-                        | hwst_isa::AluOp::Mulhu
-                        | hwst_isa::AluOp::Mulw
-                ) {
-                    self.cfg.mul_latency
-                } else {
-                    self.cfg.div_latency
-                };
-                self.stats.muldiv_stalls += lat;
-                cycles += lat;
-            }
-            // Metadata stores/loads go through the D-cache at the shadow
-            // address; COMP/DECOMP is folded into the pipe stages
-            // (paper: the compression adds critical-path latency, not
-            // extra cycles).
-            Instr::Sbdl { .. } | Instr::Sbdu { .. } => {
-                let saddr = ev.shadow_addr.unwrap_or_default();
-                let mut extra = self.shadow_dir_walk(saddr);
-                extra += self.dcache.access(saddr);
-                self.stats.shadow_stalls += extra;
-                self.stats.meta_mem += 1;
-                cycles += extra;
-            }
-            Instr::Lbdls { rd, .. }
-            | Instr::Lbdus { rd, .. }
-            | Instr::Lbas { rd, .. }
-            | Instr::Lbnd { rd, .. }
-            | Instr::Lkey { rd, .. }
-            | Instr::Lloc { rd, .. } => {
-                let saddr = ev.shadow_addr.unwrap_or_default();
-                let mut extra = self.shadow_dir_walk(saddr);
-                extra += self.dcache.access(saddr);
-                self.stats.shadow_stalls += extra;
-                self.stats.meta_mem += 1;
-                cycles += extra;
-                self.prev_load_dest = Some(rd);
-            }
-            Instr::Tchk { .. } => {
-                if let Some((lock, key)) = ev.tchk {
-                    match self.keybuffer.lookup(lock) {
-                        Some(_) => {
-                            // Keybuffer hit: the key load is bypassed by
-                            // "modifying the valid signal in the DCache
-                            // module" — zero extra cycles.
-                            self.counters.incr(self.ids.keybuffer_hits);
-                        }
-                        None => {
-                            self.counters.incr(self.ids.keybuffer_misses);
-                            // The key must be fetched from the
-                            // lock_location through the D-cache; tchk is
-                            // a two-memory-access pattern so it cannot
-                            // fuse with the load/store (paper §3.5).
-                            let extra = 1 + self.dcache.access(lock);
-                            self.stats.tchk_stalls += extra;
-                            cycles += extra;
-                            self.keybuffer.fill(lock, key);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-        cycles
-    }
-
-    /// [`Self::retire`] over a pre-resolved [`RetireInfo`]: charges
-    /// exactly the cycles `retire` would charge for the instruction the
-    /// info was built from, updating the same state in the same order.
-    ///
-    /// Any divergence between the two is a bug; the equivalence tests
-    /// below and the differential engine gate both pin it.
+    /// Retires one instruction: the load-use interlock against the
+    /// previous retire, then the instruction's static share. Its
+    /// dynamic share is charged by the executor beforehand, where the
+    /// access happens.
     #[inline]
-    pub fn retire_decoded(&mut self, info: &RetireInfo, ev: &ExecEvents) -> u64 {
-        self.stats.instret += 1;
-        self.stats.base_cycles += 1;
-        let mut cycles = 1;
-        if info.is_hwst {
-            self.counters.incr(self.ids.hwst_instrs);
-        }
-
-        // Load-use interlock against the previous instruction.
-        if let Some(dest) = self.prev_load_dest.take() {
-            if info.srcs[..info.nsrcs as usize].contains(&dest) {
-                self.stats.load_use_stalls += self.cfg.load_use_stall;
-                cycles += self.cfg.load_use_stall;
-            }
-        }
-
-        match info.class {
-            RetireClass::Load { rd, checked } => {
-                let extra = self.dcache.access(ev.mem_addr.unwrap_or_default());
-                self.stats.mem_stalls += extra;
-                self.counters.add(self.ids.checked_mem, checked as u64);
-                cycles += extra;
-                self.prev_load_dest = Some(rd);
-            }
-            RetireClass::Store { checked } => {
-                let extra = self.dcache.access(ev.mem_addr.unwrap_or_default());
-                self.stats.mem_stalls += extra;
-                self.counters.add(self.ids.checked_mem, checked as u64);
-                cycles += extra;
-            }
-            RetireClass::Branch => {
-                if ev.branch_taken {
-                    self.stats.control_stalls += self.cfg.control_penalty;
-                    cycles += self.cfg.control_penalty;
-                }
-            }
-            RetireClass::Jump => {
-                self.stats.control_stalls += self.cfg.control_penalty;
-                cycles += self.cfg.control_penalty;
-            }
-            RetireClass::Mul => {
-                self.stats.muldiv_stalls += self.cfg.mul_latency;
-                cycles += self.cfg.mul_latency;
-            }
-            RetireClass::Div => {
-                self.stats.muldiv_stalls += self.cfg.div_latency;
-                cycles += self.cfg.div_latency;
-            }
-            RetireClass::ShadowStore => {
-                let saddr = ev.shadow_addr.unwrap_or_default();
-                let mut extra = self.shadow_dir_walk(saddr);
-                extra += self.dcache.access(saddr);
-                self.stats.shadow_stalls += extra;
-                self.stats.meta_mem += 1;
-                cycles += extra;
-            }
-            RetireClass::ShadowLoad { rd } => {
-                let saddr = ev.shadow_addr.unwrap_or_default();
-                let mut extra = self.shadow_dir_walk(saddr);
-                extra += self.dcache.access(saddr);
-                self.stats.shadow_stalls += extra;
-                self.stats.meta_mem += 1;
-                cycles += extra;
-                self.prev_load_dest = Some(rd);
-            }
-            RetireClass::Tchk => {
-                if let Some((lock, key)) = ev.tchk {
-                    match self.keybuffer.lookup(lock) {
-                        Some(_) => {
-                            self.counters.incr(self.ids.keybuffer_hits);
-                        }
-                        None => {
-                            self.counters.incr(self.ids.keybuffer_misses);
-                            let extra = 1 + self.dcache.access(lock);
-                            self.stats.tchk_stalls += extra;
-                            cycles += extra;
-                            self.keybuffer.fill(lock, key);
-                        }
-                    }
-                }
-            }
-            RetireClass::Other => {}
-        }
-        cycles
+    pub fn retire(&mut self, info: &RetireInfo) {
+        self.interlock_seam(info);
+        let mut c = StaticCharges::default();
+        c.add_component(info);
+        self.charge_static(c);
+        self.prev_load_dest = info.load_dest();
     }
 
-    // ------------------------------------------------------------------
-    // Batched retirement: the plain fast engine splits `retire_decoded`
-    // into a per-block `charge_static` (the arithmetic above, summed at
-    // decode time) and the per-op `charge_*_dyn` calls below (the parts
-    // that touch the D-cache/keybuffer, whose access *order* must match
-    // the cycle engine exactly for LRU state to stay bit-identical).
-    // ------------------------------------------------------------------
-
-    /// Applies a block's (or block prefix's) statically-summed charges.
-    /// Together with the dynamic charges issued per op, the result is
-    /// bit-identical to having called [`Self::retire_decoded`] per op.
+    /// Applies the static share of a run of retires: one instruction's
+    /// (from [`Self::retire`]) or a decoded block prefix's.
     #[inline]
     pub fn charge_static(&mut self, c: StaticCharges) {
         self.stats.instret += c.comps as u64;
@@ -657,16 +417,16 @@ impl Pipeline {
         self.stats.meta_mem += c.meta_mem as u64;
     }
 
-    /// Dynamic half of a [`RetireClass::Load`]/[`RetireClass::Store`]
-    /// retire: the D-cache access (the `checked_mem` bump and interlock
-    /// arming are static).
+    /// Dynamic share of a [`RetireClass::Load`]/[`RetireClass::Store`]:
+    /// the D-cache access.
     #[inline]
     pub fn charge_mem_dyn(&mut self, addr: u64) {
         self.stats.mem_stalls += self.dcache.access(addr);
     }
 
-    /// Dynamic half of a shadow-memory retire: directory walk plus the
-    /// D-cache access at the shadow address (`meta_mem` is static).
+    /// Dynamic share of a [`RetireClass::ShadowLoad`]/
+    /// [`RetireClass::ShadowStore`]: directory walk plus the D-cache
+    /// access at the shadow address.
     #[inline]
     pub fn charge_shadow_dyn(&mut self, saddr: u64) {
         let mut extra = self.shadow_dir_walk(saddr);
@@ -674,16 +434,23 @@ impl Pipeline {
         self.stats.shadow_stalls += extra;
     }
 
-    /// Dynamic half of a [`RetireClass::Tchk`] retire: keybuffer lookup,
-    /// and on a miss the key fetch through the D-cache plus the fill.
+    /// Dynamic share of a [`RetireClass::Tchk`] whose pointer carries a
+    /// lock: keybuffer lookup, and on a miss the key fetch through the
+    /// D-cache plus the fill.
     #[inline]
     pub fn charge_tchk_dyn(&mut self, lock: u64, key: u64) {
         match self.keybuffer.lookup(lock) {
             Some(_) => {
+                // Keybuffer hit: the key load is bypassed by "modifying
+                // the valid signal in the DCache module" — zero extra
+                // cycles.
                 self.counters.incr(self.ids.keybuffer_hits);
             }
             None => {
                 self.counters.incr(self.ids.keybuffer_misses);
+                // The key must be fetched from the lock_location through
+                // the D-cache; tchk is a two-memory-access pattern so it
+                // cannot fuse with the load/store (paper §3.5).
                 let extra = 1 + self.dcache.access(lock);
                 self.stats.tchk_stalls += extra;
                 self.keybuffer.fill(lock, key);
@@ -691,16 +458,18 @@ impl Pipeline {
         }
     }
 
-    /// Dynamic half of a taken [`RetireClass::Branch`] retire.
+    /// Dynamic share of a taken [`RetireClass::Branch`]: the redirect.
     #[inline]
     pub fn charge_taken_branch(&mut self) {
         self.stats.control_stalls += self.cfg.control_penalty;
     }
 
-    /// Load-use interlock check at a batching seam (block entry or the
-    /// component after an environment instruction), where the previous
-    /// component's identity is not known statically. Consumes
-    /// `prev_load_dest` exactly as [`Self::retire_decoded`] does.
+    /// The load-use interlock: charges a stall when `info` reads the
+    /// destination of an immediately preceding load, and consumes that
+    /// arming. [`Self::retire`] runs it for every instruction; the
+    /// decoded-block engine runs it at a batching seam (block entry, or
+    /// the component after an environment instruction), where the
+    /// previous component is not known at decode time.
     #[inline]
     pub fn interlock_seam(&mut self, info: &RetireInfo) {
         if let Some(dest) = self.prev_load_dest.take() {
@@ -710,20 +479,19 @@ impl Pipeline {
         }
     }
 
-    /// Restores the interlock state at a batching seam: called when the
-    /// plain fast engine leaves a run of statically-accounted components,
-    /// with the `load_dest` of the last component executed (the value
-    /// per-op retirement would have left behind).
+    /// Restores the interlock arming at a batching seam: called when the
+    /// decoded-block engine leaves a run of statically-charged
+    /// components, with the `load_dest` of the last component executed
+    /// (the value per-instruction retirement would have left behind).
     #[inline]
     pub fn set_prev_load_dest(&mut self, dest: Option<Reg>) {
         self.prev_load_dest = dest;
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwst_isa::{AluOp, BranchCond, LoadWidth, StoreWidth};
+    use hwst_isa::{AluImmOp, AluOp, BranchCond, CsrOp, LoadWidth, StoreWidth};
 
     fn pipe() -> Pipeline {
         Pipeline::new(PipelineConfig::default())
@@ -739,44 +507,40 @@ mod tests {
         }
     }
 
+    fn alu(op: AluOp, rd: Reg, rs1: Reg, rs2: Reg) -> Instr {
+        Instr::Alu { op, rd, rs1, rs2 }
+    }
+
+    /// Retires `i` after running `dynamic` (its dynamic share, as the
+    /// executor issues it) and returns the cycles the two charged.
+    fn retire(p: &mut Pipeline, i: &Instr, dynamic: impl FnOnce(&mut Pipeline)) -> u64 {
+        let before = p.stats().total_cycles();
+        dynamic(p);
+        p.retire(&RetireInfo::of(i));
+        p.stats().total_cycles() - before
+    }
+
+    fn no_dyn(_: &mut Pipeline) {}
+
     #[test]
     fn alu_is_single_cycle() {
         let mut p = pipe();
-        let i = Instr::Alu {
-            op: AluOp::Add,
-            rd: Reg::A0,
-            rs1: Reg::A1,
-            rs2: Reg::A2,
-        };
-        assert_eq!(p.retire(&i, &ExecEvents::default()), 1);
+        let i = alu(AluOp::Add, Reg::A0, Reg::A1, Reg::A2);
+        assert_eq!(retire(&mut p, &i, no_dyn), 1);
         assert_eq!(p.stats().total_cycles(), 1);
     }
 
     #[test]
     fn load_use_interlock_fires_only_on_dependence() {
         let mut p = pipe();
-        let ev = ExecEvents {
-            mem_addr: Some(0x100),
-            ..Default::default()
-        };
-        p.retire(&load(Reg::A0, Reg::Sp), &ev);
+        retire(&mut p, &load(Reg::A0, Reg::Sp), |p| p.charge_mem_dyn(0x100));
         // Dependent consumer stalls one cycle.
-        let dep = Instr::Alu {
-            op: AluOp::Add,
-            rd: Reg::A1,
-            rs1: Reg::A0,
-            rs2: Reg::Zero,
-        };
-        assert_eq!(p.retire(&dep, &ExecEvents::default()), 2);
+        let dep = alu(AluOp::Add, Reg::A1, Reg::A0, Reg::Zero);
+        assert_eq!(retire(&mut p, &dep, no_dyn), 2);
         // Independent consumer does not.
-        p.retire(&load(Reg::A2, Reg::Sp), &ev);
-        let indep = Instr::Alu {
-            op: AluOp::Add,
-            rd: Reg::A3,
-            rs1: Reg::A4,
-            rs2: Reg::Zero,
-        };
-        assert_eq!(p.retire(&indep, &ExecEvents::default()), 1);
+        retire(&mut p, &load(Reg::A2, Reg::Sp), |p| p.charge_mem_dyn(0x100));
+        let indep = alu(AluOp::Add, Reg::A3, Reg::A4, Reg::Zero);
+        assert_eq!(retire(&mut p, &indep, no_dyn), 1);
         assert_eq!(p.stats().load_use_stalls, 1);
     }
 
@@ -789,14 +553,8 @@ mod tests {
             rs2: Reg::A1,
             offset: 8,
         };
-        let not_taken = p.retire(&br, &ExecEvents::default());
-        let taken = p.retire(
-            &br,
-            &ExecEvents {
-                branch_taken: true,
-                ..Default::default()
-            },
-        );
+        let not_taken = retire(&mut p, &br, no_dyn);
+        let taken = retire(&mut p, &br, Pipeline::charge_taken_branch);
         assert_eq!(not_taken, 1);
         assert_eq!(taken, 1 + p.config().control_penalty);
     }
@@ -804,32 +562,18 @@ mod tests {
     #[test]
     fn divide_is_slow() {
         let mut p = pipe();
-        let div = Instr::Alu {
-            op: AluOp::Div,
-            rd: Reg::A0,
-            rs1: Reg::A1,
-            rs2: Reg::A2,
-        };
-        let mul = Instr::Alu {
-            op: AluOp::Mul,
-            rd: Reg::A0,
-            rs1: Reg::A1,
-            rs2: Reg::A2,
-        };
-        assert_eq!(p.retire(&div, &ExecEvents::default()), 17);
-        assert_eq!(p.retire(&mul, &ExecEvents::default()), 4);
+        let div = alu(AluOp::Div, Reg::A0, Reg::A1, Reg::A2);
+        let mul = alu(AluOp::Mul, Reg::A0, Reg::A1, Reg::A2);
+        assert_eq!(retire(&mut p, &div, no_dyn), 17);
+        assert_eq!(retire(&mut p, &mul, no_dyn), 4);
     }
 
     #[test]
     fn tchk_keybuffer_hit_is_free() {
         let mut p = pipe();
         let tchk = Instr::Tchk { rs1: Reg::A0 };
-        let ev = ExecEvents {
-            tchk: Some((0x9000, 42)),
-            ..Default::default()
-        };
-        let miss = p.retire(&tchk, &ev);
-        let hit = p.retire(&tchk, &ev);
+        let miss = retire(&mut p, &tchk, |p| p.charge_tchk_dyn(0x9000, 42));
+        let hit = retire(&mut p, &tchk, |p| p.charge_tchk_dyn(0x9000, 42));
         assert!(
             miss > hit,
             "first tchk loads the key, second hits the buffer"
@@ -843,18 +587,14 @@ mod tests {
     fn poisoned_entry_only_bypasses_timing_and_dies_on_free() {
         let mut p = pipe();
         let tchk = Instr::Tchk { rs1: Reg::A0 };
-        let ev = ExecEvents {
-            tchk: Some((0x9000, 42)),
-            ..Default::default()
-        };
         // A poisoned (stale) entry makes the next tchk a keybuffer hit —
         // it changes cycles, never the (lock, key) the simulator checks.
         p.poison_keybuffer(0x9000, 0xdead);
-        assert_eq!(p.retire(&tchk, &ev), 1);
+        assert_eq!(retire(&mut p, &tchk, |p| p.charge_tchk_dyn(0x9000, 42)), 1);
         assert_eq!(p.stats().keybuffer_hits, 1);
         // The free-coherence rule flushes poison like any entry.
         p.notify_free();
-        p.retire(&tchk, &ev);
+        retire(&mut p, &tchk, |p| p.charge_tchk_dyn(0x9000, 42));
         assert_eq!(p.stats().keybuffer_misses, 1);
     }
 
@@ -862,13 +602,9 @@ mod tests {
     fn free_clears_keybuffer() {
         let mut p = pipe();
         let tchk = Instr::Tchk { rs1: Reg::A0 };
-        let ev = ExecEvents {
-            tchk: Some((0x9000, 42)),
-            ..Default::default()
-        };
-        p.retire(&tchk, &ev);
+        retire(&mut p, &tchk, |p| p.charge_tchk_dyn(0x9000, 42));
         p.notify_free();
-        p.retire(&tchk, &ev);
+        retire(&mut p, &tchk, |p| p.charge_tchk_dyn(0x9000, 42));
         assert_eq!(p.stats().keybuffer_misses, 2);
     }
 
@@ -878,44 +614,27 @@ mod tests {
         // bounded load costs the same cycles as a plain load.
         let mut a = pipe();
         let mut b = pipe();
-        let ev = ExecEvents {
-            mem_addr: Some(0x40),
-            ..Default::default()
-        };
-        let plain = Instr::Load {
-            width: LoadWidth::D,
-            rd: Reg::A0,
-            rs1: Reg::A1,
-            offset: 0,
-            checked: false,
-        };
-        let checked = Instr::Load {
-            width: LoadWidth::D,
-            rd: Reg::A0,
-            rs1: Reg::A1,
-            offset: 0,
-            checked: true,
-        };
-        assert_eq!(a.retire(&plain, &ev), b.retire(&checked, &ev));
-        let evs = ExecEvents {
-            mem_addr: Some(0x80),
-            ..Default::default()
-        };
-        let ps = Instr::Store {
-            width: StoreWidth::D,
-            rs1: Reg::A1,
-            rs2: Reg::A0,
-            offset: 0,
-            checked: false,
-        };
-        let cs = Instr::Store {
-            width: StoreWidth::D,
-            rs1: Reg::A1,
-            rs2: Reg::A0,
-            offset: 0,
-            checked: true,
-        };
-        assert_eq!(a.retire(&ps, &evs), b.retire(&cs, &evs));
+        for checked in [false, true] {
+            let p = if checked { &mut b } else { &mut a };
+            let ld = Instr::Load {
+                width: LoadWidth::D,
+                rd: Reg::A0,
+                rs1: Reg::A1,
+                offset: 0,
+                checked,
+            };
+            let st = Instr::Store {
+                width: StoreWidth::D,
+                rs1: Reg::A1,
+                rs2: Reg::A0,
+                offset: 0,
+                checked,
+            };
+            retire(p, &ld, |p| p.charge_mem_dyn(0x40));
+            retire(p, &st, |p| p.charge_mem_dyn(0x80));
+        }
+        assert_eq!(a.stats().total_cycles(), b.stats().total_cycles());
+        assert_eq!((a.stats().checked_mem, b.stats().checked_mem), (0, 2));
     }
 
     #[test]
@@ -924,12 +643,8 @@ mod tests {
         // the same storage, read two ways.
         let mut p = pipe();
         let tchk = Instr::Tchk { rs1: Reg::A0 };
-        let ev = ExecEvents {
-            tchk: Some((0x9000, 42)),
-            ..Default::default()
-        };
-        p.retire(&tchk, &ev); // miss
-        p.retire(&tchk, &ev); // hit
+        retire(&mut p, &tchk, |p| p.charge_tchk_dyn(0x9000, 42)); // miss
+        retire(&mut p, &tchk, |p| p.charge_tchk_dyn(0x9000, 42)); // hit
         let checked = Instr::Load {
             width: LoadWidth::D,
             rd: Reg::A0,
@@ -937,13 +652,7 @@ mod tests {
             offset: 0,
             checked: true,
         };
-        p.retire(
-            &checked,
-            &ExecEvents {
-                mem_addr: Some(0x40),
-                ..Default::default()
-            },
-        );
+        retire(&mut p, &checked, |p| p.charge_mem_dyn(0x40));
         let s = p.stats();
         let c = p.counters();
         assert_eq!(c.get_named("keybuffer_hits"), Some(s.keybuffer_hits));
@@ -958,253 +667,235 @@ mod tests {
         assert_eq!(s.checked_mem, 1);
     }
 
-    /// Every instruction form × representative events: `retire_decoded`
-    /// over `RetireInfo::of(i)` charges the exact cycles `retire(i)`
-    /// does and leaves identical stats, D-cache and keybuffer state.
+    /// The instruction-to-timing table, pinned row by row: every
+    /// `Instr` form (plus the mul/div/plain ALU split and the checked
+    /// memory forms) resolves to the expected class, GPR sources,
+    /// interlock arming and HWST membership.
     #[test]
-    fn retire_decoded_is_equivalent_to_retire() {
-        let mem = |a| ExecEvents {
-            mem_addr: Some(a),
-            ..Default::default()
-        };
-        let shadow = |a| ExecEvents {
-            shadow_addr: Some(a),
-            ..Default::default()
-        };
-        let tchk_ev = |lock, key| ExecEvents {
-            tchk: Some((lock, key)),
-            ..Default::default()
-        };
-        let taken = ExecEvents {
-            branch_taken: true,
-            ..Default::default()
-        };
-        let none = ExecEvents::default();
-        let alu = |op, rd, rs1, rs2| Instr::Alu { op, rd, rs1, rs2 };
-        let seq: Vec<(Instr, ExecEvents)> = vec![
-            (
-                Instr::Lui {
-                    rd: Reg::A0,
-                    imm: 4096,
-                },
-                none,
-            ),
-            (
-                Instr::Auipc {
-                    rd: Reg::A1,
-                    imm: 0,
-                },
-                none,
-            ),
-            (load(Reg::A0, Reg::Sp), mem(0x40)),
-            // Dependent consumer: interlock must fire identically.
-            (alu(AluOp::Add, Reg::A1, Reg::A0, Reg::Zero), none),
-            (load(Reg::A2, Reg::Sp), mem(0x80)),
-            // Independent consumer: no interlock.
-            (alu(AluOp::Add, Reg::A3, Reg::A4, Reg::A5), none),
+    fn retire_info_table_covers_every_form() {
+        use Reg::{A0, A1, A2};
+        use RetireClass::*;
+        // (instruction, class, GPR sources, interlock arming, is_hwst)
+        type Row = (Instr, RetireClass, &'static [Reg], Option<Reg>, bool);
+        #[rustfmt::skip]
+        let table: Vec<Row> = vec![
+            (Instr::Lui { rd: A0, imm: 4096 }, Other, &[], None, false),
+            (Instr::Auipc { rd: A0, imm: 0 }, Other, &[], None, false),
+            (Instr::Jal { rd: Reg::Ra, offset: 16 }, Jump, &[], None, false),
+            (Instr::Jalr { rd: Reg::Zero, rs1: Reg::Ra, offset: 0 }, Jump, &[Reg::Ra], None, false),
+            (Instr::Branch { cond: BranchCond::Ne, rs1: A0, rs2: A1, offset: -8 }, Branch, &[A0, A1], None, false),
+            (load(A0, Reg::Sp), Load { rd: A0, checked: false }, &[Reg::Sp], Some(A0), false),
+            (Instr::Load { width: LoadWidth::Bu, rd: A1, rs1: A2, offset: 8, checked: true }, Load { rd: A1, checked: true }, &[A2], Some(A1), true),
+            (Instr::Store { width: StoreWidth::D, rs1: A0, rs2: A1, offset: 0, checked: false }, Store { checked: false }, &[A0, A1], None, false),
+            (Instr::Store { width: StoreWidth::W, rs1: A0, rs2: A1, offset: 4, checked: true }, Store { checked: true }, &[A0, A1], None, true),
+            (Instr::AluImm { op: AluImmOp::Addi, rd: A0, rs1: A1, imm: 1 }, Other, &[A1], None, false),
+            (alu(AluOp::Add, A0, A1, A2), Other, &[A1, A2], None, false),
             // x0 sources never carry a dependence.
-            (load(Reg::A6, Reg::Sp), mem(0xc0)),
-            (alu(AluOp::Add, Reg::A7, Reg::Zero, Reg::Zero), none),
-            (
-                Instr::Load {
-                    width: LoadWidth::W,
-                    rd: Reg::S0,
-                    rs1: Reg::A0,
-                    offset: 8,
-                    checked: true,
-                },
-                mem(0x40),
-            ),
-            (
-                Instr::Store {
-                    width: StoreWidth::D,
-                    rs1: Reg::A0,
-                    rs2: Reg::A1,
-                    offset: 0,
-                    checked: true,
-                },
-                mem(0x48),
-            ),
-            (
-                Instr::Branch {
-                    cond: BranchCond::Eq,
-                    rs1: Reg::A0,
-                    rs2: Reg::A1,
-                    offset: 8,
-                },
-                none,
-            ),
-            (
-                Instr::Branch {
-                    cond: BranchCond::Ne,
-                    rs1: Reg::A0,
-                    rs2: Reg::A1,
-                    offset: -8,
-                },
-                taken,
-            ),
-            (
-                Instr::Jal {
-                    rd: Reg::Ra,
-                    offset: 16,
-                },
-                none,
-            ),
-            (
-                Instr::Jalr {
-                    rd: Reg::Zero,
-                    rs1: Reg::Ra,
-                    offset: 0,
-                },
-                none,
-            ),
-            (alu(AluOp::Mul, Reg::A0, Reg::A1, Reg::A2), none),
-            (alu(AluOp::Div, Reg::A0, Reg::A1, Reg::A2), none),
-            (alu(AluOp::Remu, Reg::A0, Reg::A1, Reg::A2), none),
-            (
-                Instr::Csr {
-                    op: hwst_isa::CsrOp::Rw,
-                    rd: Reg::A0,
-                    rs1: Reg::A1,
-                    csr: 0x8c0,
-                },
-                none,
-            ),
-            (Instr::Fence, none),
-            (
-                Instr::Bndrs {
-                    rd: Reg::A0,
-                    rs1: Reg::A0,
-                    rs2: Reg::A1,
-                },
-                none,
-            ),
-            (
-                Instr::Bndrt {
-                    rd: Reg::A0,
-                    rs1: Reg::A1,
-                    rs2: Reg::A2,
-                },
-                none,
-            ),
-            (
-                Instr::Sbdl {
-                    rs1: Reg::A0,
-                    rs2: Reg::A0,
-                    offset: 0,
-                },
-                shadow(0x4000_0000),
-            ),
-            (
-                Instr::Sbdu {
-                    rs1: Reg::A0,
-                    rs2: Reg::A0,
-                    offset: 0,
-                },
-                shadow(0x4000_0008),
-            ),
-            (
-                Instr::Lbdls {
-                    rd: Reg::A0,
-                    rs1: Reg::A1,
-                    offset: 0,
-                },
-                shadow(0x4000_0000),
-            ),
-            // Shadow loads arm the interlock too.
-            (alu(AluOp::Add, Reg::A2, Reg::A0, Reg::Zero), none),
-            (
-                Instr::Lbas {
-                    rd: Reg::A3,
-                    rs1: Reg::A1,
-                    offset: 0,
-                },
-                shadow(0x4000_0000),
-            ),
-            (Instr::Tchk { rs1: Reg::A0 }, tchk_ev(0x9000, 42)),
-            (Instr::Tchk { rs1: Reg::A0 }, tchk_ev(0x9000, 42)),
-            (Instr::Tchk { rs1: Reg::A0 }, none),
-            (
-                Instr::SrfMv {
-                    rd: Reg::A0,
-                    rs1: Reg::A1,
-                },
-                none,
-            ),
-            (Instr::SrfClr { rd: Reg::A0 }, none),
-            (Instr::Ecall, none),
-            (Instr::Ebreak, none),
+            (alu(AluOp::Sub, A0, Reg::Zero, A2), Other, &[A2], None, false),
+            (alu(AluOp::Mul, A0, A1, A2), Mul, &[A1, A2], None, false),
+            (alu(AluOp::Mulhu, A0, A1, A2), Mul, &[A1, A2], None, false),
+            (alu(AluOp::Mulw, A0, A1, A2), Mul, &[A1, A2], None, false),
+            (alu(AluOp::Div, A0, A1, A2), Div, &[A1, A2], None, false),
+            (alu(AluOp::Remu, A0, A1, A2), Div, &[A1, A2], None, false),
+            (alu(AluOp::Remuw, A0, A1, A2), Div, &[A1, A2], None, false),
+            (Instr::Csr { op: CsrOp::Rw, rd: A0, rs1: A1, csr: 0x8c0 }, Other, &[A1], None, false),
+            (Instr::Ecall, Other, &[], None, false),
+            (Instr::Ebreak, Other, &[], None, false),
+            (Instr::Fence, Other, &[], None, false),
+            (Instr::Bndrs { rd: A0, rs1: A0, rs2: A1 }, Other, &[A0, A1], None, true),
+            (Instr::Bndrt { rd: A0, rs1: A1, rs2: A2 }, Other, &[A1, A2], None, true),
+            // The metadata stores read only the container pointer: the
+            // SRF entry travels the metadata path, not the GPR path.
+            (Instr::Sbdl { rs1: A0, rs2: A1, offset: 0 }, ShadowStore, &[A0], None, true),
+            (Instr::Sbdu { rs1: A0, rs2: A1, offset: 8 }, ShadowStore, &[A0], None, true),
+            (Instr::Lbdls { rd: A0, rs1: A1, offset: 0 }, ShadowLoad { rd: A0 }, &[A1], Some(A0), true),
+            (Instr::Lbdus { rd: A0, rs1: A1, offset: 0 }, ShadowLoad { rd: A0 }, &[A1], Some(A0), true),
+            (Instr::Lbas { rd: A2, rs1: A1, offset: 0 }, ShadowLoad { rd: A2 }, &[A1], Some(A2), true),
+            (Instr::Lbnd { rd: A2, rs1: A1, offset: 0 }, ShadowLoad { rd: A2 }, &[A1], Some(A2), true),
+            (Instr::Lkey { rd: A2, rs1: A1, offset: 0 }, ShadowLoad { rd: A2 }, &[A1], Some(A2), true),
+            (Instr::Lloc { rd: A2, rs1: A1, offset: 0 }, ShadowLoad { rd: A2 }, &[A1], Some(A2), true),
+            (Instr::Tchk { rs1: A0 }, Tchk, &[A0], None, true),
+            (Instr::SrfMv { rd: A0, rs1: A1 }, Other, &[], None, true),
+            (Instr::SrfClr { rd: A0 }, Other, &[], None, true),
         ];
-        let mut by_instr = pipe();
-        let mut by_info = pipe();
-        for (i, ev) in &seq {
-            let a = by_instr.retire(i, ev);
-            let b = by_info.retire_decoded(&RetireInfo::of(i), ev);
-            assert_eq!(a, b, "cycle charge diverged at {i:?}");
-            assert_eq!(
-                by_instr.stats(),
-                by_info.stats(),
-                "stats diverged after {i:?}"
-            );
+        for (i, class, reads, load_dest, is_hwst) in &table {
+            let info = RetireInfo::of(i);
+            assert_eq!(info.class(), *class, "{i:?}");
+            assert_eq!(info.load_dest(), *load_dest, "{i:?}");
+            assert_eq!(info.is_hwst(), *is_hwst, "{i:?}");
+            for r in Reg::ALL {
+                assert_eq!(info.reads(r), reads.contains(&r), "{i:?} reads {r:?}");
+            }
         }
-        assert!(by_instr.stats().load_use_stalls > 0, "interlock exercised");
-        assert_eq!(by_instr.stats().keybuffer_hits, 1);
-        assert_eq!(by_instr.stats().keybuffer_misses, 1);
+        // Every one of the 26 `Instr` variants has at least one row.
+        let forms: std::collections::HashSet<_> = table
+            .iter()
+            .map(|row| std::mem::discriminant(&row.0))
+            .collect();
+        assert_eq!(forms.len(), 26);
     }
 
-    /// The trie layout's directory walk goes through the same path in
-    /// both retire flavours.
+    /// One retire per class, cold, under both shadow layouts: the exact
+    /// cycles charged and the category they land in. The trie layout
+    /// differs only on shadow accesses (its directory walk).
     #[test]
-    fn retire_decoded_matches_under_trie_layout() {
-        let cfg = PipelineConfig {
-            shadow_layout: ShadowLayout::Trie,
-            ..PipelineConfig::default()
-        };
-        let mut by_instr = Pipeline::new(cfg);
-        let mut by_info = Pipeline::new(cfg);
-        let sbdl = Instr::Sbdl {
-            rs1: Reg::A0,
-            rs2: Reg::A0,
-            offset: 0,
-        };
-        for a in [0x4000_0000u64, 0x4000_0008, 0x4800_0000] {
-            let ev = ExecEvents {
-                shadow_addr: Some(a),
-                ..Default::default()
+    fn one_charge_per_class_under_both_layouts() {
+        let miss = CacheConfig::default().miss_penalty;
+        for layout in [ShadowLayout::Linear, ShadowLayout::Trie] {
+            let cfg = PipelineConfig {
+                shadow_layout: layout,
+                ..PipelineConfig::default()
             };
-            assert_eq!(
-                by_instr.retire(&sbdl, &ev),
-                by_info.retire_decoded(&RetireInfo::of(&sbdl), &ev)
-            );
+            // Cold directory line: 1 serialization cycle plus a miss.
+            let walk = match layout {
+                ShadowLayout::Linear => 0,
+                ShadowLayout::Trie => 1 + miss,
+            };
+            // (instruction, dynamic share, cycles, category charged)
+            type Case = (Instr, fn(&mut Pipeline), u64, fn(&CycleStats) -> u64);
+            let cases: Vec<Case> = vec![
+                (
+                    load(Reg::A0, Reg::Sp),
+                    |p| p.charge_mem_dyn(0x40),
+                    1 + miss,
+                    |s| s.mem_stalls,
+                ),
+                (
+                    Instr::Store {
+                        width: StoreWidth::D,
+                        rs1: Reg::A0,
+                        rs2: Reg::A1,
+                        offset: 0,
+                        checked: true,
+                    },
+                    |p| p.charge_mem_dyn(0x40),
+                    1 + miss,
+                    |s| s.mem_stalls,
+                ),
+                (
+                    Instr::Branch {
+                        cond: BranchCond::Eq,
+                        rs1: Reg::A0,
+                        rs2: Reg::A1,
+                        offset: 8,
+                    },
+                    Pipeline::charge_taken_branch,
+                    3,
+                    |s| s.control_stalls,
+                ),
+                (
+                    Instr::Jal {
+                        rd: Reg::Ra,
+                        offset: 8,
+                    },
+                    no_dyn,
+                    3,
+                    |s| s.control_stalls,
+                ),
+                (alu(AluOp::Mul, Reg::A0, Reg::A1, Reg::A2), no_dyn, 4, |s| {
+                    s.muldiv_stalls
+                }),
+                (
+                    alu(AluOp::Div, Reg::A0, Reg::A1, Reg::A2),
+                    no_dyn,
+                    17,
+                    |s| s.muldiv_stalls,
+                ),
+                (
+                    Instr::Sbdl {
+                        rs1: Reg::A0,
+                        rs2: Reg::A0,
+                        offset: 0,
+                    },
+                    |p| p.charge_shadow_dyn(0x4000_0000),
+                    1 + miss + walk,
+                    |s| s.shadow_stalls,
+                ),
+                (
+                    Instr::Lkey {
+                        rd: Reg::A0,
+                        rs1: Reg::A1,
+                        offset: 0,
+                    },
+                    |p| p.charge_shadow_dyn(0x4000_0008),
+                    1 + miss + walk,
+                    |s| s.shadow_stalls,
+                ),
+                (
+                    Instr::Tchk { rs1: Reg::A0 },
+                    |p| p.charge_tchk_dyn(0x9000, 42),
+                    2 + miss,
+                    |s| s.tchk_stalls,
+                ),
+                // Nothing beyond the base cycle.
+                (Instr::Fence, no_dyn, 1, |_| 0),
+            ];
+            for (i, dynamic, cycles, category) in cases {
+                let mut p = Pipeline::new(cfg);
+                assert_eq!(
+                    retire(&mut p, &i, dynamic),
+                    cycles,
+                    "{i:?} under {layout:?}"
+                );
+                let s = p.stats();
+                assert_eq!((s.instret, s.base_cycles), (1, 1), "{i:?}");
+                // Everything above the base cycle lands in one category.
+                assert_eq!(category(&s), cycles - 1, "{i:?} under {layout:?}");
+            }
         }
-        assert_eq!(by_instr.stats(), by_info.stats());
-        assert!(by_instr.stats().shadow_stalls > 0);
+    }
+
+    /// A block's summed static share equals retiring its instructions
+    /// one by one, when the in-block load-use pairs are counted the way
+    /// the decoded-block engine counts them.
+    #[test]
+    fn summed_static_share_equals_per_instruction_retire() {
+        let seq = [
+            load(Reg::A0, Reg::Sp),
+            alu(AluOp::Add, Reg::A1, Reg::A0, Reg::Zero),
+            alu(AluOp::Mul, Reg::A2, Reg::A1, Reg::A1),
+            Instr::Lbdls {
+                rd: Reg::T0,
+                rs1: Reg::A2,
+                offset: 0,
+            },
+            Instr::Tchk { rs1: Reg::T0 },
+            Instr::Jal {
+                rd: Reg::Ra,
+                offset: 8,
+            },
+        ];
+        let mut one_by_one = pipe();
+        for i in &seq {
+            one_by_one.retire(&RetireInfo::of(i));
+        }
+        let mut summed = StaticCharges::default();
+        let mut prev: Option<Reg> = None;
+        for i in &seq {
+            let info = RetireInfo::of(i);
+            summed.load_use += prev.is_some_and(|d| info.reads(d)) as u16;
+            summed.add_component(&info);
+            prev = info.load_dest();
+        }
+        let mut batched = pipe();
+        batched.charge_static(summed);
+        assert_eq!(one_by_one.stats(), batched.stats());
+        assert_eq!(one_by_one.stats().load_use_stalls, 2);
     }
 
     #[test]
     fn stats_balance() {
         let mut p = pipe();
-        let ev = ExecEvents {
-            mem_addr: Some(0),
-            ..Default::default()
+        let mut sum = retire(&mut p, &load(Reg::A0, Reg::Sp), |p| p.charge_mem_dyn(0));
+        let dep = alu(AluOp::Add, Reg::A1, Reg::A0, Reg::Zero);
+        sum += retire(&mut p, &dep, no_dyn);
+        let jal = Instr::Jal {
+            rd: Reg::Ra,
+            offset: 16,
         };
-        let mut sum = 0;
-        sum += p.retire(&load(Reg::A0, Reg::Sp), &ev);
-        let dep = Instr::Alu {
-            op: AluOp::Add,
-            rd: Reg::A1,
-            rs1: Reg::A0,
-            rs2: Reg::Zero,
-        };
-        sum += p.retire(&dep, &ExecEvents::default());
-        sum += p.retire(
-            &Instr::Jal {
-                rd: Reg::Ra,
-                offset: 16,
-            },
-            &ExecEvents::default(),
-        );
+        sum += retire(&mut p, &jal, no_dyn);
         assert_eq!(p.stats().total_cycles(), sum);
         assert_eq!(p.stats().instret, 3);
+        assert_eq!(sum, 3 + CacheConfig::default().miss_penalty + 1 + 2);
     }
 }

@@ -3,15 +3,40 @@
 //! hardware they model.
 
 use hwst_isa::{AluImmOp, AluOp, BranchCond, Instr, LoadWidth, Reg, StoreWidth};
-use hwst_pipeline::{Cache, CacheConfig, ExecEvents, KeyBuffer, Pipeline, PipelineConfig};
+use hwst_pipeline::{Cache, CacheConfig, KeyBuffer, Pipeline, PipelineConfig, RetireInfo};
 use proptest::prelude::*;
 
 fn any_reg() -> impl Strategy<Value = Reg> {
     (0u8..32).prop_map(|i| Reg::from_index(i).unwrap())
 }
 
-/// A random instruction plus matching events.
-fn any_retirement() -> impl Strategy<Value = (Instr, ExecEvents)> {
+/// The dynamic share an executor charges for one instruction, where
+/// the access happens.
+#[derive(Debug, Clone, Copy)]
+enum Dyn {
+    None,
+    Mem(u64),
+    Shadow(u64),
+    TakenBranch(bool),
+    Tchk(u64, u64),
+}
+
+/// Charges `dynamic`, retires `i` and returns the cycles charged.
+fn retire(p: &mut Pipeline, i: &Instr, dynamic: Dyn) -> u64 {
+    let before = p.stats().total_cycles();
+    match dynamic {
+        Dyn::None | Dyn::TakenBranch(false) => {}
+        Dyn::Mem(a) => p.charge_mem_dyn(a),
+        Dyn::Shadow(a) => p.charge_shadow_dyn(a),
+        Dyn::TakenBranch(true) => p.charge_taken_branch(),
+        Dyn::Tchk(lock, key) => p.charge_tchk_dyn(lock, key),
+    }
+    p.retire(&RetireInfo::of(i));
+    p.stats().total_cycles() - before
+}
+
+/// A random instruction plus its matching dynamic share.
+fn any_retirement() -> impl Strategy<Value = (Instr, Dyn)> {
     prop_oneof![
         (any_reg(), any_reg(), any_reg()).prop_map(|(rd, rs1, rs2)| (
             Instr::Alu {
@@ -20,7 +45,7 @@ fn any_retirement() -> impl Strategy<Value = (Instr, ExecEvents)> {
                 rs1,
                 rs2
             },
-            ExecEvents::default()
+            Dyn::None
         )),
         (any_reg(), any_reg(), any_reg()).prop_map(|(rd, rs1, rs2)| (
             Instr::Alu {
@@ -29,7 +54,7 @@ fn any_retirement() -> impl Strategy<Value = (Instr, ExecEvents)> {
                 rs1,
                 rs2
             },
-            ExecEvents::default()
+            Dyn::None
         )),
         (any_reg(), any_reg(), any::<u32>(), any::<bool>()).prop_map(|(rd, rs1, addr, checked)| (
             Instr::Load {
@@ -39,10 +64,7 @@ fn any_retirement() -> impl Strategy<Value = (Instr, ExecEvents)> {
                 offset: 0,
                 checked
             },
-            ExecEvents {
-                mem_addr: Some(addr as u64),
-                ..Default::default()
-            }
+            Dyn::Mem(addr as u64)
         )),
         (any_reg(), any_reg(), any::<u32>()).prop_map(|(rs1, rs2, addr)| (
             Instr::Store {
@@ -52,10 +74,7 @@ fn any_retirement() -> impl Strategy<Value = (Instr, ExecEvents)> {
                 offset: 0,
                 checked: false
             },
-            ExecEvents {
-                mem_addr: Some(addr as u64),
-                ..Default::default()
-            }
+            Dyn::Mem(addr as u64)
         )),
         (any_reg(), any_reg(), any::<bool>()).prop_map(|(rs1, rs2, taken)| (
             Instr::Branch {
@@ -64,24 +83,15 @@ fn any_retirement() -> impl Strategy<Value = (Instr, ExecEvents)> {
                 rs2,
                 offset: 8
             },
-            ExecEvents {
-                branch_taken: taken,
-                ..Default::default()
-            }
+            Dyn::TakenBranch(taken)
         )),
         (any_reg(), any::<u16>(), any::<u32>()).prop_map(|(rs1, lock, key)| (
             Instr::Tchk { rs1 },
-            ExecEvents {
-                tchk: Some((0x9000 + (lock as u64) * 8, key as u64)),
-                ..Default::default()
-            }
+            Dyn::Tchk(0x9000 + (lock as u64) * 8, key as u64)
         )),
         (any_reg(), any_reg(), any::<u32>()).prop_map(|(rd, rs1, addr)| (
             Instr::Lbdls { rd, rs1, offset: 0 },
-            ExecEvents {
-                shadow_addr: Some(addr as u64),
-                ..Default::default()
-            }
+            Dyn::Shadow(addr as u64)
         )),
         (any_reg(), any_reg()).prop_map(|(rd, rs1)| (
             Instr::AluImm {
@@ -90,7 +100,7 @@ fn any_retirement() -> impl Strategy<Value = (Instr, ExecEvents)> {
                 rs1,
                 imm: 1
             },
-            ExecEvents::default()
+            Dyn::None
         )),
     ]
 }
@@ -105,16 +115,22 @@ proptest! {
     fn cycle_ledger_balances(stream in prop::collection::vec(any_retirement(), 1..200)) {
         let mut p = Pipeline::new(PipelineConfig::default());
         let mut total = 0u64;
-        for (i, ev) in &stream {
-            total += p.retire(i, ev);
+        for &(i, dynamic) in &stream {
+            total += retire(&mut p, &i, dynamic);
         }
         let s = p.stats();
+        let count = |f: fn(&Instr) -> bool| stream.iter().filter(|(i, _)| f(i)).count() as u64;
         prop_assert_eq!(s.total_cycles(), total);
         prop_assert_eq!(s.instret, stream.len() as u64);
         prop_assert_eq!(s.base_cycles, stream.len() as u64);
         prop_assert_eq!(
             s.keybuffer_hits + s.keybuffer_misses,
-            stream.iter().filter(|(i, _)| matches!(i, Instr::Tchk { .. })).count() as u64
+            count(|i| matches!(i, Instr::Tchk { .. }))
+        );
+        prop_assert_eq!(s.hwst_instrs, count(|i| i.is_hwst()));
+        prop_assert_eq!(
+            s.muldiv_stalls,
+            16 * count(|i| matches!(i, Instr::Alu { op: AluOp::Div, .. }))
         );
     }
 
@@ -170,12 +186,10 @@ proptest! {
             });
             let mut total = 0;
             for &l in &locks {
-                total += p.retire(
+                total += retire(
+                    &mut p,
                     &Instr::Tchk { rs1: Reg::A0 },
-                    &ExecEvents {
-                        tchk: Some((0x9000 + l as u64 * 8, 7)),
-                        ..Default::default()
-                    },
+                    Dyn::Tchk(0x9000 + l as u64 * 8, 7),
                 );
             }
             total

@@ -51,9 +51,9 @@ pub fn cache_key(parts: &[&[u8]]) -> CacheKey {
 pub struct CachedRun {
     /// The post-load machine state.
     pub snapshot: Snapshot,
-    /// The decoded blocks from the populating run (empty when the
-    /// service ran it on the cycle engine, which never decodes).
-    /// Cloning is cheap: blocks are `Arc`-shared.
+    /// The decoded blocks from the populating run (empty when that run
+    /// was traced: traced runs profile on the reference interpreter,
+    /// which never decodes). Cloning is cheap: blocks are `Arc`-shared.
     pub blocks: BlockCache,
 }
 

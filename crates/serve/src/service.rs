@@ -17,7 +17,7 @@ use crate::error::ServeError;
 use crate::quota::{TenantQuota, TenantState};
 use hwst128::compiler::ir::Module;
 use hwst128::compiler::{compile_with_options, CompileOptions, OptLevel, Scheme};
-use hwst128::exec::{BlockCache, Engine};
+use hwst128::exec::{run_fast, BlockCache};
 use hwst128::metadata::CompressionConfig;
 use hwst128::sim::{Machine, SafetyConfig, Snapshot, Trap};
 use hwst128::telemetry::{chrome_trace, Profiler};
@@ -265,8 +265,7 @@ pub struct ServeStats {
     pub cache_hits: u64,
     /// Image-cache misses.
     pub cache_misses: u64,
-    /// Decoded blocks inherited by warm starts instead of re-decoded
-    /// (always 0 on the cycle engine, which never decodes blocks).
+    /// Decoded blocks inherited by warm starts instead of re-decoded.
     pub decode_skips: u64,
     /// Worker panics isolated by the pool.
     pub panics_isolated: u64,
@@ -301,11 +300,6 @@ pub struct ServeConfig {
     pub backoff: BackoffPolicy,
     /// Image-cache capacity, in entries.
     pub cache_capacity: usize,
-    /// The execution engine run attempts use. Both engines are
-    /// bit-identical (state, stats, traps, decision log); `Fast` — the
-    /// default — additionally populates and reuses decoded-block
-    /// caches across warm starts.
-    pub engine: Engine,
     /// Back-end optimization level for server-side compilation of
     /// workload and module payloads. Part of the image-cache key, so
     /// tiers never share cache entries.
@@ -327,7 +321,6 @@ impl Default for ServeConfig {
             quota: TenantQuota::default(),
             backoff: BackoffPolicy::default(),
             cache_capacity: 64,
-            engine: Engine::default(),
             opt: OptLevel::O0,
             max_ticks: 10_000,
         }
@@ -360,8 +353,7 @@ struct RunArtifact {
     /// coordinator can fill the image cache.
     cache_entry: Option<(Snapshot, BlockCache)>,
     /// Decoded blocks this attempt inherited from a warm cache entry
-    /// instead of decoding itself (0 on cold starts and on the cycle
-    /// engine).
+    /// instead of decoding itself (0 on cold starts).
     decode_skips: u64,
     /// The Chrome trace, when requested.
     trace: Option<Json>,
@@ -387,7 +379,6 @@ struct AttemptSpec {
     fuel: u64,
     trace: bool,
     attempt: u32,
-    engine: Engine,
     opt: OptLevel,
     cached: Option<(Snapshot, BlockCache)>,
     want_cache_entry: bool,
@@ -438,9 +429,7 @@ fn run_attempt(spec: AttemptSpec) -> RunArtifact {
     };
     let (run_result, trace) = if spec.trace {
         let mut prof = Profiler::with_recorder(TRACE_RING);
-        let r = spec
-            .engine
-            .run_profiled(&mut machine, spec.fuel, &mut prof, &mut blocks);
+        let r = machine.run_profiled(spec.fuel, &mut prof);
         let events: Vec<_> = prof
             .recorder
             .as_ref()
@@ -448,7 +437,7 @@ fn run_attempt(spec: AttemptSpec) -> RunArtifact {
             .unwrap_or_default();
         (r, Some(chrome_trace(&events)))
     } else {
-        (spec.engine.run(&mut machine, spec.fuel, &mut blocks), None)
+        (run_fast(&mut machine, spec.fuel, &mut blocks), None)
     };
     RunArtifact {
         // The block cache travels with the snapshot so warm starts
@@ -882,7 +871,6 @@ impl Serve {
                 fuel: job.fuel,
                 trace: job.trace,
                 attempt: job.attempt,
-                engine: self.cfg.engine,
                 opt: self.cfg.opt,
                 cached,
                 want_cache_entry: job.key.is_some(),

@@ -4,10 +4,13 @@ use crate::machine::Machine;
 use crate::{syscall, Trap};
 use hwst_isa::{Instr, Reg};
 use hwst_metadata::Metadata;
-use hwst_pipeline::ExecEvents;
+use hwst_pipeline::RetireInfo;
 
 impl Machine {
-    /// Executes one instruction.
+    /// Executes one instruction: the reference semantics every
+    /// execution engine is checked against. Each access charges its
+    /// dynamic share to the pipeline where it happens; the instruction
+    /// then retires its static share from [`RetireInfo::of`].
     ///
     /// # Errors
     ///
@@ -19,7 +22,6 @@ impl Machine {
         }
         let pc = self.pc;
         let instr = *self.program.fetch(pc).ok_or(Trap::BadFetch { pc })?;
-        let mut ev = ExecEvents::default();
         let mut next_pc = pc.wrapping_add(4);
 
         match instr {
@@ -50,7 +52,7 @@ impl Machine {
             } => {
                 if cond.eval(self.reg(rs1), self.reg(rs2)) {
                     next_pc = pc.wrapping_add(offset as u64);
-                    ev.branch_taken = true;
+                    self.pipeline.charge_taken_branch();
                 }
             }
             Instr::Load {
@@ -61,11 +63,11 @@ impl Machine {
                 checked,
             } => {
                 let addr = self.reg(rs1).wrapping_add(offset as u64);
-                ev.mem_addr = Some(addr);
                 if checked && self.spatial_on() {
                     self.spatial_check(pc, rs1, addr, width.bytes())?;
                 }
                 let raw = self.mem.read_le(addr, width.bytes());
+                self.pipeline.charge_mem_dyn(addr);
                 self.set_reg(rd, width.extend(raw));
                 self.srf.clear(rd);
             }
@@ -77,11 +79,11 @@ impl Machine {
                 checked,
             } => {
                 let addr = self.reg(rs1).wrapping_add(offset as u64);
-                ev.mem_addr = Some(addr);
                 if checked && self.spatial_on() {
                     self.spatial_check(pc, rs1, addr, width.bytes())?;
                 }
                 self.mem.write_le(addr, width.bytes(), self.reg(rs2));
+                self.pipeline.charge_mem_dyn(addr);
             }
             Instr::AluImm { op, rd, rs1, imm } => {
                 self.set_reg(rd, op.eval(self.reg(rs1), imm));
@@ -132,52 +134,52 @@ impl Machine {
             Instr::Sbdl { rs1, rs2, offset } => {
                 let container = self.reg(rs1).wrapping_add(offset as u64);
                 let s = self.shadow.shadow_addr(container);
-                ev.shadow_addr = Some(s);
                 let lower = self.srf.read(rs2).map(|c| c.lower).unwrap_or(0);
                 self.mem.write_u64(s, lower);
+                self.pipeline.charge_shadow_dyn(s);
             }
             Instr::Sbdu { rs1, rs2, offset } => {
                 let container = self.reg(rs1).wrapping_add(offset as u64);
                 let s = self.shadow.upper_addr(container);
-                ev.shadow_addr = Some(s);
                 let upper = self.srf.read(rs2).map(|c| c.upper).unwrap_or(0);
                 self.mem.write_u64(s, upper);
+                self.pipeline.charge_shadow_dyn(s);
             }
             Instr::Lbdls { rd, rs1, offset } => {
                 let container = self.reg(rs1).wrapping_add(offset as u64);
                 let s = self.shadow.shadow_addr(container);
-                ev.shadow_addr = Some(s);
                 let v = self.mem.read_u64(s);
+                self.pipeline.charge_shadow_dyn(s);
                 self.srf.write_lower(rd, v);
             }
             Instr::Lbdus { rd, rs1, offset } => {
                 let container = self.reg(rs1).wrapping_add(offset as u64);
                 let s = self.shadow.upper_addr(container);
-                ev.shadow_addr = Some(s);
                 let v = self.mem.read_u64(s);
+                self.pipeline.charge_shadow_dyn(s);
                 self.srf.write_upper(rd, v);
             }
             Instr::Lbas { rd, rs1, offset } => {
                 let (v, s) = self.shadow_field(rs1, offset, Field::Base);
-                ev.shadow_addr = Some(s);
+                self.pipeline.charge_shadow_dyn(s);
                 self.set_reg(rd, v);
                 self.srf.clear(rd);
             }
             Instr::Lbnd { rd, rs1, offset } => {
                 let (v, s) = self.shadow_field(rs1, offset, Field::Bound);
-                ev.shadow_addr = Some(s);
+                self.pipeline.charge_shadow_dyn(s);
                 self.set_reg(rd, v);
                 self.srf.clear(rd);
             }
             Instr::Lkey { rd, rs1, offset } => {
                 let (v, s) = self.shadow_field(rs1, offset, Field::Key);
-                ev.shadow_addr = Some(s);
+                self.pipeline.charge_shadow_dyn(s);
                 self.set_reg(rd, v);
                 self.srf.clear(rd);
             }
             Instr::Lloc { rd, rs1, offset } => {
                 let (v, s) = self.shadow_field(rs1, offset, Field::Lock);
-                ev.shadow_addr = Some(s);
+                self.pipeline.charge_shadow_dyn(s);
                 self.set_reg(rd, v);
                 self.srf.clear(rd);
             }
@@ -187,11 +189,11 @@ impl Machine {
                         let (key, lock) = self.codec.decompress_temporal(c.upper);
                         if lock != 0 {
                             let stored = self.mem.read_u64(lock);
-                            ev.tchk = Some((lock, stored));
+                            self.pipeline.charge_tchk_dyn(lock, stored);
                             if stored != key {
                                 // Charge the cycles before trapping so the
                                 // detection is visible in the stats too.
-                                self.pipeline.retire(&instr, &ev);
+                                self.pipeline.retire(&RetireInfo::of(&instr));
                                 return Err(Trap::TemporalViolation {
                                     pc,
                                     key,
@@ -205,7 +207,7 @@ impl Machine {
             }
         }
 
-        self.pipeline.retire(&instr, &ev);
+        self.pipeline.retire(&RetireInfo::of(&instr));
         self.pc = next_pc;
         Ok(())
     }

@@ -15,6 +15,13 @@
 //!   keybuffer) and the compression/pipeline parameters.
 //! * [`inject`] — deterministic metadata-path fault injection and the
 //!   AVF-style outcome classification (experiment R1).
+//! * [`Machine::step`] — the reference semantics: one `match` over the
+//!   instruction, each access charging its dynamic share to the
+//!   pipeline where it happens, then one `retire` of the static share
+//!   (`hwst_pipeline::RetireInfo::of`). [`Machine::run`] drives it; the
+//!   `hwst-exec` fast engine is checked against it.
+//! * [`Observation`] ([`Machine::observe`]) — the observable state,
+//!   defined once for every differential check between engines.
 //! * [`Machine::run_profiled`] — per-PC cycle attribution into an
 //!   `hwst_telemetry::Profiler` (experiment P1); observation only, a
 //!   profiled run is bit-identical to a plain one.
@@ -42,12 +49,13 @@
 mod exec;
 pub mod inject;
 mod machine;
+mod observe;
 mod profile;
 pub mod syscall;
 mod trace;
 mod trap;
 
 pub use machine::{ExitStatus, LoadError, Machine, RuntimeEvents, SafetyConfig, Snapshot};
-pub use profile::classify;
+pub use observe::Observation;
 pub use trace::TraceEvent;
 pub use trap::Trap;

@@ -440,17 +440,27 @@ impl Machine {
     /// Returns the [`Trap`] that stopped execution; spatial/temporal
     /// violations are the detections the experiments count.
     pub fn run(&mut self, fuel: u64) -> Result<ExitStatus, Trap> {
-        for executed in 0..fuel {
+        self.run_steps(fuel, Self::step)
+    }
+
+    /// The fuel/exit loop shared by [`Self::run`] and
+    /// [`Self::run_profiled`]: the exit latch is checked before each
+    /// fueled `step`, and once more when the fuel runs out.
+    pub(crate) fn run_steps(
+        &mut self,
+        fuel: u64,
+        mut step: impl FnMut(&mut Self) -> Result<(), Trap>,
+    ) -> Result<ExitStatus, Trap> {
+        for _ in 0..fuel {
             if let Some(code) = self.exited {
-                let _ = executed;
                 return Ok(self.exit_status(code));
             }
-            self.step()?;
+            step(self)?;
         }
-        if let Some(code) = self.exited {
-            return Ok(self.exit_status(code));
+        match self.exited {
+            Some(code) => Ok(self.exit_status(code)),
+            None => Err(Trap::OutOfFuel { executed: fuel }),
         }
-        Err(Trap::OutOfFuel { executed: fuel })
     }
 
     pub(crate) fn exit_status(&self, code: u64) -> ExitStatus {

@@ -32,11 +32,7 @@ use hwst_telemetry::{Breakdown, Profiler, Track};
 
 /// Splits one step's cycle delta into overhead categories (see the
 /// module docs for the model).
-///
-/// Public so the decoded-block execution tier attributes through the
-/// exact same function — telemetry bit-identity across engines falls
-/// out of sharing it rather than re-deriving it.
-pub fn classify(instr: &Instr, before: &CycleStats, after: &CycleStats) -> Breakdown {
+fn classify(instr: &Instr, before: &CycleStats, after: &CycleStats) -> Breakdown {
     let shadow = after.shadow_stalls - before.shadow_stalls;
     let keybuffer = after.tchk_stalls - before.tchk_stalls;
     let runtime = after.runtime_stalls - before.runtime_stalls;
@@ -71,11 +67,7 @@ impl Machine {
     /// The step is recorded even when it traps (the pipeline may have
     /// retired the instruction before the violation was raised), keeping
     /// the profile's cycle total equal to the machine's.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`step`](Self::step).
-    pub fn step_profiled(&mut self, prof: &mut Profiler) -> Result<(), Trap> {
+    fn step_profiled(&mut self, prof: &mut Profiler) -> Result<(), Trap> {
         let fetched = self.next_instr();
         let before = self.stats();
         // Which service an allocator-wrapper ecall is about to request
@@ -113,16 +105,7 @@ impl Machine {
     ///
     /// Exactly those of [`run`](Self::run).
     pub fn run_profiled(&mut self, fuel: u64, prof: &mut Profiler) -> Result<ExitStatus, Trap> {
-        for _ in 0..fuel {
-            if let Some(code) = self.exited {
-                return Ok(self.exit_status(code));
-            }
-            self.step_profiled(prof)?;
-        }
-        if let Some(code) = self.exited {
-            return Ok(self.exit_status(code));
-        }
-        Err(Trap::OutOfFuel { executed: fuel })
+        self.run_steps(fuel, |m| m.step_profiled(prof))
     }
 }
 

@@ -138,10 +138,11 @@ proptest! {
     }
 
     /// Random decodable instruction streams execute **identically** on
-    /// the cycle interpreter and the decoded-block fast engine, at any
-    /// fuel budget: the same result (exit or trap), the same final PC
-    /// and registers, the same cycle stats. This is the generative
-    /// counterpart of the workload differential gate in
+    /// the reference interpreter and the decoded-block fast engine, at
+    /// any fuel budget and under the baseline, HWST128 and
+    /// HWST128_tchk configurations: the same result (exit or trap) and
+    /// the same [`Observation`](hwst_sim::Observation). This is the
+    /// generative counterpart of the workload differential gate in
     /// `tests/exec.rs` — random streams reach decoder corners (jumps
     /// into fused pairs, blocks ending mid-idiom, traps at every
     /// offset) no workload exercises.
@@ -156,16 +157,19 @@ proptest! {
             return Ok(());
         }
         let prog = Program::from_instrs(0x1_0000, instrs);
-        let mut cycle = Machine::new(prog.clone(), SafetyConfig::default());
-        let cycle_result = cycle.run(fuel);
-        let mut fast = Machine::new(prog, SafetyConfig::default());
-        let fast_result = run_fast(&mut fast, fuel, &mut BlockCache::new());
-        prop_assert_eq!(&cycle_result, &fast_result);
-        prop_assert_eq!(cycle.pc(), fast.pc());
-        for r in Reg::ALL {
-            prop_assert_eq!(cycle.reg(r), fast.reg(r), "register {}", r.name());
+        for cfg in [
+            SafetyConfig::baseline(),
+            SafetyConfig::hwst128_no_tchk(),
+            SafetyConfig::default(),
+        ] {
+            let mut cycle = Machine::new(prog.clone(), cfg);
+            let cycle_result = cycle.run(fuel);
+            let mut fast = Machine::new(prog.clone(), cfg);
+            let fast_result = run_fast(&mut fast, fuel, &mut BlockCache::new());
+            prop_assert_eq!(&cycle_result, &fast_result);
+            let diff = cycle.observe().first_difference(&fast.observe());
+            prop_assert!(diff.is_none(), "{:?}: {}", cfg, diff.unwrap_or_default());
         }
-        prop_assert_eq!(cycle.stats(), fast.stats());
     }
 
     /// Every fault class × any seed × any trigger point: the machine

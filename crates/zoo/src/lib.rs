@@ -15,7 +15,6 @@
 //! agreement contract is violated.
 
 use hwst128::compiler::Scheme;
-use hwst128::exec::Engine;
 use hwst128::juliet::{execute_detects, model_detects, sample_reachable, suite, Detector};
 use hwst128::sim::inject::{campaign, FaultClass, OutcomeCounts};
 use hwst128::sim::Machine;
@@ -269,11 +268,11 @@ pub struct ZooReport {
 /// # Errors
 ///
 /// Compile errors, traps and exit-code divergence come back as `Err`.
-pub fn try_zoo_row_with(wl: &Workload, scale: Scale, engine: Engine) -> Result<ZooRow, String> {
+pub fn try_zoo_row(wl: &Workload, scale: Scale) -> Result<ZooRow, String> {
     let module = wl.module(scale);
     let fuel = wl.fuel(scale);
     let profile = try_profile_workload(&module, fuel).map_err(|e| format!("{}: {e}", wl.name))?;
-    let baseline = hwst128::run_scheme_with(&module, Scheme::None, fuel, engine)
+    let baseline = hwst128::run_scheme(&module, Scheme::None, fuel)
         .map_err(|e| format!("{} (baseline): {e}", wl.name))?;
     let overhead = |cycles: u64| (cycles as f64 / profile.baseline_cycles as f64 - 1.0) * 100.0;
     let mut measured = [0f64; 7];
@@ -283,7 +282,7 @@ pub fn try_zoo_row_with(wl: &Workload, scale: Scale, engine: Engine) -> Result<Z
             Design::Sbcets => profile.sbcets_cycles,
             Design::Hwst128Tchk => profile.hwst_cycles,
             _ => {
-                let exit = hwst128::run_scheme_with(&module, design.scheme(), fuel, engine)
+                let exit = hwst128::run_scheme(&module, design.scheme(), fuel)
                     .map_err(|e| format!("{} ({design}): {e}", wl.name))?;
                 if exit.code != baseline.code {
                     return Err(format!(
@@ -352,18 +351,13 @@ pub fn design_coverage(design: Design, per_cwe: u32) -> DesignCoverage {
 pub fn zoo_row_results(
     cfg: &ZooConfig,
     scale: Scale,
-    engine: Engine,
     pool: &PoolConfig,
     sink: &mut dyn Sink,
 ) -> (Vec<ZooRow>, Vec<FailedJob>) {
     let jobs: Vec<Job<ZooRow>> = cfg
         .workload_list()
         .into_iter()
-        .map(|wl| {
-            Job::new(format!("zoo/{}", wl.name), move || {
-                try_zoo_row_with(&wl, scale, engine)
-            })
-        })
+        .map(|wl| Job::new(format!("zoo/{}", wl.name), move || try_zoo_row(&wl, scale)))
         .collect();
     collect_ok(run(jobs, pool, sink))
 }
@@ -880,7 +874,7 @@ mod tests {
         use hwst_harness::NullSink;
         let cfg = ZooConfig::smoke();
         let pool = PoolConfig::parallel(2);
-        let (rows, failed) = zoo_row_results(&cfg, Scale::Test, Engine::Fast, &pool, &mut NullSink);
+        let (rows, failed) = zoo_row_results(&cfg, Scale::Test, &pool, &mut NullSink);
         assert!(failed.is_empty(), "{failed:?}");
         assert_eq!(rows.len(), 4);
         let (coverage, failed) = zoo_coverage_results(&cfg, &pool, &mut NullSink);
@@ -909,20 +903,8 @@ mod tests {
             workloads: Some(&["math", "treeadd"]),
             ..ZooConfig::smoke()
         };
-        let serial = zoo_row_results(
-            &cfg,
-            Scale::Test,
-            Engine::Fast,
-            &PoolConfig::serial(),
-            &mut NullSink,
-        );
-        let parallel = zoo_row_results(
-            &cfg,
-            Scale::Test,
-            Engine::Fast,
-            &PoolConfig::parallel(4),
-            &mut NullSink,
-        );
+        let serial = zoo_row_results(&cfg, Scale::Test, &PoolConfig::serial(), &mut NullSink);
+        let parallel = zoo_row_results(&cfg, Scale::Test, &PoolConfig::parallel(4), &mut NullSink);
         assert_eq!(serial.0, parallel.0);
         assert!(serial.1.is_empty() && parallel.1.is_empty());
     }

@@ -21,7 +21,6 @@ fn main() {
     let args = BenchArgs::parse();
     let smoke = args.flag("--smoke");
     let scale = args.scale();
-    let engine = args.engine();
     let pool = args.pool();
     let cfg = if smoke {
         ZooConfig::smoke()
@@ -42,7 +41,7 @@ fn main() {
     );
     let start = Instant::now();
     let mut sink = args.sink();
-    let (rows, mut failed) = zoo_row_results(&cfg, scale, engine, &pool, sink.as_mut());
+    let (rows, mut failed) = zoo_row_results(&cfg, scale, &pool, sink.as_mut());
     let (coverage, cov_failed) = zoo_coverage_results(&cfg, &pool, sink.as_mut());
     failed.extend(cov_failed);
     let (inject, inj_failed) = zoo_inject_results(&cfg, scale, &pool, sink.as_mut())

@@ -6,7 +6,7 @@
 use hwst128::hwcost::hwst128_report;
 use hwst128::juliet::model_coverage;
 use hwst128::workloads::{Scale, Workload};
-use hwst_bench::{fig4_geomean, fig4_row, fig5_geomean, fig5_rows, try_fig4_row_with};
+use hwst_bench::{fig4_geomean, fig4_row, fig5_geomean, fig5_rows, try_fig4_row};
 
 /// Fig. 4 (E1): the three-scheme overhead ordering and rough magnitudes
 /// on a representative cross-suite subset.
@@ -127,18 +127,17 @@ fn hwcost_matches_paper() {
 
 /// Overhead ratios are scale-stable: the Bench-scale run must land close
 /// to the Test-scale run (the EXPERIMENTS.md claim). Both sides run on
-/// the decoded-block fast engine (bit-identical to the cycle reference
-/// by the `hwst-exec` differential contract), which makes the
-/// Bench-scale sweep affordable in the CI heavy-gates job — it rides
-/// the workspace `--ignored` sweep there.
+/// the decoded-block fast engine (bit-identical to the reference
+/// interpreter by the `hwst-exec` differential contract), which makes
+/// the Bench-scale sweep affordable in the CI heavy-gates job — it
+/// rides the workspace `--ignored` sweep there.
 #[test]
 #[ignore = "Bench-scale simulation; runs in the CI heavy gates via --ignored"]
 fn fig4_overheads_are_scale_stable() {
-    use hwst128::exec::Engine;
     for name in ["sha", "treeadd", "bzip2"] {
         let wl = Workload::by_name(name).unwrap();
-        let small = try_fig4_row_with(&wl, Scale::Test, Engine::Fast).unwrap();
-        let big = try_fig4_row_with(&wl, Scale::Bench, Engine::Fast).unwrap();
+        let small = try_fig4_row(&wl, Scale::Test).unwrap();
+        let big = try_fig4_row(&wl, Scale::Bench).unwrap();
         for k in 0..3 {
             let a = 1.0 + small.overhead_pct[k] / 100.0;
             let b = 1.0 + big.overhead_pct[k] / 100.0;

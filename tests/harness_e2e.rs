@@ -50,9 +50,9 @@ fn fig4_subset_parallel_identical_to_serial() {
 
 /// The full 23-workload Fig. 4 sweep (ISSUE 3 acceptance): `--jobs 4`
 /// produces results identical to the serial run. Formerly an
-/// `--ignored` heavy gate; the decoded-block fast engine (the default
-/// in `fig4_rows`/`fig4_results`) makes the full sweep cheap enough to
-/// run in tier-1.
+/// `--ignored` heavy gate; the decoded-block fast engine (which
+/// `run_scheme` uses under `fig4_rows`/`fig4_results`) makes the full
+/// sweep cheap enough to run in tier-1.
 #[test]
 fn fig4_full_sweep_parallel_identical_to_serial() {
     let serial = hwst_bench::fig4_rows(Scale::Test);

@@ -13,7 +13,7 @@
 
 use hwst128::compiler::{CompileOptions, OptLevel, Scheme};
 use hwst128::config_for;
-use hwst128::exec::{BlockCache, Engine};
+use hwst128::exec::{run_fast, BlockCache};
 use hwst128::juliet::{execute_detects_opts, sample_reachable};
 use hwst128::sim::{Machine, Trap};
 use hwst128::workloads::{Scale, Workload};
@@ -56,7 +56,7 @@ fn run_tier(wl: &Workload, scheme: Scheme, opt: OptLevel) -> Verdict {
         Err(e) => panic!("{ctx}: compile failed: {e}"),
     };
     let mut m = Machine::new(compiled.program, config_for(scheme));
-    match Engine::Fast.run(&mut m, wl.fuel(Scale::Test), &mut BlockCache::new()) {
+    match run_fast(&mut m, wl.fuel(Scale::Test), &mut BlockCache::new()) {
         Ok(exit) => Verdict::Exit {
             code: exit.code,
             output: exit.output,

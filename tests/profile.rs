@@ -82,8 +82,9 @@ fn attribution_covers_named_functions() {
 }
 
 /// Full-sweep acceptance: all 23 workloads profile cleanly with ≥95%
-/// attribution. Formerly an `--ignored` heavy gate; the fast engine's
-/// profiled path makes the full sweep cheap enough to run in tier-1.
+/// attribution. The profiled runs use the reference interpreter and
+/// the baseline runs the fast engine, which keeps the full sweep cheap
+/// enough for tier-1.
 #[test]
 fn attribution_covers_named_functions_full_sweep() {
     for wl in hwst128::workloads::all() {
