@@ -559,144 +559,6 @@ pub fn boundscheck_summary(
     )
 }
 
-/// The `BENCH_serve.json` document (S1 — service robustness under a
-/// mixed hostile/benign workload). `categories` aligns with the
-/// submission ids of `report.reports`.
-pub fn serve_summary(
-    workers: usize,
-    mix: &hwst_serve::MixConfig,
-    categories: &[hwst_serve::MixCategory],
-    report: &hwst_serve::ServeReport,
-    wall: Duration,
-) -> Json {
-    use hwst_serve::MixCategory;
-    let cats = [
-        MixCategory::Benign,
-        MixCategory::Duplicate,
-        MixCategory::Hostile,
-        MixCategory::Chaos,
-        MixCategory::Flood,
-    ];
-    let per_cat = Json::Arr(
-        cats.iter()
-            .map(|&cat| {
-                let rows = report
-                    .reports
-                    .iter()
-                    .zip(categories)
-                    .filter(|(_, c)| **c == cat);
-                let total = rows.clone().count();
-                let rejected = rows
-                    .clone()
-                    .filter(|(r, _)| r.verdict.is_rejection())
-                    .count();
-                Json::obj()
-                    .set("category", cat.name())
-                    .set("total", total)
-                    .set("rejected", rejected)
-                    .set("served", total - rejected)
-            })
-            .collect(),
-    );
-    let hostile_total = categories
-        .iter()
-        .filter(|c| **c == MixCategory::Hostile)
-        .count();
-    let hostile_rejected = report
-        .reports
-        .iter()
-        .zip(categories)
-        .filter(|(r, c)| **c == MixCategory::Hostile && r.verdict.is_rejection())
-        .count();
-    let log = report.decision_log();
-    header("hwst-bench/serve", Scale::Test, workers)
-        .set("wall_ms", wall.as_secs_f64() * 1e3)
-        .set(
-            "mix",
-            Json::obj()
-                .set("benign", mix.benign)
-                .set("duplicates", mix.duplicates)
-                .set("hostile", mix.hostile)
-                .set("bombs", mix.bombs)
-                .set("chaos", mix.chaos)
-                .set("flood", mix.flood)
-                .set("seed", mix.seed)
-                .set("total", mix.total()),
-        )
-        .set("categories", per_cat)
-        .set(
-            "hostile_rejection_rate",
-            if hostile_total == 0 {
-                1.0
-            } else {
-                hostile_rejected as f64 / hostile_total as f64
-            },
-        )
-        .set(
-            "decision_log_digest",
-            format!("{:016x}", hwst_serve::cache_key(&[log.as_bytes()]).0),
-        )
-        .set("service", report.json())
-}
-
-/// The S1 acceptance bar, as a list of violations (empty = pass): every
-/// hostile submission typed-rejected, every cooperative one served,
-/// chaos probes recovered via retry, the cache and the circuit breaker
-/// both demonstrably exercised, and no worker panics beyond the chaos
-/// probes' induced ones.
-pub fn serve_gate(
-    categories: &[hwst_serve::MixCategory],
-    report: &hwst_serve::ServeReport,
-) -> Vec<String> {
-    use hwst_serve::MixCategory;
-    let mut violations = Vec::new();
-    let chaos_jobs = categories
-        .iter()
-        .filter(|c| **c == MixCategory::Chaos)
-        .count();
-    for (r, cat) in report.reports.iter().zip(categories) {
-        match cat {
-            MixCategory::Hostile if !r.verdict.is_rejection() => violations.push(format!(
-                "hostile job{} ({}) was not rejected: {}",
-                r.id,
-                r.label,
-                r.verdict.slug()
-            )),
-            MixCategory::Benign | MixCategory::Duplicate | MixCategory::Chaos
-                if r.verdict.is_rejection() =>
-            {
-                violations.push(format!(
-                    "cooperative job{} ({}) was rejected: {}",
-                    r.id,
-                    r.label,
-                    r.verdict.slug()
-                ));
-            }
-            _ => {}
-        }
-    }
-    let s = report.stats;
-    if chaos_jobs == 0 && s.panics_isolated != 0 {
-        violations.push(format!(
-            "{} worker panic(s) with no chaos probes in the mix",
-            s.panics_isolated
-        ));
-    }
-    if chaos_jobs > 0 && s.retry_successes < 1 {
-        violations.push("no successful retry-after-backoff case".to_string());
-    }
-    if categories.contains(&MixCategory::Duplicate) && s.cache_hits < 1 {
-        violations.push("duplicate submissions produced no cache hit".to_string());
-    }
-    if s.circuit_opens < 1 && s.quota_trips >= 3 {
-        violations.push(format!(
-            "{} quota trips but the circuit never opened",
-            s.quota_trips
-        ));
-    }
-    violations
-}
-
 /// Writes a summary document to `path` (with a trailing newline).
 ///
 /// # Errors

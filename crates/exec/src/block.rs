@@ -1,7 +1,5 @@
 //! Decoded basic blocks: pre-resolved operations, superinstruction
-//! fusion and the epoch-stamped block cache.
-
-use std::sync::Arc;
+//! fusion and the program-stamped block cache.
 
 use hwst_isa::{AluImmOp, AluOp, BranchCond, Instr, LoadWidth, Program, Reg, StoreWidth};
 use hwst_pipeline::{RetireInfo, StaticCharges};
@@ -468,10 +466,6 @@ fn decode_op(pc: u64, instr: Instr, next: Option<Instr>) -> Op {
     Op::single(kind, instr)
 }
 
-/// The validity stamp: a cache serves blocks only for the exact program
-/// image it decoded them from.
-type Stamp = (u64, u64, usize);
-
 /// A cache of decoded blocks keyed by entry PC.
 ///
 /// Storage is a slot vector direct-indexed by `(pc - base) / 4`: block
@@ -479,21 +473,17 @@ type Stamp = (u64, u64, usize);
 /// iteration crosses one), so the lookup is a bounds check and an array
 /// load — no hashing, no refcount traffic.
 ///
-/// The cache is stamped with `(program epoch, base, len)` and flushes
-/// itself whenever the machine it runs against carries a different
-/// stamp — [`Machine::reload_image`] bumping the epoch is the only
-/// invalidation event. Blocks are `Arc`-shared, so a cache clones
-/// cheaply and crosses threads (the `hwst-serve` warm-start path stores
-/// one per cached image).
-///
-/// Reusing a cache across *different* machines is sound exactly when
-/// they run the same program image; the stamp turns a violation of that
-/// contract into a flush, never into stale execution.
-#[derive(Debug, Clone, Default)]
+/// The cache is stamped with the [`Machine::program_id`] it decoded
+/// its blocks from and flushes itself whenever the machine it runs
+/// against carries a different id. Ids are unique per program load in
+/// the process, so a cache stays warm across runs of one machine and
+/// its clones, and any other machine — a fresh [`Machine::new`] or a
+/// [`Machine::reload_image`] — costs a flush, never stale execution.
+#[derive(Debug, Default)]
 pub struct BlockCache {
-    slots: Vec<Option<Arc<Block>>>,
+    slots: Vec<Option<Box<Block>>>,
     base: u64,
-    stamp: Option<Stamp>,
+    program_id: Option<u64>,
     decodes: u64,
     hits: u64,
 }
@@ -524,16 +514,15 @@ impl BlockCache {
         self.hits
     }
 
-    /// Flushes the cache if `m`'s program stamp differs from the one
-    /// the resident blocks were decoded under. Called at the start of
-    /// every fast run.
+    /// Flushes the cache if `m`'s program id differs from the one the
+    /// resident blocks were decoded under. Called at the start of every
+    /// fast run.
     pub(crate) fn revalidate(&mut self, m: &Machine) {
-        let stamp = (m.program_epoch(), m.program().base(), m.program().len());
-        if self.stamp != Some(stamp) {
+        if self.program_id != Some(m.program_id()) {
             self.slots.clear();
-            self.slots.resize(m.program().len(), None);
+            self.slots.resize_with(m.program().len(), || None);
             self.base = m.program().base();
-            self.stamp = Some(stamp);
+            self.program_id = Some(m.program_id());
         }
     }
 
@@ -556,7 +545,7 @@ impl BlockCache {
         } else {
             let block = decode_block(m.program(), pc).ok_or(Trap::BadFetch { pc })?;
             self.decodes += 1;
-            self.slots[slot] = Some(Arc::new(block));
+            self.slots[slot] = Some(Box::new(block));
         }
         match self.slots[slot].as_deref() {
             Some(b) => Ok(b),
@@ -723,7 +712,7 @@ mod tests {
         cache.block_for(&m, 0x1_0000).unwrap();
         assert_eq!(cache.hits(), 1);
 
-        // A reload bumps the epoch; the stale blocks must go.
+        // A reload draws a new program id; the stale blocks must go.
         m.reload_image(0x1_0000, &image).unwrap();
         cache.revalidate(&m);
         assert_eq!(cache.len(), 0, "reload_image invalidates the cache");

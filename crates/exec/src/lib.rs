@@ -40,11 +40,11 @@
 //!
 //! ## Invalidation
 //!
-//! A [`BlockCache`] is valid for one program image. It stamps itself
-//! with `(program epoch, base, len)` and flushes when the stamp no
-//! longer matches — [`Machine::reload_image`] bumps the epoch, and that
-//! is the **only** invalidation event, because the instruction image is
-//! immutable between reloads.
+//! A [`BlockCache`] is valid for one program load. It stamps itself
+//! with the [`Machine::program_id`] it decoded from and flushes when the
+//! id no longer matches. Ids are process-unique and change only on
+//! [`Machine::new`] and [`Machine::reload_image`] (a clone keeps its
+//! original's), because the instruction image is immutable in between.
 //!
 //! ## Example
 //!

@@ -40,9 +40,10 @@ use hwst_sim::{ExitStatus, Machine, Trap};
 /// tier, decoding blocks into `cache` on first touch.
 ///
 /// Bit-identical to [`Machine::run`]: same result, same final machine
-/// state. A warm `cache` (from a previous run of the same image) skips
-/// re-decoding entirely; the cache revalidates its `(epoch, base, len)`
-/// stamp first, so a mismatched cache flushes rather than misexecutes.
+/// state. A warm `cache` (from a previous run of this machine or of a
+/// clone of it) skips re-decoding entirely; the cache revalidates its
+/// program-id stamp first, so a mismatched cache flushes rather than
+/// misexecutes.
 ///
 /// # Errors
 ///
@@ -707,11 +708,12 @@ mod tests {
         let mut cache = BlockCache::new();
 
         let mut first = Machine::new(prog.clone(), SafetyConfig::default());
+        let mut second = first.clone();
         let a = run_fast(&mut first, 10_000, &mut cache).unwrap();
         let decodes = cache.decodes();
         assert!(decodes > 0);
 
-        let mut second = Machine::new(prog.clone(), SafetyConfig::default());
+        // A clone keeps the program id, so the cache stays warm.
         let b = run_fast(&mut second, 10_000, &mut cache).unwrap();
         assert_eq!(a, b);
         assert_eq!(cache.decodes(), decodes, "warm run must not re-decode");

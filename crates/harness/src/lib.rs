@@ -21,14 +21,6 @@
 //!    runaway job into [`JobOutcome::TimedOut`] while its siblings
 //!    finish normally.
 //!
-//! For long-lived callers (the `hwst-serve` batch service) the pool
-//! additionally supports cooperative cancellation ([`CancelToken`] /
-//! [`run_with_cancel`]: unclaimed jobs settle as
-//! [`JobOutcome::Cancelled`]) and re-queueable factory jobs
-//! ([`RetryJob`] / [`run_with_retry`]) — a timed-out or panicked job no
-//! longer spends its only closure, so the retry driver can mint a fresh
-//! attempt under a bounded [`RetryPolicy`].
-//!
 //! Progress is streamed through a [`Sink`] on the collector thread,
 //! and results serialise to schema-stable JSON via the dependency-free
 //! [`Json`] value type (crates.io is unreachable in this environment,
@@ -53,13 +45,10 @@
 
 mod json;
 mod pool;
-mod retry;
 mod sink;
 
 pub use json::Json;
 pub use pool::{
-    collect_ok, run, run_with_cancel, CancelToken, FailedJob, Job, JobId, JobOutcome, JobResult,
-    OutcomeKind, PoolConfig,
+    collect_ok, run, FailedJob, Job, JobId, JobOutcome, JobResult, OutcomeKind, PoolConfig,
 };
-pub use retry::{run_with_retry, AttemptFn, RetryJob, RetryPolicy, RetryResult};
 pub use sink::{ConsoleSink, Event, NullSink, Sink};

@@ -4,36 +4,11 @@
 use crate::sink::{Event, Sink};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// A cooperative cancellation flag shared between a pool run and its
-/// caller (the service layer's load-shedding and circuit-breaking
-/// hook). Cancelling does not interrupt a job already executing — std
-/// threads cannot be cancelled — but every job not yet claimed settles
-/// immediately as [`JobOutcome::Cancelled`], so a drain stays bounded.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Raises the flag. Idempotent.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the flag has been raised.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
 
 /// Stable identity of a job: its index in the vector handed to
 /// [`run`]. Results are ordered by this, never by completion time.
@@ -84,9 +59,6 @@ pub enum JobOutcome<T> {
     Panicked(String),
     /// The watchdog expired before the closure finished.
     TimedOut(Duration),
-    /// A [`CancelToken`] was raised before the job was claimed; the
-    /// closure never ran.
-    Cancelled,
 }
 
 impl<T> JobOutcome<T> {
@@ -97,7 +69,6 @@ impl<T> JobOutcome<T> {
             JobOutcome::Failed(_) => OutcomeKind::Failed,
             JobOutcome::Panicked(_) => OutcomeKind::Panicked,
             JobOutcome::TimedOut(_) => OutcomeKind::TimedOut,
-            JobOutcome::Cancelled => OutcomeKind::Cancelled,
         }
     }
 
@@ -117,7 +88,6 @@ impl<T> JobOutcome<T> {
             JobOutcome::Failed(e) => Err(format!("failed: {e}")),
             JobOutcome::Panicked(m) => Err(format!("panicked: {m}")),
             JobOutcome::TimedOut(d) => Err(format!("timed out after {:.1}s", d.as_secs_f64())),
-            JobOutcome::Cancelled => Err("cancelled before it started".to_string()),
         }
     }
 }
@@ -133,8 +103,6 @@ pub enum OutcomeKind {
     Panicked,
     /// Hit the watchdog.
     TimedOut,
-    /// Cancelled before it was claimed.
-    Cancelled,
 }
 
 impl OutcomeKind {
@@ -145,7 +113,6 @@ impl OutcomeKind {
             OutcomeKind::Failed => "failed",
             OutcomeKind::Panicked => "panicked",
             OutcomeKind::TimedOut => "timed-out",
-            OutcomeKind::Cancelled => "cancelled",
         }
     }
 }
@@ -249,19 +216,6 @@ pub fn run<T: Send + 'static>(
     cfg: &PoolConfig,
     sink: &mut dyn Sink,
 ) -> Vec<JobResult<T>> {
-    run_with_cancel(jobs, cfg, &CancelToken::new(), sink)
-}
-
-/// [`run`] with a cooperative [`CancelToken`]: once the token is
-/// raised, every job not yet claimed settles as
-/// [`JobOutcome::Cancelled`] (still one result per job, still in
-/// [`JobId`] order); jobs already executing finish normally.
-pub fn run_with_cancel<T: Send + 'static>(
-    jobs: Vec<Job<T>>,
-    cfg: &PoolConfig,
-    cancel: &CancelToken,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<T>> {
     let total = jobs.len();
     if total == 0 {
         return Vec::new();
@@ -290,18 +244,6 @@ pub fn run_with_cancel<T: Send + 'static>(
                 };
                 let Some(job) = job else { continue };
                 let id = JobId(i);
-                if cancel.is_cancelled() {
-                    let done = JobResult {
-                        id,
-                        label: job.label,
-                        outcome: JobOutcome::Cancelled,
-                        wall: Duration::ZERO,
-                    };
-                    if tx.send(Msg::Done(done)).is_err() {
-                        break;
-                    }
-                    continue;
-                }
                 if tx.send(Msg::Started { id }).is_err() {
                     break;
                 }

@@ -1,12 +1,8 @@
 //! The three harness guarantees: determinism, panic isolation, and the
-//! watchdog (ISSUE 3 satellite coverage), plus the ISSUE 7 retry and
-//! cancellation hooks: a poisoned job must not leak its slot — the
-//! retry driver re-queues fresh attempts and the pool drains
-//! byte-identically at any worker count.
+//! watchdog.
 
 use hwst_harness::{
-    collect_ok, run, run_with_cancel, run_with_retry, CancelToken, Event, Job, JobOutcome,
-    NullSink, OutcomeKind, PoolConfig, RetryJob, RetryPolicy, Sink,
+    collect_ok, run, Event, Job, JobOutcome, NullSink, OutcomeKind, PoolConfig, Sink,
 };
 use std::time::Duration;
 
@@ -127,114 +123,6 @@ fn sink_observes_every_job() {
     assert_eq!(sink.finished, 24);
     assert_eq!(sink.last_done, 24);
     assert_eq!(results.len(), 24);
-}
-
-/// Regression for the ISSUE 7 satellite: a pool with one poisoned job
-/// (its first attempts always panic) still drains **byte-identically**
-/// at any worker count — outcomes, histories and ordering all match
-/// the serial reference, and the poisoned job is re-queued from a
-/// fresh factory closure instead of losing its slot.
-#[test]
-fn poisoned_job_drains_byte_identically() {
-    let table = |cfg: &PoolConfig| -> String {
-        let jobs: Vec<RetryJob<String>> = (0..12u64)
-            .map(|i| {
-                if i == 5 {
-                    // The poisoned slot: panics on attempts 1 and 2,
-                    // succeeds on attempt 3.
-                    RetryJob::new("poisoned/05", |attempt| {
-                        Box::new(move || {
-                            assert!(attempt >= 3, "poisoned attempt {attempt}");
-                            Ok(format!("recovered-on-{attempt}"))
-                        })
-                    })
-                } else {
-                    RetryJob::from_fn(format!("job/{i:02}"), move || Ok(format!("value-{i}")))
-                }
-            })
-            .collect();
-        run_with_retry(jobs, cfg, &RetryPolicy::default(), &mut NullSink)
-            .iter()
-            .map(|r| {
-                format!(
-                    "{:?} {} attempts={} history={:?} outcome={:?}\n",
-                    r.id,
-                    r.label,
-                    r.attempts(),
-                    r.history,
-                    r.outcome
-                )
-            })
-            .collect()
-    };
-    let serial = table(&PoolConfig::serial());
-    assert!(serial.contains("recovered-on-3"), "{serial}");
-    assert!(
-        serial.contains("history=[Panicked, Panicked, Ok]"),
-        "{serial}"
-    );
-    for workers in [2, 4, 16] {
-        assert_eq!(
-            serial,
-            table(&PoolConfig::parallel(workers)),
-            "{workers}-worker poisoned drain diverged from serial"
-        );
-    }
-}
-
-/// A permanently poisoned job exhausts its attempt budget and settles
-/// as `Panicked` without blocking siblings; a timed-out job is
-/// re-queueable the same way (the watchdog no longer consumes the only
-/// closure).
-#[test]
-fn timed_out_job_is_requeued_and_budgeted() {
-    let jobs: Vec<RetryJob<&'static str>> = vec![
-        RetryJob::from_fn("fast/a", || Ok("a")),
-        RetryJob::new("slow/hangs-once", |attempt| {
-            Box::new(move || {
-                if attempt == 1 {
-                    std::thread::sleep(Duration::from_secs(30));
-                }
-                Ok("woke-up")
-            })
-        }),
-        RetryJob::from_fn("fast/b", || Ok("b")),
-    ];
-    let cfg = PoolConfig::parallel(3).with_timeout(Duration::from_millis(100));
-    let results = run_with_retry(jobs, &cfg, &RetryPolicy::default(), &mut NullSink);
-    assert_eq!(results[0].outcome, JobOutcome::Ok("a"));
-    assert_eq!(
-        results[1].history,
-        vec![OutcomeKind::TimedOut, OutcomeKind::Ok],
-        "timed-out job must get a fresh attempt"
-    );
-    assert!(results[1].recovered());
-    assert_eq!(results[2].outcome, JobOutcome::Ok("b"));
-}
-
-/// Raising the cancel token mid-run settles unclaimed jobs as
-/// `Cancelled` — one result per job, job-ID order preserved.
-#[test]
-fn cancel_token_sheds_unclaimed_jobs() {
-    let token = CancelToken::new();
-    let tripwire = token.clone();
-    let mut jobs: Vec<Job<u32>> = vec![Job::new("first/cancels-the-rest", move || {
-        tripwire.cancel();
-        Ok(0)
-    })];
-    for i in 1..8u32 {
-        jobs.push(Job::new(format!("later/{i}"), move || Ok(i)));
-    }
-    let results = run_with_cancel(jobs, &PoolConfig::serial(), &token, &mut NullSink);
-    assert_eq!(results.len(), 8);
-    assert_eq!(results[0].outcome, JobOutcome::Ok(0));
-    for r in &results[1..] {
-        assert_eq!(r.outcome, JobOutcome::Cancelled, "{}", r.label);
-    }
-    let (ok, failed) = collect_ok(results);
-    assert_eq!(ok, vec![0]);
-    assert_eq!(failed.len(), 7);
-    assert!(failed[0].error.contains("cancelled"));
 }
 
 /// An empty job vector is a no-op, and worker counts are clamped.

@@ -55,7 +55,7 @@ pub mod syscall;
 mod trace;
 mod trap;
 
-pub use machine::{ExitStatus, LoadError, Machine, RuntimeEvents, SafetyConfig, Snapshot};
+pub use machine::{ExitStatus, LoadError, Machine, RuntimeEvents, SafetyConfig};
 pub use observe::Observation;
 pub use trace::TraceEvent;
 pub use trap::Trap;

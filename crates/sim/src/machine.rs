@@ -5,6 +5,17 @@ use hwst_isa::{csr, Program, Reg};
 use hwst_mem::{HeapAllocator, LinearShadow, LockAllocator, MemoryLayout, SparseMemory};
 use hwst_metadata::{CompressionConfig, ShadowCodec};
 use hwst_pipeline::{CycleStats, Pipeline, PipelineConfig, ShadowRegisterFile};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The source of [`Machine::program_id`]: every program load in the
+/// process draws the next value, so no two loads share an id.
+static NEXT_PROGRAM_ID: AtomicU64 = AtomicU64::new(0);
+
+fn next_program_id() -> u64 {
+    // Relaxed: the id publishes no other data, and `fetch_add` alone
+    // keeps every drawn value distinct.
+    NEXT_PROGRAM_ID.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Which safety machinery is armed, and with what parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,10 +159,11 @@ pub struct Machine {
     pub(crate) exited: Option<u64>,
     /// Custom CSR backing store (hwst.* registers).
     pub(crate) csrs: std::collections::HashMap<u16, u64>,
-    /// Bumped on every [`Self::reload_image`]; decoded-block caches
-    /// validate against it so a swapped program can never execute
-    /// through stale pre-decoded blocks.
-    pub(crate) epoch: u64,
+    /// Process-unique identity of the loaded program, drawn by
+    /// [`Self::new`] and [`Self::reload_image`] and kept by clones;
+    /// decoded-block caches validate against it so no other program
+    /// can ever execute through their pre-decoded blocks.
+    pub(crate) program_id: u64,
 }
 
 impl Machine {
@@ -195,7 +207,7 @@ impl Machine {
             events: RuntimeEvents::default(),
             exited: None,
             csrs,
-            epoch: 0,
+            program_id: next_program_id(),
         }
     }
 
@@ -230,10 +242,9 @@ impl Machine {
     ///
     /// Data memory, registers, shadow structures and cycle counters are
     /// deliberately left untouched — this models a program swap on a
-    /// warm machine. The program epoch is bumped, which is the signal
-    /// decoded-block caches (`hwst-exec`'s `BlockCache`) use to flush
-    /// themselves; it is the **only** event that invalidates them,
-    /// since the instruction image is immutable between reloads.
+    /// warm machine. The machine draws a new [`Self::program_id`],
+    /// which is the signal decoded-block caches (`hwst-exec`'s
+    /// `BlockCache`) use to flush themselves.
     ///
     /// # Errors
     ///
@@ -244,15 +255,17 @@ impl Machine {
         self.pc = program.base();
         self.program = program;
         self.exited = None;
-        self.epoch += 1;
+        self.program_id = next_program_id();
         Ok(())
     }
 
-    /// The current program epoch: 0 at construction, bumped by every
-    /// [`Self::reload_image`]. Decoded-block caches key their validity
-    /// on `(epoch, program base, program length)`.
-    pub fn program_epoch(&self) -> u64 {
-        self.epoch
+    /// The loaded program's identity, unique within the process: every
+    /// [`Self::new`] and [`Self::reload_image`] draws a fresh one, and a
+    /// clone keeps its original's. The instruction image is immutable
+    /// while the id stands, so decoded-block caches key their validity
+    /// on it alone.
+    pub fn program_id(&self) -> u64 {
+        self.program_id
     }
 
     /// The loaded program (decoded-block engines fetch through this).
@@ -470,52 +483,6 @@ impl Machine {
             output: self.output.clone(),
         }
     }
-
-    /// Captures the complete machine state — registers, PC, memory,
-    /// shadow structures, pipeline counters, allocator and CSR state —
-    /// as a [`Snapshot`] that can mint any number of warm-started
-    /// machines later.
-    ///
-    /// Taken right after [`Machine::new`] / [`Machine::from_image`],
-    /// a snapshot lets repeated runs of the same image skip image
-    /// decoding and CSR/layout re-setup entirely (the `hwst-serve`
-    /// cache-hit path); taken mid-execution it checkpoints a common
-    /// prefix.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            state: Box::new(self.clone()),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`Machine`], including every
-/// deterministic piece of state ([`Machine::snapshot`]).
-///
-/// Restoring is pure: the snapshot is not consumed, and a restored
-/// machine continues **bit-identically** to the machine the snapshot
-/// was taken from (same exits, traps, outputs and cycle counts) — the
-/// warm-start guarantee the service cache relies on, pinned by
-/// `tests/machine_props.rs` and the serve suite.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    state: Box<Machine>,
-}
-
-impl Snapshot {
-    /// Mints a fresh machine from the captured state.
-    pub fn restore(&self) -> Machine {
-        (*self.state).clone()
-    }
-
-    /// The PC at capture time.
-    pub fn pc(&self) -> u64 {
-        self.state.pc
-    }
-
-    /// Instructions retired at capture time.
-    pub fn instret(&self) -> u64 {
-        self.state.pipeline.stats().instret
-    }
 }
 
 #[cfg(test)]
@@ -595,14 +562,20 @@ mod tests {
     }
 
     #[test]
-    fn reload_image_swaps_program_and_bumps_epoch() {
+    fn reload_image_swaps_program_and_id() {
         let mut m = Machine::new(exit_prog(5), SafetyConfig::default());
-        assert_eq!(m.program_epoch(), 0);
+        let id = m.program_id();
+        assert_eq!(m.clone().program_id(), id, "a clone keeps the id");
+        assert_ne!(
+            Machine::new(exit_prog(5), SafetyConfig::default()).program_id(),
+            id,
+            "every new machine draws its own id"
+        );
         assert_eq!(m.run(100).unwrap().code, 5);
         let stats_before = m.stats();
         m.reload_image(0x2_0000, &exit_prog(9).to_image())
             .expect("valid image reloads");
-        assert_eq!(m.program_epoch(), 1);
+        assert_ne!(m.program_id(), id, "a reload draws a new id");
         assert_eq!(m.pc(), 0x2_0000, "pc reset to the new base");
         assert_eq!(m.exit_code(), None, "exit latch cleared");
         let e = m.run(100).unwrap();
@@ -611,10 +584,11 @@ mod tests {
             e.stats.instret > stats_before.instret,
             "cycle counters carry across the reload"
         );
-        // A bad image leaves the machine (and its epoch) unchanged.
+        // A bad image leaves the machine (and its id) unchanged.
         let mut m2 = Machine::new(exit_prog(1), SafetyConfig::default());
+        let id2 = m2.program_id();
         assert!(m2.reload_image(0, &[0x13u8; 3]).is_err());
-        assert_eq!(m2.program_epoch(), 0);
+        assert_eq!(m2.program_id(), id2);
         assert_eq!(m2.run(100).unwrap().code, 1);
     }
 }

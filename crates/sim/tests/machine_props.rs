@@ -5,9 +5,95 @@
 
 use hwst_exec::{run_fast, BlockCache};
 use hwst_isa::{decode, Instr, Program, Reg};
+use hwst_metadata::CompressionConfig;
 use hwst_sim::inject::{run_with_plan, FaultClass, InjectionPlan};
 use hwst_sim::{syscall, Machine, SafetyConfig};
 use proptest::prelude::*;
+
+/// `a0 = code; exit` — three instructions at `0x1_0000`, so any two
+/// exit codes give programs with the same base and length.
+fn exit_prog(code: i64) -> Program {
+    use hwst_isa::AluImmOp;
+    Program::from_instrs(
+        0x1_0000,
+        vec![
+            Instr::AluImm {
+                op: AluImmOp::Addi,
+                rd: Reg::A0,
+                rs1: Reg::Zero,
+                imm: code,
+            },
+            Instr::AluImm {
+                op: AluImmOp::Addi,
+                rd: Reg::A7,
+                rs1: Reg::Zero,
+                imm: syscall::EXIT as i64,
+            },
+            Instr::Ecall,
+        ],
+    )
+}
+
+/// Raw images: arbitrary bytes (ragged lengths, mostly undecodable
+/// words) or the image of a random decodable instruction stream, so
+/// that loads at hostile bases also get to run.
+fn arb_image() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..64),
+        prop::collection::vec(any::<u32>(), 0..16).prop_map(|words| {
+            let instrs = words.iter().filter_map(|&w| decode(w).ok()).collect();
+            Program::from_instrs(0, instrs).to_image()
+        }),
+    ]
+}
+
+/// Load bases for hostile images: the usual text base, the edges of the
+/// address space (where `base + 4 * len` overflows), and anything.
+fn arb_base() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0x1_0000u64),
+        Just(0u64),
+        Just(u64::MAX),
+        Just(u64::MAX - 3),
+        any::<u64>()
+    ]
+}
+
+/// The compression config a random `hwst.compcfg` value encodes, or the
+/// default for the invalid encodings most values are.
+fn arb_compression() -> impl Strategy<Value = CompressionConfig> {
+    any::<u64>().prop_map(|v| CompressionConfig::from_csr(v).unwrap_or_default())
+}
+
+/// Loads a raw byte image at `base` under `compression` and runs
+/// whatever loads for `fuel` on the reference interpreter and, from a
+/// clone, on the fast engine. A rejected image must be a printable
+/// structured error; a loaded one must give the same result and the
+/// same [`Observation`](hwst_sim::Observation) on both engines. A panic
+/// anywhere fails the case.
+fn hostile_image_is_contained(
+    image: &[u8],
+    base: u64,
+    compression: CompressionConfig,
+    fuel: u64,
+) -> Result<(), TestCaseError> {
+    let cfg = SafetyConfig {
+        compression,
+        ..SafetyConfig::default()
+    };
+    match Machine::from_image(base, image, cfg) {
+        Ok(mut reference) => {
+            let mut fast = reference.clone();
+            let want = reference.run(fuel);
+            let got = run_fast(&mut fast, fuel, &mut BlockCache::new());
+            prop_assert_eq!(&want, &got);
+            let diff = reference.observe().first_difference(&fast.observe());
+            prop_assert!(diff.is_none(), "{}", diff.unwrap_or_default());
+        }
+        Err(e) => prop_assert!(!e.to_string().is_empty()),
+    }
+    Ok(())
+}
 
 /// A small malloc → bind → check → free churn program: every metadata
 /// structure (SRF, shadow memory, lock words, keybuffer) is populated,
@@ -121,20 +207,18 @@ proptest! {
         let _ = m.run(1_000);
     }
 
-    /// Arbitrary byte images — ragged lengths, undecodable words, all of
-    /// it — either load or return a structured error; loaded images run
-    /// without panicking.
+    /// Arbitrary byte images — ragged lengths, undecodable words, bases
+    /// at the edges of the address space, garbage compression configs,
+    /// any fuel — either load or return a structured error; loaded
+    /// images run without panicking and identically on both engines.
     #[test]
-    fn random_images_never_panic(image in prop::collection::vec(any::<u8>(), 0..64)) {
-        match Machine::from_image(0x1_0000, &image, SafetyConfig::default()) {
-            Ok(mut m) => {
-                let _ = m.run(1_000);
-            }
-            Err(e) => {
-                // The error is structured and printable, never a panic.
-                let _ = e.to_string();
-            }
-        }
+    fn random_images_never_panic(
+        image in arb_image(),
+        base in arb_base(),
+        compression in arb_compression(),
+        fuel in 0u64..5_000,
+    ) {
+        hostile_image_is_contained(&image, base, compression, fuel)?;
     }
 
     /// Random decodable instruction streams execute **identically** on
@@ -189,6 +273,22 @@ proptest! {
         let (result, record) = run_with_plan(&mut m, &plan, 10_000);
         // Any classified outcome is legal; only a panic would fail this.
         let _ = (result, record.applied());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100_000))]
+
+    /// [`random_images_never_panic`] at depth, for the heavy gates.
+    #[test]
+    #[ignore = "deep fuzz sweep; run explicitly or in heavy gates"]
+    fn random_images_never_panic_deep(
+        image in arb_image(),
+        base in arb_base(),
+        compression in arb_compression(),
+        fuel in 0u64..5_000,
+    ) {
+        hostile_image_is_contained(&image, base, compression, fuel)?;
     }
 }
 
@@ -275,28 +375,7 @@ fn image_reload_flushes_the_block_cache() {
     // Run program A on the fast engine (populating the block cache),
     // reload program B over the same base, and rerun with the SAME
     // cache: the stale decoded blocks must not execute — the reload
-    // bumps the program epoch, which is the cache's flush signal.
-    use hwst_isa::AluImmOp;
-    let exit_prog = |code: i64| {
-        Program::from_instrs(
-            0x1_0000,
-            vec![
-                Instr::AluImm {
-                    op: AluImmOp::Addi,
-                    rd: Reg::A0,
-                    rs1: Reg::Zero,
-                    imm: code,
-                },
-                Instr::AluImm {
-                    op: AluImmOp::Addi,
-                    rd: Reg::A7,
-                    rs1: Reg::Zero,
-                    imm: syscall::EXIT as i64,
-                },
-                Instr::Ecall,
-            ],
-        )
-    };
+    // draws a new program id, which is the cache's flush signal.
     let mut m = Machine::new(exit_prog(7), SafetyConfig::default());
     let mut cache = BlockCache::new();
     let first = run_fast(&mut m, 1_000, &mut cache).expect("program A exits");
@@ -315,33 +394,19 @@ fn image_reload_flushes_the_block_cache() {
 }
 
 #[test]
-fn snapshot_restore_is_bit_identical() {
-    // Fresh run vs run from a post-load snapshot: same exit, output,
-    // stats — the warm-start guarantee the serve cache relies on.
-    let prog = churn_prog();
-    let fresh = Machine::new(prog.clone(), SafetyConfig::default())
-        .run(100_000)
-        .expect("churn program exits");
-    let cold = Machine::new(prog, SafetyConfig::default());
-    let snap = cold.snapshot();
-    for _ in 0..3 {
-        let warm = snap.restore().run(100_000).expect("restored run exits");
-        assert_eq!(warm, fresh, "restored run diverged from fresh run");
-    }
-}
+fn one_cache_never_runs_another_machines_program() {
+    // Two fresh machines whose programs share a base and a length, one
+    // cache: the second machine must run its own program, exactly as
+    // the reference does, never the first machine's decoded blocks.
+    let mut cache = BlockCache::new();
+    let mut a = Machine::new(exit_prog(7), SafetyConfig::default());
+    let first = run_fast(&mut a, 1_000, &mut cache).expect("program A exits");
+    assert_eq!(first.code, 7);
 
-#[test]
-fn mid_run_snapshot_resumes_identically() {
-    // Step N instructions, snapshot, and the continuation from the
-    // snapshot matches the uninterrupted machine exactly.
-    let mut m = Machine::new(churn_prog(), SafetyConfig::default());
-    for _ in 0..10 {
-        m.step().expect("prefix steps are clean");
-    }
-    let snap = m.snapshot();
-    assert_eq!(snap.pc(), m.pc());
-    assert_eq!(snap.instret(), 10);
-    let direct = m.run(100_000).expect("direct continuation exits");
-    let resumed = snap.restore().run(100_000).expect("resumed run exits");
-    assert_eq!(resumed, direct, "mid-run snapshot diverged on resume");
+    let want = Machine::new(exit_prog(9), SafetyConfig::default()).run(1_000);
+    let mut b = Machine::new(exit_prog(9), SafetyConfig::default());
+    let got = run_fast(&mut b, 1_000, &mut cache);
+    assert_eq!(got, want, "stale blocks must not execute");
+    assert_eq!(cache.decodes(), 2, "the second machine forces a re-decode");
+    assert_eq!(cache.hits(), 0);
 }
