@@ -57,30 +57,15 @@ impl ExecRow {
     }
 }
 
-/// Measures one X1 row (fail-fast wrapper around [`try_exec_row`]).
-pub fn exec_row(wl: &Workload, scale: Scale) -> ExecRow {
-    try_exec_row(wl, scale).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`exec_row`] with structured errors.
+/// Measures one X1 row with the image built at back-end tier `opt`
+/// (`-O1` measures the fast engine over the optimized image).
 ///
 /// # Errors
 ///
 /// Returns the compile error, the trap from either engine, or a
 /// description of a result divergence (which would be a fast-engine
 /// bug — the differential gates exist to keep this unreachable).
-pub fn try_exec_row(wl: &Workload, scale: Scale) -> Result<ExecRow, String> {
-    try_exec_row_opt(wl, scale, OptLevel::O0)
-}
-
-/// [`try_exec_row`] with the image built at a caller-chosen back-end
-/// tier — `-O1` measures the fast engine over the optimized image the
-/// production path now ships.
-///
-/// # Errors
-///
-/// Same as [`try_exec_row`].
-pub fn try_exec_row_opt(wl: &Workload, scale: Scale, opt: OptLevel) -> Result<ExecRow, String> {
+pub fn try_exec_row(wl: &Workload, scale: Scale, opt: OptLevel) -> Result<ExecRow, String> {
     let module = wl.module(scale);
     let opts = CompileOptions::new(Scheme::Hwst128Tchk).with_opt(opt);
     let prog = compile_with_options(&module, opts)
@@ -139,7 +124,7 @@ mod tests {
     #[test]
     fn exec_row_is_a_differential_check() {
         let wl = Workload::by_name("math").unwrap();
-        let r = try_exec_row(&wl, Scale::Test).unwrap();
+        let r = try_exec_row(&wl, Scale::Test, OptLevel::O0).unwrap();
         assert!(r.instret > 0);
         assert!(r.decoded_blocks > 0);
         assert!(r.cycle_ns > 0 && r.fast_ns > 0);

@@ -3,25 +3,31 @@
 //! The experiment harness: everything needed to regenerate the paper's
 //! tables and figures (see DESIGN.md §4 for the experiment index).
 //!
-//! Binaries (each prints the corresponding figure's rows):
+//! One binary runs them all: `hwst-bench <experiment> [flags]` prints
+//! the experiment's table, writes its `--json` summary and exits `0`
+//! when every gate passed, `1` when a gate or job failed and `2` on a
+//! usage, I/O or hard error. `hwst-bench help` lists the flags each
+//! experiment takes. The experiments:
 //!
-//! * `fig4` — performance overhead of SBCETS / HWST128 / HWST128_tchk
-//!   over 23 workloads + geometric mean,
-//! * `fig5` — speedup over SoftBoundCETS for BOGO, WDL narrow/wide and
-//!   HWST128 on the SPEC set,
-//! * `fig6` — Juliet security coverage for GCC/ASAN/SBCETS/HWST128,
-//! * `hwcost` — the §5.3 LUT/FF/critical-path table,
-//! * `ablation_keybuffer` — keybuffer size sweep (A1),
-//! * `ablation_compression` — range/lock field width sweep (A2),
-//! * `ablation_shadow` — linear map vs trie lookup cost (A3),
-//! * `resilience` — metadata-path fault-injection campaigns (R1),
-//! * `hwst-profile` — per-function overhead attribution and trace
-//!   export (P1).
+//! * `fig4`, `fig5`, `fig6`, `hwcost` — the paper's Figs. 4–6 and the
+//!   §5.3 hardware-cost table,
+//! * `ablation_keybuffer` (A1), `ablation_compression` (A2),
+//!   `ablation_shadow` (A3), `ablation_dcache` (A4),
+//!   `ablation_optimizer` (A5), `ablation_shore` (A6),
+//!   `ablation_footprint` (A7), `binval` (A9) and
+//!   `ablation_boundscheck` (A8 and A10) — the ablations,
+//! * `codesize` — static text size per scheme,
+//! * `lint` — the IR-level static safety linter over the workloads,
+//! * `resilience` (R1), `profile` (P1), `exec` (X1), `fig4_o1` (O1)
+//!   and `zoo` (Z1/Z2) — the extension experiments.
+//!
+//! This library holds what they share: the row computations, the
+//! harness-driven sweeps ([`runs`]) and the JSON renderers
+//! ([`summary`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod exec;
 pub mod profile;
 pub mod runs;
@@ -46,17 +52,6 @@ pub struct Fig4Row {
 }
 
 /// Runs one workload under every scheme and computes Eq. 7 overheads.
-///
-/// This is the fail-fast wrapper around [`try_fig4_row`] for callers
-/// (unit tests, exploratory code) that want a panic on a broken
-/// workload; the harness-driven sweeps use the `Result` form so one
-/// bad workload becomes a structured failed row instead of killing the
-/// table.
-pub fn fig4_row(wl: &Workload, scale: Scale) -> Fig4Row {
-    try_fig4_row(wl, scale).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`fig4_row`] with structured errors.
 ///
 /// # Errors
 ///
@@ -84,9 +79,14 @@ pub fn try_fig4_row(wl: &Workload, scale: Scale) -> Result<Fig4Row, String> {
     })
 }
 
-/// All Fig. 4 rows in the paper's order.
+/// All Fig. 4 rows in the paper's order, computed serially: the
+/// reference the pool-driven sweep is compared against. Panics on the
+/// first broken workload.
 pub fn fig4_rows(scale: Scale) -> Vec<Fig4Row> {
-    all().iter().map(|wl| fig4_row(wl, scale)).collect()
+    all()
+        .iter()
+        .map(|wl| try_fig4_row(wl, scale).unwrap_or_else(|e| panic!("{e}")))
+        .collect()
 }
 
 /// Geometric mean of each overhead column (the paper's rightmost bars:
@@ -200,13 +200,7 @@ pub struct Fig5Row {
     pub speedup: [f64; 4],
 }
 
-/// Computes the Fig. 5 speedups for one workload (fail-fast wrapper
-/// around [`try_fig5_row`]).
-pub fn fig5_row(wl: &Workload, scale: Scale) -> Fig5Row {
-    try_fig5_row(wl, scale).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`fig5_row`] with structured errors.
+/// Computes the Fig. 5 speedups for one workload.
 ///
 /// # Errors
 ///
@@ -227,11 +221,12 @@ pub fn try_fig5_row(wl: &Workload, scale: Scale) -> Result<Fig5Row, String> {
     })
 }
 
-/// All Fig. 5 rows (SPEC suite).
+/// All Fig. 5 rows (SPEC suite), computed serially. Panics on the
+/// first broken workload.
 pub fn fig5_rows(scale: Scale) -> Vec<Fig5Row> {
     hwst128::workloads::spec_suite()
         .iter()
-        .map(|wl| fig5_row(wl, scale))
+        .map(|wl| try_fig5_row(wl, scale).unwrap_or_else(|e| panic!("{e}")))
         .collect()
 }
 
@@ -245,13 +240,8 @@ pub fn fig5_geomean(rows: &[Fig5Row]) -> [f64; 4] {
     out
 }
 
-/// Cycle count of one workload at a given keybuffer size (A1 ablation;
-/// fail-fast wrapper around [`try_cycles_with_keybuffer`]).
-pub fn cycles_with_keybuffer(wl: &Workload, scale: Scale, entries: usize) -> u64 {
-    try_cycles_with_keybuffer(wl, scale, entries).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`cycles_with_keybuffer`] with structured errors.
+/// `HWST128_tchk` cycle count of one workload at a given keybuffer
+/// size (A1 ablation).
 ///
 /// # Errors
 ///
@@ -277,7 +267,8 @@ pub fn try_cycles_with_keybuffer(
 
 use hwst128::sim::inject::{FaultClass, OutcomeCounts};
 
-/// Campaign parameters for [`resilience_rows`] (experiment R1).
+/// Campaign parameters for [`runs::resilience_results`] (experiment
+/// R1).
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceConfig {
     /// Faulted runs per (fault class, target) cell.
@@ -333,24 +324,6 @@ pub struct ResilienceRow {
     pub juliet: OutcomeCounts,
 }
 
-/// Runs the full R1 fault-injection campaign: every fault class against
-/// the configured Fig. 4 workload subset and the sampled Juliet cases,
-/// all under `HWST128_tchk`. Deterministic for a fixed config.
-///
-/// Fail-fast wrapper over [`runs::resilience_results`] on a one-worker
-/// pool — the parallel campaign merges per-cell counters in job-ID
-/// order, which is exactly this serial nesting, so both paths agree
-/// bit-for-bit.
-pub fn resilience_rows(rc: &ResilienceConfig, scale: Scale) -> Vec<ResilienceRow> {
-    use hwst_harness::{NullSink, PoolConfig};
-    let (rows, failed) = runs::resilience_results(rc, scale, &PoolConfig::serial(), &mut NullSink)
-        .unwrap_or_else(|e| panic!("{e}"));
-    if let Some(f) = failed.first() {
-        panic!("campaign cell {}: {}", f.label, f.error);
-    }
-    rows
-}
-
 /// The R1 graceful-degradation guarantee: on the clean (bug-free)
 /// temporal-heavy workloads, lock-word and shadow-word corruption must
 /// never be *silent* — every injected fault is either detected by the
@@ -367,32 +340,6 @@ pub fn resilience_guarantee_violations(rows: &[ResilienceRow]) -> Vec<Resilience
         .collect()
 }
 
-/// Convenience re-export for binaries.
-pub use hwst128::juliet::{measure_coverage, model_coverage};
-
-/// Pretty-prints a percentage column.
-pub fn pct(v: f64) -> String {
-    format!("{v:>8.1}%")
-}
-
-/// Unwraps a bench-bin `Result`, printing the error and exiting
-/// non-zero instead of panicking (the bins are under the
-/// `clippy::unwrap_used` panic audit).
-pub fn require<T, E: std::fmt::Display>(what: &str, r: Result<T, E>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("error: {what}: {e}");
-        std::process::exit(1)
-    })
-}
-
-/// [`require`] for `Option` values.
-pub fn require_some<T>(what: &str, v: Option<T>) -> T {
-    v.unwrap_or_else(|| {
-        eprintln!("error: {what}");
-        std::process::exit(1)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,7 +348,7 @@ mod tests {
     #[test]
     fn fig4_row_computes_eq7() {
         let wl = Workload::by_name("math").unwrap();
-        let r = fig4_row(&wl, Scale::Test);
+        let r = try_fig4_row(&wl, Scale::Test).unwrap();
         assert!(r.overhead_pct[0] > r.overhead_pct[1]);
         assert!(r.overhead_pct[1] > r.overhead_pct[2]);
         assert!(r.overhead_pct[2] > 0.0);
@@ -432,9 +379,8 @@ mod tests {
     #[test]
     fn keybuffer_ablation_is_monotone_on_temporal_workload() {
         let wl = Workload::by_name("bzip2").unwrap();
-        let none = cycles_with_keybuffer(&wl, Scale::Test, 0);
-        let one = cycles_with_keybuffer(&wl, Scale::Test, 1);
-        let eight = cycles_with_keybuffer(&wl, Scale::Test, 8);
+        let cycles = |entries| try_cycles_with_keybuffer(&wl, Scale::Test, entries).unwrap();
+        let (none, one, eight) = (cycles(0), cycles(1), cycles(8));
         assert!(
             none > one,
             "a single entry must already help: {none} vs {one}"

@@ -1,0 +1,432 @@
+//! `hwst-bench <experiment> [flags]` — the one driver behind every
+//! figure, table and extension experiment of the reproduction.
+//!
+//! Each experiment is a plain function that prints its table and
+//! returns its JSON document and whether its gates passed. The driver
+//! alone handles the shared flags: it parses them, builds the worker
+//! pool and progress sink, writes `--json`, prints the wall/worker line
+//! to stderr and maps the result to the exit code — `0` every gate
+//! passed, `1` a gate or job failed, `2` a usage error, an I/O error or
+//! a hard error that stopped the run. `hwst-bench help` lists the
+//! experiments and the flags each takes.
+
+#![forbid(unsafe_code)]
+
+mod experiments;
+
+use hwst128::compiler::{OptLevel, Scheme};
+use hwst128::workloads::Scale;
+use hwst_bench::summary::write_json;
+use hwst_harness::{ConsoleSink, Json, NullSink, PoolConfig, Sink};
+use std::path::PathBuf;
+use std::process::ExitCode;
+use std::time::{Duration, Instant};
+
+/// The flags that size and report on the worker pool; `POOL` in an
+/// experiment's flag list stands for all of them.
+const POOL: [&str; 4] = ["--jobs", "--timeout-secs", "--progress", "--quiet"];
+
+/// One entry of the experiment index.
+struct Experiment {
+    name: &'static str,
+    /// The flags it takes, as `help` prints them: `POOL` stands for
+    /// [`POOL`], a bracketed word for positional arguments.
+    flags: &'static str,
+    about: &'static str,
+    run: fn(&mut Ctx) -> Result<Outcome, String>,
+}
+
+impl Experiment {
+    fn takes(&self, flag: &str) -> bool {
+        self.flags
+            .split_whitespace()
+            .any(|t| t == flag || (t == "POOL" && POOL.contains(&flag)))
+    }
+
+    fn takes_positional(&self) -> bool {
+        self.flags.contains('[')
+    }
+}
+
+/// Every experiment, in the order `help` lists them. The names are the
+/// former per-experiment binary names without their `hwst-` prefix.
+const EXPERIMENTS: [Experiment; 20] = [
+    Experiment {
+        name: "fig4",
+        flags: "POOL --json PATH --bench-scale",
+        about: "Fig. 4: Eq. 7 overhead of SBCETS, HWST128, HWST128_tchk",
+        run: experiments::fig4,
+    },
+    Experiment {
+        name: "fig5",
+        flags: "POOL --json PATH --bench-scale",
+        about: "Fig. 5: speedup over SBCETS of BOGO, WDL and HWST128",
+        run: experiments::fig5,
+    },
+    Experiment {
+        name: "fig6",
+        flags: "POOL --json PATH --stride N --model",
+        about: "Fig. 6: Juliet coverage, measured (or --model: modelled)",
+        run: experiments::fig6,
+    },
+    Experiment {
+        name: "hwcost",
+        flags: "[ENTRIES]",
+        about: "§5.3: LUT/FF/critical-path cost at ENTRIES keybuffer entries",
+        run: experiments::hwcost,
+    },
+    Experiment {
+        name: "ablation_keybuffer",
+        flags: "POOL --bench-scale",
+        about: "A1: keybuffer size sweep",
+        run: experiments::ablation_keybuffer,
+    },
+    Experiment {
+        name: "ablation_compression",
+        flags: "",
+        about: "A2: range/lock field-width sweep",
+        run: experiments::ablation_compression,
+    },
+    Experiment {
+        name: "ablation_shadow",
+        flags: "",
+        about: "A3: linear shadow map vs trie",
+        run: experiments::ablation_shadow,
+    },
+    Experiment {
+        name: "ablation_dcache",
+        flags: "POOL",
+        about: "A4: D-cache size and miss-penalty sensitivity",
+        run: experiments::ablation_dcache,
+    },
+    Experiment {
+        name: "ablation_shore",
+        flags: "",
+        about: "A6: spatial-only SHORE vs complete safety",
+        run: experiments::ablation_shore,
+    },
+    Experiment {
+        name: "ablation_footprint",
+        flags: "",
+        about: "A7: container-shadow footprint, 256-bit vs 128-bit records",
+        run: experiments::ablation_footprint,
+    },
+    Experiment {
+        name: "codesize",
+        flags: "--scheme LIST",
+        about: "static code size per scheme",
+        run: experiments::codesize,
+    },
+    Experiment {
+        name: "ablation_optimizer",
+        flags: "",
+        about: "A5: -O0 vs IR-optimized overheads",
+        run: experiments::ablation_optimizer,
+    },
+    Experiment {
+        name: "binval",
+        flags: "POOL --json PATH --bench-scale --smoke --opt O0|O1",
+        about: "A9: binary translation validation + mutation campaign",
+        run: experiments::binval,
+    },
+    Experiment {
+        name: "lint",
+        flags: "--json PATH --bench-scale [WORKLOAD...]",
+        about: "IR-level static safety diagnostics over the workloads",
+        run: experiments::lint,
+    },
+    Experiment {
+        name: "resilience",
+        flags: "POOL --json PATH --bench-scale --smoke",
+        about: "R1: metadata-path fault injection",
+        run: experiments::resilience,
+    },
+    Experiment {
+        name: "ablation_boundscheck",
+        flags: "POOL --json PATH --bench-scale --smoke",
+        about: "A8/A10: RCE and static bounds-proof check elimination",
+        run: experiments::ablation_boundscheck,
+    },
+    Experiment {
+        name: "profile",
+        flags: "POOL --json PATH --bench-scale --smoke --trace WL --collapse WL",
+        about: "P1: per-function overhead attribution, trace export",
+        run: experiments::profile,
+    },
+    Experiment {
+        name: "exec",
+        flags: "POOL --json PATH --bench-scale --smoke --opt O0|O1",
+        about: "X1: fast engine vs reference interpreter, differential",
+        run: experiments::exec,
+    },
+    Experiment {
+        name: "fig4_o1",
+        flags: "POOL --json PATH --bench-scale --smoke",
+        about: "O1: Fig. 4 at -O0 and -O1",
+        run: experiments::fig4_o1,
+    },
+    Experiment {
+        name: "zoo",
+        flags: "POOL --json PATH --bench-scale --smoke --scheme LIST",
+        about: "Z1/Z2: detector zoo frontier + fault campaign",
+        run: experiments::zoo,
+    },
+];
+
+/// The parsed flags of one run, each checked where it enters.
+#[derive(Debug, Default)]
+struct Args {
+    jobs: Option<usize>,
+    timeout_secs: Option<u64>,
+    progress: bool,
+    quiet: bool,
+    json: Option<PathBuf>,
+    bench_scale: bool,
+    smoke: bool,
+    model: bool,
+    opt: OptLevel,
+    stride: Option<usize>,
+    /// `--scheme A,B,...` (repeatable), deduplicated in first-seen
+    /// order; `None` when the flag is absent.
+    schemes: Option<Vec<Scheme>>,
+    trace: Option<String>,
+    collapse: Option<String>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    /// Parses `argv` (the words after the experiment name), rejecting
+    /// any flag `exp` does not take and any malformed value.
+    fn parse(exp: &Experiment, argv: &[String]) -> Result<Args, String> {
+        let mut args = Args::default();
+        let mut words = argv.iter();
+        while let Some(word) = words.next() {
+            if !word.starts_with("--") {
+                if !exp.takes_positional() {
+                    return Err(format!("unexpected argument `{word}`"));
+                }
+                args.positional.push(word.clone());
+                continue;
+            }
+            if !exp.takes(word) {
+                return Err(format!("unknown flag `{word}`"));
+            }
+            let mut value = || {
+                words
+                    .next()
+                    .map(String::as_str)
+                    .ok_or_else(|| format!("`{word}` needs a value"))
+            };
+            match word.as_str() {
+                "--jobs" => args.jobs = Some(positive(word, value()?)?),
+                "--timeout-secs" => args.timeout_secs = Some(positive(word, value()?)? as u64),
+                "--stride" => args.stride = Some(positive(word, value()?)?),
+                "--json" => args.json = Some(PathBuf::from(value()?)),
+                "--trace" => args.trace = Some(value()?.to_string()),
+                "--collapse" => args.collapse = Some(value()?.to_string()),
+                "--opt" => {
+                    let raw = value()?;
+                    args.opt = OptLevel::by_name(raw)
+                        .ok_or_else(|| format!("unknown opt level `{raw}` (expected O0 or O1)"))?;
+                }
+                "--scheme" => {
+                    let picked = args.schemes.get_or_insert_with(Vec::new);
+                    for label in value()?.split(',').filter(|l| !l.is_empty()) {
+                        let scheme = Scheme::by_label(label).ok_or_else(|| {
+                            let known: Vec<&str> =
+                                Scheme::EVERY.iter().map(|s| s.label()).collect();
+                            format!("unknown scheme `{label}` (known: {})", known.join(", "))
+                        })?;
+                        if !picked.contains(&scheme) {
+                            picked.push(scheme);
+                        }
+                    }
+                }
+                "--progress" => args.progress = true,
+                "--quiet" => args.quiet = true,
+                "--bench-scale" => args.bench_scale = true,
+                "--smoke" => args.smoke = true,
+                "--model" => args.model = true,
+                _ => return Err(format!("unknown flag `{word}`")),
+            }
+        }
+        Ok(args)
+    }
+}
+
+/// Parses a flag value that must be a positive integer.
+fn positive(flag: &str, raw: &str) -> Result<usize, String> {
+    match raw.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("`{flag} {raw}`: expected a positive integer")),
+    }
+}
+
+/// What the driver hands an experiment.
+struct Ctx {
+    args: Args,
+    pool: PoolConfig,
+    sink: Box<dyn Sink>,
+    start: Instant,
+}
+
+impl Ctx {
+    /// `Scale::Bench` under `--bench-scale`, else `Scale::Test`.
+    fn scale(&self) -> Scale {
+        if self.args.bench_scale {
+            Scale::Bench
+        } else {
+            Scale::Test
+        }
+    }
+
+    /// Host time since the experiment started.
+    fn elapsed(&self) -> Duration {
+        self.start.elapsed()
+    }
+}
+
+/// What an experiment hands back.
+struct Outcome {
+    /// Its `--json` document, if it has one.
+    doc: Option<Json>,
+    /// Whether every gate passed.
+    passed: bool,
+}
+
+fn help() -> String {
+    let mut text = String::from("usage: hwst-bench <experiment> [flags]\n\nexperiments:\n");
+    for exp in &EXPERIMENTS {
+        text += &format!("  {:<21} {}\n", exp.name, exp.about);
+        if !exp.flags.is_empty() {
+            text += &format!("  {:<21}   {}\n", "", exp.flags);
+        }
+    }
+    text += "\nPOOL = --jobs N --timeout-secs N --progress --quiet\n\
+             exit codes: 0 every gate passed; 1 a gate or job failed;\n\
+             \x20           2 usage, I/O or hard error\n";
+    text
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let name = argv.first().map_or("", String::as_str);
+    if matches!(name, "help" | "--help" | "-h") {
+        print!("{}", help());
+        return ExitCode::SUCCESS;
+    }
+    let Some(exp) = EXPERIMENTS.iter().find(|e| e.name == name) else {
+        eprintln!("error: unknown experiment `{name}`; `hwst-bench help` lists them");
+        return ExitCode::from(2);
+    };
+    let args = match Args::parse(exp, &argv[1..]) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {name}: {e} (takes: {})", exp.flags);
+            return ExitCode::from(2);
+        }
+    };
+    let mut pool = args
+        .jobs
+        .map_or_else(PoolConfig::from_env, PoolConfig::parallel);
+    if let Some(secs) = args.timeout_secs {
+        pool = pool.with_timeout(Duration::from_secs(secs));
+    }
+    let sink: Box<dyn Sink> = if args.quiet {
+        Box::new(NullSink)
+    } else {
+        Box::new(ConsoleSink {
+            verbose: args.progress,
+        })
+    };
+    let json = args.json.clone();
+    let mut cx = Ctx {
+        args,
+        pool,
+        sink,
+        start: Instant::now(),
+    };
+    let result = (exp.run)(&mut cx);
+    let wall_ms = cx.elapsed().as_secs_f64() * 1e3;
+    if exp.takes("--jobs") {
+        eprintln!("wall {wall_ms:.1} ms on {} worker(s)", cx.pool.workers);
+    } else {
+        eprintln!("wall {wall_ms:.1} ms");
+    }
+    let outcome = match result {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("error: {name}: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    if let Some(path) = json {
+        let Some(doc) = &outcome.doc else {
+            eprintln!("error: {name}: this run has no JSON document to write");
+            return ExitCode::from(2);
+        };
+        if let Err(e) = write_json(&path, doc) {
+            eprintln!("error: could not write {}: {e}", path.display());
+            return ExitCode::from(2);
+        }
+        println!("wrote {}", path.display());
+    }
+    if outcome.passed {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(name: &str, words: &[&str]) -> Result<Args, String> {
+        let exp = EXPERIMENTS.iter().find(|e| e.name == name).unwrap();
+        Args::parse(
+            exp,
+            &words.iter().map(|w| w.to_string()).collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn parses_the_flags_an_experiment_takes() {
+        let a = parse(
+            "binval",
+            &[
+                "--jobs",
+                "4",
+                "--json",
+                "out.json",
+                "--timeout-secs",
+                "9",
+                "--opt",
+                "O1",
+            ],
+        )
+        .unwrap();
+        assert_eq!(a.jobs, Some(4));
+        assert_eq!(a.timeout_secs, Some(9));
+        assert_eq!(a.json, Some(PathBuf::from("out.json")));
+        assert_eq!(a.opt, OptLevel::O1);
+        assert!(!a.smoke && !a.bench_scale);
+        let a = parse("zoo", &["--scheme", "rv-cure", "--scheme", "none,RV-CURE"]).unwrap();
+        assert_eq!(a.schemes, Some(vec![Scheme::RvCure, Scheme::None]));
+        assert_eq!(parse("hwcost", &["4"]).unwrap().positional, ["4"]);
+    }
+
+    /// The index and the parser agree: every flag an experiment lists
+    /// has a parser arm.
+    #[test]
+    fn every_experiment_flag_is_parsed() {
+        for exp in &EXPERIMENTS {
+            for word in exp.flags.split_whitespace().filter(|w| w.starts_with("--")) {
+                let err = Args::parse(exp, &[word.to_string()])
+                    .err()
+                    .unwrap_or_default();
+                assert!(!err.contains("unknown flag"), "{}: {err}", exp.name);
+            }
+        }
+    }
+}

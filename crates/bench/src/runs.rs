@@ -8,6 +8,8 @@
 //! `--jobs 1` (see `tests/harness_e2e.rs` and `crates/harness`'s own
 //! determinism test).
 
+use crate::exec::{try_exec_row, ExecRow};
+use crate::profile::{try_profile_row, ProfileRow};
 use crate::{
     try_cycles_with_keybuffer, try_fig4_o1_row, try_fig4_row, try_fig5_row, Fig4O1Row, Fig4Row,
     Fig5Row, ResilienceConfig, ResilienceRow,
@@ -21,75 +23,70 @@ use hwst128::sim::Machine;
 use hwst128::workloads::{all, spec_suite, Scale, Workload};
 use hwst_harness::{collect_ok, run, FailedJob, Job, JobResult, PoolConfig, Sink};
 
-/// One job per Fig. 4 workload, in the paper's row order.
-pub fn fig4_jobs(scale: Scale) -> Vec<Job<Fig4Row>> {
-    all()
+/// A job computing one row for workload `name`; an unknown name
+/// becomes a failing job (a structured failure, not a panic).
+fn workload_job<T: Send + 'static>(
+    label: String,
+    name: &str,
+    row: impl FnOnce(&Workload) -> Result<T, String> + Send + 'static,
+) -> Job<T> {
+    let wl = Workload::by_name(name).ok_or_else(|| format!("unknown workload `{name}`"));
+    Job::new(label, move || row(&wl?))
+}
+
+/// Runs the Fig. 4 sweep on the pool, one job per workload; results in
+/// the paper's row order.
+pub fn fig4_results(
+    scale: Scale,
+    cfg: &PoolConfig,
+    sink: &mut dyn Sink,
+) -> Vec<JobResult<Fig4Row>> {
+    let jobs = all()
         .into_iter()
         .map(|wl| {
             Job::new(format!("fig4/{}", wl.name), move || {
                 try_fig4_row(&wl, scale)
             })
         })
-        .collect()
+        .collect();
+    run(jobs, cfg, sink)
 }
 
-/// Runs the Fig. 4 sweep on the pool; results in row order.
-pub fn fig4_results(
-    scale: Scale,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<Fig4Row>> {
-    run(fig4_jobs(scale), cfg, sink)
-}
-
-/// One job per O1-experiment workload, in `names` order. Unknown names
-/// become failing jobs (structured failures, not panics).
-pub fn fig4_o1_jobs(names: &[&str], scale: Scale) -> Vec<Job<Fig4O1Row>> {
-    names
-        .iter()
-        .map(|name| match Workload::by_name(name) {
-            Some(wl) => Job::new(format!("fig4_o1/{}", wl.name), move || {
-                try_fig4_o1_row(&wl, scale)
-            }),
-            None => {
-                let name = name.to_string();
-                Job::new(format!("fig4_o1/{name}"), move || {
-                    Err(format!("unknown workload `{name}`"))
-                })
-            }
-        })
-        .collect()
-}
-
-/// Runs the O1 experiment on the pool; results in `names` order.
+/// Runs the O1 experiment on the pool, one job per workload; results
+/// in `names` order.
 pub fn fig4_o1_results(
     names: &[&str],
     scale: Scale,
     cfg: &PoolConfig,
     sink: &mut dyn Sink,
 ) -> Vec<JobResult<Fig4O1Row>> {
-    run(fig4_o1_jobs(names, scale), cfg, sink)
+    let jobs = names
+        .iter()
+        .map(|name| {
+            workload_job(format!("fig4_o1/{name}"), name, move |wl| {
+                try_fig4_o1_row(wl, scale)
+            })
+        })
+        .collect();
+    run(jobs, cfg, sink)
 }
 
-/// One job per Fig. 5 SPEC workload, in the paper's row order.
-pub fn fig5_jobs(scale: Scale) -> Vec<Job<Fig5Row>> {
-    spec_suite()
+/// Runs the Fig. 5 sweep on the pool, one job per SPEC workload;
+/// results in the paper's row order.
+pub fn fig5_results(
+    scale: Scale,
+    cfg: &PoolConfig,
+    sink: &mut dyn Sink,
+) -> Vec<JobResult<Fig5Row>> {
+    let jobs = spec_suite()
         .into_iter()
         .map(|wl| {
             Job::new(format!("fig5/{}", wl.name), move || {
                 try_fig5_row(&wl, scale)
             })
         })
-        .collect()
-}
-
-/// Runs the Fig. 5 sweep on the pool; results in row order.
-pub fn fig5_results(
-    scale: Scale,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<Fig5Row>> {
-    run(fig5_jobs(scale), cfg, sink)
+        .collect();
+    run(jobs, cfg, sink)
 }
 
 /// Cases per Fig. 6 job: small enough to spread the 8366-case suite
@@ -149,26 +146,16 @@ pub fn keybuffer_results(
     cfg: &PoolConfig,
     sink: &mut dyn Sink,
 ) -> (Vec<KeybufferRow>, Vec<FailedJob>) {
+    // One job per cell, unknown workloads included, keeps the grid
+    // aligned for the chunked row assembly below.
     let mut jobs = Vec::new();
     for name in names {
-        let wl = match Workload::by_name(name) {
-            Some(wl) => wl,
-            None => {
-                // One failing job per cell keeps the grid aligned for
-                // the chunked row assembly below.
-                for &entries in sizes {
-                    let name = name.to_string();
-                    jobs.push(Job::new(format!("a1/{name}/{entries}"), move || {
-                        Err(format!("unknown workload `{name}`"))
-                    }));
-                }
-                continue;
-            }
-        };
         for &entries in sizes {
-            jobs.push(Job::new(format!("a1/{}/{entries}", wl.name), move || {
-                try_cycles_with_keybuffer(&wl, scale, entries)
-            }));
+            jobs.push(workload_job(
+                format!("a1/{name}/{entries}"),
+                name,
+                move |wl| try_cycles_with_keybuffer(wl, scale, entries),
+            ));
         }
     }
     let results = run(jobs, cfg, sink);
@@ -282,11 +269,6 @@ pub const BINVAL_SCHEMES: [Scheme; 4] = [
 /// `binval::mutation_campaign`.
 pub const BINVAL_MASTER_SEED: u64 = 0xB17A_1000;
 
-/// Mutation seeds for the given campaign width.
-pub fn binval_seeds(per_scheme: u64) -> Vec<u64> {
-    (0..per_scheme).map(|i| BINVAL_MASTER_SEED + i).collect()
-}
-
 /// One cell of the binval gate: a workload validated under one scheme,
 /// with the A9 discharge counters and the mutation-campaign verdict.
 #[derive(Debug, Clone)]
@@ -325,34 +307,19 @@ impl BinvalRow {
     }
 }
 
-/// Validates one workload under one scheme and runs the seeded mutation
-/// campaign against it.
+/// Validates one workload under one scheme at back-end tier `opt` and
+/// runs the seeded mutation campaign against it. At `-O0` the classic
+/// metadata-plumbing mutation campaign runs (with IR-level RCE for the
+/// A9 baseline); at `-O1` the register-allocation campaign runs
+/// instead — its operators target the invariants only the optimizer
+/// can break, and its sites are enumerated semantically so the 100%
+/// kill bar is meaningful on optimized images.
 ///
 /// # Errors
 ///
 /// Translation-validation divergence, lowering findings and surviving
-/// mutants are all *hard errors* (the gate semantics ISSUE 4 asks for),
-/// as are compile failures.
+/// mutants are all *hard errors*, as are compile failures.
 pub fn try_binval_row(
-    wl: &Workload,
-    scale: Scale,
-    scheme: Scheme,
-    seeds: &[u64],
-) -> Result<BinvalRow, String> {
-    try_binval_row_opt(wl, scale, scheme, seeds, OptLevel::O0)
-}
-
-/// [`try_binval_row`] at a caller-chosen back-end tier. At `-O0` the
-/// classic metadata-plumbing mutation campaign runs (with IR-level RCE
-/// for the A9 baseline); at `-O1` the register-allocation campaign
-/// runs instead — its operators target the invariants only the
-/// optimizer can break, and its sites are enumerated semantically so
-/// the 100% kill bar is meaningful on optimized images.
-///
-/// # Errors
-///
-/// Same hard-error semantics as [`try_binval_row`].
-pub fn try_binval_row_opt(
     wl: &Workload,
     scale: Scale,
     scheme: Scheme,
@@ -438,47 +405,30 @@ pub fn try_binval_row_opt(
     })
 }
 
-/// One job per (workload × scheme) binval cell, workloads outermost —
-/// the same nesting the serial gate would use.
-pub fn binval_jobs(scale: Scale, seeds_per_scheme: u64) -> Vec<Job<BinvalRow>> {
-    binval_jobs_opt(scale, seeds_per_scheme, OptLevel::O0)
-}
-
-/// [`binval_jobs`] at a caller-chosen back-end tier.
-pub fn binval_jobs_opt(scale: Scale, seeds_per_scheme: u64, opt: OptLevel) -> Vec<Job<BinvalRow>> {
-    let seeds = binval_seeds(seeds_per_scheme);
-    let mut jobs = Vec::new();
-    for wl in all() {
-        for scheme in BINVAL_SCHEMES {
-            let seeds = seeds.clone();
-            jobs.push(Job::new(
-                format!("binval/{}/{scheme:?}", wl.name),
-                move || try_binval_row_opt(&wl, scale, scheme, &seeds, opt),
-            ));
-        }
-    }
-    jobs
-}
-
-/// Runs the binval gate on the pool; results in job order.
+/// Runs the binval gate on the pool at back-end tier `opt`: one job per
+/// (workload × scheme) cell, workloads outermost, each with
+/// `seeds_per_scheme` mutation seeds; results in job order.
 pub fn binval_results(
-    scale: Scale,
-    seeds_per_scheme: u64,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<BinvalRow>> {
-    binval_results_opt(scale, seeds_per_scheme, OptLevel::O0, cfg, sink)
-}
-
-/// [`binval_results`] at a caller-chosen back-end tier.
-pub fn binval_results_opt(
     scale: Scale,
     seeds_per_scheme: u64,
     opt: OptLevel,
     cfg: &PoolConfig,
     sink: &mut dyn Sink,
 ) -> Vec<JobResult<BinvalRow>> {
-    run(binval_jobs_opt(scale, seeds_per_scheme, opt), cfg, sink)
+    let seeds: Vec<u64> = (0..seeds_per_scheme)
+        .map(|i| BINVAL_MASTER_SEED + i)
+        .collect();
+    let mut jobs = Vec::new();
+    for wl in all() {
+        for scheme in BINVAL_SCHEMES {
+            let seeds = seeds.clone();
+            jobs.push(Job::new(
+                format!("binval/{}/{scheme:?}", wl.name),
+                move || try_binval_row(&wl, scale, scheme, &seeds, opt),
+            ));
+        }
+    }
+    run(jobs, cfg, sink)
 }
 
 /// The P1 smoke subset: one workload per suite flavour (string-heavy,
@@ -495,83 +445,44 @@ pub fn profile_names(smoke: bool) -> Vec<&'static str> {
     }
 }
 
-/// One job per P1 workload, in `names` order. Unknown names become
-/// failing jobs (structured failures, not panics).
-pub fn profile_jobs(names: &[&str], scale: Scale) -> Vec<Job<crate::profile::ProfileRow>> {
-    names
-        .iter()
-        .map(|name| match Workload::by_name(name) {
-            Some(wl) => Job::new(format!("profile/{}", wl.name), move || {
-                crate::profile::try_profile_row(&wl, scale)
-            }),
-            None => {
-                let name = name.to_string();
-                Job::new(format!("profile/{name}"), move || {
-                    Err(format!("unknown workload `{name}`"))
-                })
-            }
-        })
-        .collect()
-}
-
-/// Runs the P1 sweep on the pool; results in `names` order.
+/// Runs the P1 sweep on the pool, one job per workload; results in
+/// `names` order.
 pub fn profile_results(
     names: &[&str],
     scale: Scale,
     cfg: &PoolConfig,
     sink: &mut dyn Sink,
-) -> Vec<JobResult<crate::profile::ProfileRow>> {
-    run(profile_jobs(names, scale), cfg, sink)
-}
-
-/// One job per X1 workload, in `names` order: both engines timed, the
-/// results differentially compared. Unknown names become failing jobs.
-pub fn exec_jobs(names: &[&str], scale: Scale) -> Vec<Job<crate::exec::ExecRow>> {
-    exec_jobs_opt(names, scale, OptLevel::O0)
-}
-
-/// [`exec_jobs`] with the images built at a caller-chosen back-end
-/// tier.
-pub fn exec_jobs_opt(
-    names: &[&str],
-    scale: Scale,
-    opt: OptLevel,
-) -> Vec<Job<crate::exec::ExecRow>> {
-    names
+) -> Vec<JobResult<ProfileRow>> {
+    let jobs = names
         .iter()
-        .map(|name| match Workload::by_name(name) {
-            Some(wl) => Job::new(format!("exec/{}", wl.name), move || {
-                crate::exec::try_exec_row_opt(&wl, scale, opt)
-            }),
-            None => {
-                let name = name.to_string();
-                Job::new(format!("exec/{name}"), move || {
-                    Err(format!("unknown workload `{name}`"))
-                })
-            }
+        .map(|name| {
+            workload_job(format!("profile/{name}"), name, move |wl| {
+                try_profile_row(wl, scale)
+            })
         })
-        .collect()
+        .collect();
+    run(jobs, cfg, sink)
 }
 
-/// Runs the X1 sweep on the pool; results in `names` order.
+/// Runs the X1 sweep on the pool with the images built at back-end tier
+/// `opt`, one job per workload (both engines timed, the results
+/// differentially compared); results in `names` order.
 pub fn exec_results(
     names: &[&str],
     scale: Scale,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<crate::exec::ExecRow>> {
-    exec_results_opt(names, scale, OptLevel::O0, cfg, sink)
-}
-
-/// [`exec_results`] at a caller-chosen back-end tier.
-pub fn exec_results_opt(
-    names: &[&str],
-    scale: Scale,
     opt: OptLevel,
     cfg: &PoolConfig,
     sink: &mut dyn Sink,
-) -> Vec<JobResult<crate::exec::ExecRow>> {
-    run(exec_jobs_opt(names, scale, opt), cfg, sink)
+) -> Vec<JobResult<ExecRow>> {
+    let jobs = names
+        .iter()
+        .map(|name| {
+            workload_job(format!("exec/{name}"), name, move |wl| {
+                try_exec_row(wl, scale, opt)
+            })
+        })
+        .collect();
+    run(jobs, cfg, sink)
 }
 
 /// One build configuration of the A10 bounds ablation: a workload
@@ -621,17 +532,9 @@ impl BoundsRow {
     }
 }
 
-/// Sum of per-job wall times: what the sweep would have cost serially.
-/// Paired with the observed wall clock it demonstrates the measured
-/// speedup (`serial_wall / wall`).
-pub fn serial_wall<T>(results: &[JobResult<T>]) -> std::time::Duration {
-    results.iter().map(|r| r.wall).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::try_fig4_row;
     use hwst_harness::NullSink;
 
     /// The parallel fig4 path produces rows identical to the direct
@@ -639,7 +542,7 @@ mod tests {
     #[test]
     fn fig4_parallel_matches_serial_rows() {
         let wl = Workload::by_name("math").unwrap();
-        let serial = crate::fig4_row(&wl, Scale::Test);
+        let serial = try_fig4_row(&wl, Scale::Test).unwrap();
         let jobs = vec![Job::new("fig4/math", move || {
             try_fig4_row(&wl, Scale::Test)
         })];
@@ -666,11 +569,11 @@ mod tests {
         let wl = Workload::by_name("bzip2").unwrap();
         assert_eq!(
             rows[0].cycles[0],
-            crate::cycles_with_keybuffer(&wl, Scale::Test, 0)
+            try_cycles_with_keybuffer(&wl, Scale::Test, 0).unwrap()
         );
         assert_eq!(
             rows[0].cycles[1],
-            crate::cycles_with_keybuffer(&wl, Scale::Test, 1)
+            try_cycles_with_keybuffer(&wl, Scale::Test, 1).unwrap()
         );
     }
 

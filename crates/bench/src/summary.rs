@@ -5,7 +5,6 @@
 //! summaries"); bump [`SCHEMA_VERSION`] on any breaking change. All
 //! object keys are emitted in a fixed order so summaries diff cleanly.
 
-use crate::runs::serial_wall;
 use crate::{
     fig4_geomean, fig4_o1_geomean, fig4_o1_geomean_speedup, fig5_geomean, Fig4O1Row, Fig4Row,
     Fig5Row, ResilienceConfig, ResilienceRow,
@@ -14,6 +13,10 @@ use hwst128::juliet::{CoverageReport, Cwe, Detector};
 use hwst128::sim::inject::OutcomeCounts;
 use hwst128::workloads::{Scale, Suite};
 use hwst_harness::{FailedJob, JobResult, Json};
+use hwst_zoo::{
+    design_points, frontier_flags, measured_geomeans, model_geomeans, Design, DesignPoint,
+    ZooConfig, ZooReport,
+};
 use std::path::Path;
 use std::time::Duration;
 
@@ -26,6 +29,13 @@ fn header(schema: &str, scale: Scale, workers: usize) -> Json {
         .set("version", SCHEMA_VERSION)
         .set("scale", format!("{scale:?}"))
         .set("workers", workers)
+}
+
+/// Sum of per-job wall times: what the sweep would have cost serially.
+/// Paired with the observed wall clock it demonstrates the measured
+/// speedup (`serial_wall / wall`).
+fn serial_wall<T>(results: &[JobResult<T>]) -> Duration {
+    results.iter().map(|r| r.wall).sum()
 }
 
 fn timing(doc: Json, wall: Duration, serial: Duration) -> Json {
@@ -557,6 +567,150 @@ pub fn boundscheck_summary(
             .set("lost_with_bounds", juliet.1 as u64)
             .set("zero_cost", juliet.1 == 0),
     )
+}
+
+/// The `BENCH_zoo.json` document (experiments Z1/Z2). Deliberately
+/// carries no worker count or wall-clock fields: the artifact is
+/// byte-identical for any `--jobs N`.
+pub fn zoo_summary(
+    cfg: &ZooConfig,
+    scale: Scale,
+    report: &ZooReport,
+    failed: &[FailedJob],
+    violations: &[String],
+) -> Json {
+    let measured = measured_geomeans(&report.rows);
+    let model = model_geomeans(&report.rows);
+    let points = design_points(&report.rows, &report.coverage);
+    let flags = frontier_flags(&points);
+    let mut frontier: Vec<&DesignPoint> = points
+        .iter()
+        .zip(&flags)
+        .filter(|(_, &f)| f)
+        .map(|(p, _)| p)
+        .collect();
+    frontier.sort_by(|a, b| a.overhead_pct.total_cmp(&b.overhead_pct));
+    let designs = Json::Arr(
+        Design::ALL
+            .iter()
+            .enumerate()
+            .map(|(di, &design)| {
+                let oh = Design::INSTRUMENTED
+                    .iter()
+                    .position(|&d| d == design)
+                    .map(|i| measured[i])
+                    .unwrap_or(0.0);
+                let model_oh = Design::ZOO
+                    .iter()
+                    .position(|&d| d == design)
+                    .map(|i| Json::from(model[i]))
+                    .unwrap_or(Json::Null);
+                let band = design
+                    .band()
+                    .map(|(lo, hi)| Json::Arr(vec![Json::from(lo), Json::from(hi)]))
+                    .unwrap_or(Json::Null);
+                let cov = report.coverage.iter().find(|c| c.design == design);
+                let coverage = match cov {
+                    Some(c) => Json::obj()
+                        .set("model_detected", c.model_detected)
+                        .set("total_cases", c.total_cases)
+                        .set("coverage_pct", c.coverage_pct())
+                        .set("sample_cases", c.sample_cases)
+                        .set("sample_detected", c.sample_detected)
+                        .set("sample_model", c.sample_model)
+                        .set("sample_agree", c.sample_agree),
+                    None => Json::Null,
+                };
+                let inject = report
+                    .inject
+                    .get(di)
+                    .map(|c| {
+                        Json::obj()
+                            .set("detected", c.detected)
+                            .set("masked", c.masked)
+                            .set("silent", c.silent)
+                            .set("machine_fault", c.machine_fault)
+                            .set("not_applied", c.not_applied)
+                    })
+                    .unwrap_or(Json::Null);
+                Json::obj()
+                    .set("name", design.label())
+                    .set("overhead_geomean_pct", oh)
+                    .set("model_overhead_geomean_pct", model_oh)
+                    .set("band_pct", band)
+                    .set("coverage", coverage)
+                    .set("inject", inject)
+                    .set("on_frontier", flags[di])
+            })
+            .collect(),
+    );
+    let rows = Json::Arr(
+        report
+            .rows
+            .iter()
+            .map(|r| {
+                let mut oh = Json::obj();
+                for (i, d) in Design::INSTRUMENTED.iter().enumerate() {
+                    oh = oh.set(d.label(), r.measured_pct[i]);
+                }
+                let mut mp = Json::obj();
+                for (i, d) in Design::ZOO.iter().enumerate() {
+                    mp = mp.set(d.label(), r.model_pct[i]);
+                }
+                Json::obj()
+                    .set("name", r.name.as_str())
+                    .set("suite", r.suite.to_string())
+                    .set("baseline_cycles", r.baseline_cycles)
+                    .set("overhead_pct", oh)
+                    .set("model_pct", mp)
+            })
+            .collect(),
+    );
+    Json::obj()
+        .set("schema", "hwst-bench/zoo")
+        .set("version", SCHEMA_VERSION)
+        .set("scale", format!("{scale:?}"))
+        .set(
+            "config",
+            Json::obj()
+                .set("workload_count", report.rows.len())
+                .set("juliet_per_cwe", u64::from(cfg.juliet_per_cwe))
+                .set(
+                    "inject_workloads",
+                    Json::Arr(
+                        cfg.inject_workloads
+                            .iter()
+                            .map(|w| Json::from(*w))
+                            .collect(),
+                    ),
+                )
+                .set("seeds_per_target", cfg.seeds_per_target)
+                .set("master_seed", format!("{:#x}", cfg.master_seed)),
+        )
+        .set("designs", designs)
+        .set("rows", rows)
+        .set(
+            "frontier",
+            Json::Arr(
+                frontier
+                    .iter()
+                    .map(|p| Json::from(p.design.label()))
+                    .collect(),
+            ),
+        )
+        .set("failed", failures(failed))
+        .set(
+            "violations",
+            Json::Arr(violations.iter().map(|v| Json::from(v.as_str())).collect()),
+        )
+        .set(
+            "gate",
+            if violations.is_empty() && failed.is_empty() {
+                "pass"
+            } else {
+                "violated"
+            },
+        )
 }
 
 /// Writes a summary document to `path` (with a trailing newline).

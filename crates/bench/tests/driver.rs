@@ -1,0 +1,154 @@
+//! The `hwst-bench` input and exit contract, driven through the built
+//! binary: `help` lists every experiment once; an unknown experiment,
+//! an unknown flag or a malformed value exits 2 before anything runs; a
+//! `--json` write failure exits 2; and a pool-driven table is
+//! byte-identical at any worker count.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn hwst_bench(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_hwst-bench"))
+        .args(args)
+        .env_remove("HWST_JOBS")
+        .output()
+        .expect("hwst-bench runs")
+}
+
+fn assert_usage_error(args: &[&str], says: &str) {
+    let out = hwst_bench(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(says),
+        "{args:?}: stderr lacks `{says}`: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} must not run");
+}
+
+/// The former binary names, without their `hwst-` prefix.
+const EXPERIMENTS: [&str; 20] = [
+    "fig4",
+    "fig5",
+    "fig6",
+    "hwcost",
+    "ablation_keybuffer",
+    "ablation_compression",
+    "ablation_shadow",
+    "ablation_dcache",
+    "ablation_shore",
+    "ablation_footprint",
+    "codesize",
+    "ablation_optimizer",
+    "binval",
+    "lint",
+    "resilience",
+    "ablation_boundscheck",
+    "profile",
+    "exec",
+    "fig4_o1",
+    "zoo",
+];
+
+#[test]
+fn help_lists_each_experiment_once() {
+    let out = hwst_bench(&["help"]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&out.stdout);
+    // Experiment lines are indented by two spaces, their flags deeper.
+    let listed: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("  "))
+        .filter(|l| !l.starts_with(' '))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let mut sorted = listed.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(sorted.len(), listed.len(), "duplicates in {listed:?}");
+    let mut expected = EXPERIMENTS.to_vec();
+    expected.sort_unstable();
+    assert_eq!(sorted, expected);
+}
+
+#[test]
+fn unknown_experiment_exits_2() {
+    assert_usage_error(
+        &["no_such_experiment"],
+        "unknown experiment `no_such_experiment`",
+    );
+    assert_usage_error(&[], "unknown experiment");
+}
+
+#[test]
+fn unknown_flag_exits_2() {
+    assert_usage_error(&["fig4_o1", "--smok"], "unknown flag `--smok`");
+    // A flag another experiment takes is still unknown here.
+    assert_usage_error(&["fig4", "--smoke"], "unknown flag `--smoke`");
+    assert_usage_error(
+        &["ablation_compression", "--jobs", "2"],
+        "unknown flag `--jobs`",
+    );
+    assert_usage_error(&["fig5", "extra"], "unexpected argument `extra`");
+}
+
+#[test]
+fn malformed_value_exits_2() {
+    assert_usage_error(&["hwcost", "abc"], "`abc` is not a keybuffer entry count");
+    assert_usage_error(&["fig4", "--jobs", "many"], "`--jobs many`");
+    assert_usage_error(&["fig4", "--jobs", "0"], "`--jobs 0`");
+    assert_usage_error(&["fig6", "--stride"], "`--stride` needs a value");
+    assert_usage_error(&["binval", "--opt", "O3"], "unknown opt level `O3`");
+    assert_usage_error(
+        &["codesize", "--scheme", "no-such"],
+        "unknown scheme `no-such`",
+    );
+    assert_usage_error(
+        &["lint", "no-such-workload"],
+        "unknown workload `no-such-workload`",
+    );
+}
+
+#[test]
+fn fixed_scale_experiments_reject_bench_scale() {
+    for name in [
+        "ablation_shore",
+        "ablation_optimizer",
+        "ablation_footprint",
+        "ablation_shadow",
+        "ablation_dcache",
+        "codesize",
+    ] {
+        assert_usage_error(&[name, "--bench-scale"], "unknown flag `--bench-scale`");
+    }
+}
+
+#[test]
+fn json_write_failure_exits_2() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let good = dir.join("driver-lint.json");
+    let out = hwst_bench(&["lint", "math", "--json", good.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = std::fs::read_to_string(&good).expect("artifact written");
+    assert!(text.contains("\"schema\": \"hwst-bench/lint\""), "{text}");
+
+    let bad = dir.join("no-such-dir").join("driver-lint.json");
+    let out = hwst_bench(&["lint", "math", "--json", bad.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("could not write"), "{stderr}");
+}
+
+#[test]
+fn pool_table_is_identical_at_any_worker_count() {
+    let run = |jobs: &str| {
+        let out = hwst_bench(&["fig4_o1", "--smoke", "--jobs", jobs]);
+        assert_eq!(out.status.code(), Some(0), "--jobs {jobs}");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(stderr.contains(&format!("on {jobs} worker(s)")), "{stderr}");
+        out.stdout
+    };
+    let serial = run("1");
+    assert!(!serial.is_empty());
+    assert_eq!(serial, run("2"));
+}

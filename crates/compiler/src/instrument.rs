@@ -82,6 +82,35 @@ impl Scheme {
         Scheme::HeapSafe,
     ];
 
+    /// Every scheme, in declaration order: the domain of
+    /// [`Scheme::by_label`]. [`Scheme::ALL`] is its Fig. 4 subset.
+    pub const EVERY: [Scheme; 9] = [
+        Scheme::None,
+        Scheme::Sbcets,
+        Scheme::Hwst128,
+        Scheme::Hwst128Tchk,
+        Scheme::Shore,
+        Scheme::RvCure,
+        Scheme::L4Pointer,
+        Scheme::CryptSan,
+        Scheme::HeapSafe,
+    ];
+
+    /// Parses a CLI-style spelling: any [`Scheme::label`],
+    /// case-insensitively, plus the aliases `none` (baseline) and
+    /// `tchk` (HWST128_tchk).
+    pub fn by_label(raw: &str) -> Option<Scheme> {
+        if raw.eq_ignore_ascii_case("none") {
+            return Some(Scheme::None);
+        }
+        if raw.eq_ignore_ascii_case("tchk") {
+            return Some(Scheme::Hwst128Tchk);
+        }
+        Scheme::EVERY
+            .into_iter()
+            .find(|s| s.label().eq_ignore_ascii_case(raw))
+    }
+
     /// Display label used by the benchmark harness.
     pub const fn label(self) -> &'static str {
         match self {
@@ -1737,6 +1766,17 @@ mod tests {
             .flat_map(|b| &b.insts)
             .filter(|i| pred(i))
             .count()
+    }
+
+    #[test]
+    fn every_label_and_alias_parses() {
+        for s in Scheme::EVERY {
+            assert_eq!(Scheme::by_label(s.label()), Some(s));
+            assert_eq!(Scheme::by_label(&s.label().to_lowercase()), Some(s));
+        }
+        assert_eq!(Scheme::by_label("none"), Some(Scheme::None));
+        assert_eq!(Scheme::by_label("TCHK"), Some(Scheme::Hwst128Tchk));
+        assert_eq!(Scheme::by_label("no-such"), None);
     }
 
     #[test]

@@ -184,17 +184,7 @@ proptest! {
     ) {
         let module = build(&acts);
         let mut results = Vec::new();
-        for scheme in [
-            Scheme::None,
-            Scheme::Sbcets,
-            Scheme::Hwst128,
-            Scheme::Hwst128Tchk,
-            Scheme::Shore,
-            Scheme::RvCure,
-            Scheme::L4Pointer,
-            Scheme::CryptSan,
-            Scheme::HeapSafe,
-        ] {
+        for scheme in Scheme::EVERY {
             let prog = compile(&module, scheme).expect("compiles");
             let exit = Machine::new(prog, config_for(scheme))
                 .run(20_000_000)

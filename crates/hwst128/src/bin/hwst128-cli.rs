@@ -5,16 +5,15 @@
 //! hwst128-cli run <workload> [--scheme S] [--trace N]
 //! hwst128-cli disasm <workload> [--scheme S]      dump generated code
 //! hwst128-cli list                                list workloads
-//! hwst128-cli coverage [--stride N]               Juliet coverage (measured)
-//! hwst128-cli hwcost [entries]                    §5.3 cost table
 //! ```
 //!
-//! Schemes: `none`, `sbcets`, `hwst128`, `tchk` (default `tchk`).
+//! `--scheme` takes any `Scheme::label` or the aliases `none` and
+//! `tchk` (default `tchk`). Figures and tables come from `hwst-bench`.
 
 use hwst128::compiler::{compile, Scheme};
 use hwst128::isa::asm::assemble;
 use hwst128::prelude::*;
-use hwst128::{config_for, juliet, workloads};
+use hwst128::{config_for, workloads};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -39,8 +38,6 @@ fn run(args: &[String]) -> CliResult {
         "disasm" => cmd_disasm(&args[1..]),
         "ir" => cmd_ir(&args[1..]),
         "list" => cmd_list(),
-        "coverage" => cmd_coverage(&args[1..]),
-        "hwcost" => cmd_hwcost(&args[1..]),
         "help" | "--help" | "-h" => {
             print!("{}", HELP);
             Ok(())
@@ -60,10 +57,9 @@ hwst128-cli — the HWST128 memory-safety accelerator, on the command line
   disasm <workload> [--scheme S]     dump the generated machine code
   ir <workload> [--scheme S]         dump the (instrumented) IR listing
   list                               list the available workloads
-  coverage [--stride N]              measured Juliet coverage (stride 1 = all)
-  hwcost [entries]                   the \u{a7}5.3 hardware-cost table
 
-schemes: none | sbcets | hwst128 | tchk (default tchk)
+schemes: none | SBCETS | HWST128 | tchk | SHORE | RV-CURE | L4Pointer |
+         CryptSan | HeapSafe, any case (default tchk)
 ";
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -74,13 +70,8 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 }
 
 fn parse_scheme(args: &[String]) -> Result<Scheme, String> {
-    match flag_value(args, "--scheme").unwrap_or("tchk") {
-        "none" | "baseline" => Ok(Scheme::None),
-        "sbcets" => Ok(Scheme::Sbcets),
-        "hwst128" => Ok(Scheme::Hwst128),
-        "tchk" | "hwst128_tchk" => Ok(Scheme::Hwst128Tchk),
-        other => Err(format!("unknown scheme {other:?}")),
-    }
+    let raw = flag_value(args, "--scheme").unwrap_or("tchk");
+    Scheme::by_label(raw).ok_or_else(|| format!("unknown scheme {raw:?}"))
 }
 
 fn run_machine(mut m: Machine, trace: usize) -> CliResult {
@@ -214,19 +205,5 @@ fn cmd_list() -> CliResult {
     for w in workloads::all() {
         println!("{:<12} [{:<7}] {}", w.name, w.suite.to_string(), w.profile);
     }
-    Ok(())
-}
-
-fn cmd_coverage(args: &[String]) -> CliResult {
-    let stride = flag_value(args, "--stride")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
-    println!("{}", juliet::measure_coverage(stride));
-    Ok(())
-}
-
-fn cmd_hwcost(args: &[String]) -> CliResult {
-    let entries = args.first().and_then(|v| v.parse().ok()).unwrap_or(1);
-    println!("{}", hwst128::hwcost::hwst128_report(entries));
     Ok(())
 }

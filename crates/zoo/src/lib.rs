@@ -8,7 +8,7 @@
 //! (`hwst_compiler::instrument`), its Juliet detector model
 //! (`hwst_juliet::detector`), its analytic cost model
 //! (`hwst_baselines::ZooCost`) and the calibration band its *measured*
-//! overhead geomean must land in (DESIGN.md §4l). The `hwst-zoo` bin
+//! overhead geomean must land in (DESIGN.md §4l). `hwst-bench zoo`
 //! sweeps all designs over the 23-workload suite, a Juliet sample and
 //! an `hwst_sim::inject` fault campaign, emits the Z1 coverage ×
 //! overhead frontier, and exits non-zero when a calibration or
@@ -20,7 +20,7 @@ use hwst128::sim::inject::{campaign, FaultClass, OutcomeCounts};
 use hwst128::sim::Machine;
 use hwst128::workloads::{all, Scale, Suite, Workload};
 use hwst_baselines::{try_profile_workload, ZooCost};
-use hwst_harness::{collect_ok, run, FailedJob, Job, Json, PoolConfig, Sink};
+use hwst_harness::{collect_ok, run, FailedJob, Job, PoolConfig, Sink};
 
 /// One design of the Z1 frontier: the published four plus the zoo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,7 +147,7 @@ impl std::fmt::Display for Design {
     }
 }
 
-/// Sweep configuration for the zoo bin.
+/// Sweep configuration for `hwst-bench zoo`.
 #[derive(Debug, Clone)]
 pub struct ZooConfig {
     /// Workload subset (`None` = the full 23-workload suite).
@@ -630,162 +630,6 @@ pub fn zoo_violations(report: &ZooReport) -> Vec<String> {
         }
     }
     bad
-}
-
-/// The `BENCH_zoo.json` document. Deliberately carries no worker count
-/// or wall-clock fields: the artifact is byte-identical for any
-/// `--jobs N` (the acceptance contract), so timing goes to stdout only.
-pub fn zoo_summary(
-    cfg: &ZooConfig,
-    scale: Scale,
-    report: &ZooReport,
-    failed: &[FailedJob],
-    violations: &[String],
-) -> Json {
-    let measured = measured_geomeans(&report.rows);
-    let model = model_geomeans(&report.rows);
-    let points = design_points(&report.rows, &report.coverage);
-    let flags = frontier_flags(&points);
-    let mut frontier: Vec<&DesignPoint> = points
-        .iter()
-        .zip(&flags)
-        .filter(|(_, &f)| f)
-        .map(|(p, _)| p)
-        .collect();
-    frontier.sort_by(|a, b| a.overhead_pct.total_cmp(&b.overhead_pct));
-    let designs = Json::Arr(
-        Design::ALL
-            .iter()
-            .enumerate()
-            .map(|(di, &design)| {
-                let oh = Design::INSTRUMENTED
-                    .iter()
-                    .position(|&d| d == design)
-                    .map(|i| measured[i])
-                    .unwrap_or(0.0);
-                let model_oh = Design::ZOO
-                    .iter()
-                    .position(|&d| d == design)
-                    .map(|i| Json::from(model[i]))
-                    .unwrap_or(Json::Null);
-                let band = design
-                    .band()
-                    .map(|(lo, hi)| Json::Arr(vec![Json::from(lo), Json::from(hi)]))
-                    .unwrap_or(Json::Null);
-                let cov = report.coverage.iter().find(|c| c.design == design);
-                let coverage = match cov {
-                    Some(c) => Json::obj()
-                        .set("model_detected", c.model_detected)
-                        .set("total_cases", c.total_cases)
-                        .set("coverage_pct", c.coverage_pct())
-                        .set("sample_cases", c.sample_cases)
-                        .set("sample_detected", c.sample_detected)
-                        .set("sample_model", c.sample_model)
-                        .set("sample_agree", c.sample_agree),
-                    None => Json::Null,
-                };
-                let inject = report
-                    .inject
-                    .get(di)
-                    .map(|c| {
-                        Json::obj()
-                            .set("detected", c.detected)
-                            .set("masked", c.masked)
-                            .set("silent", c.silent)
-                            .set("machine_fault", c.machine_fault)
-                            .set("not_applied", c.not_applied)
-                    })
-                    .unwrap_or(Json::Null);
-                Json::obj()
-                    .set("name", design.label())
-                    .set("overhead_geomean_pct", oh)
-                    .set("model_overhead_geomean_pct", model_oh)
-                    .set("band_pct", band)
-                    .set("coverage", coverage)
-                    .set("inject", inject)
-                    .set("on_frontier", flags[di])
-            })
-            .collect(),
-    );
-    let rows = Json::Arr(
-        report
-            .rows
-            .iter()
-            .map(|r| {
-                let mut oh = Json::obj();
-                for (i, d) in Design::INSTRUMENTED.iter().enumerate() {
-                    oh = oh.set(d.label(), r.measured_pct[i]);
-                }
-                let mut mp = Json::obj();
-                for (i, d) in Design::ZOO.iter().enumerate() {
-                    mp = mp.set(d.label(), r.model_pct[i]);
-                }
-                Json::obj()
-                    .set("name", r.name.as_str())
-                    .set("suite", r.suite.to_string())
-                    .set("baseline_cycles", r.baseline_cycles)
-                    .set("overhead_pct", oh)
-                    .set("model_pct", mp)
-            })
-            .collect(),
-    );
-    Json::obj()
-        .set("schema", "hwst-bench/zoo")
-        .set("version", hwst_bench::summary::SCHEMA_VERSION)
-        .set("scale", format!("{scale:?}"))
-        .set(
-            "config",
-            Json::obj()
-                .set("workload_count", report.rows.len())
-                .set("juliet_per_cwe", u64::from(cfg.juliet_per_cwe))
-                .set(
-                    "inject_workloads",
-                    Json::Arr(
-                        cfg.inject_workloads
-                            .iter()
-                            .map(|w| Json::from(*w))
-                            .collect(),
-                    ),
-                )
-                .set("seeds_per_target", cfg.seeds_per_target)
-                .set("master_seed", format!("{:#x}", cfg.master_seed)),
-        )
-        .set("designs", designs)
-        .set("rows", rows)
-        .set(
-            "frontier",
-            Json::Arr(
-                frontier
-                    .iter()
-                    .map(|p| Json::from(p.design.label()))
-                    .collect(),
-            ),
-        )
-        .set(
-            "failed",
-            Json::Arr(
-                failed
-                    .iter()
-                    .map(|f| {
-                        Json::obj()
-                            .set("label", f.label.as_str())
-                            .set("error", f.error.as_str())
-                    })
-                    .collect(),
-            ),
-        )
-        .set(
-            "violations",
-            Json::Arr(violations.iter().map(|v| Json::from(v.as_str())).collect()),
-        )
-        .set(
-            "gate",
-            if violations.is_empty() && failed.is_empty() {
-                "pass"
-            } else {
-                "violated"
-            },
-        )
 }
 
 #[cfg(test)]

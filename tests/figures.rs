@@ -6,7 +6,7 @@
 use hwst128::hwcost::hwst128_report;
 use hwst128::juliet::model_coverage;
 use hwst128::workloads::{Scale, Workload};
-use hwst_bench::{fig4_geomean, fig4_row, fig5_geomean, fig5_rows, try_fig4_row};
+use hwst_bench::{fig4_geomean, fig5_geomean, fig5_rows, try_fig4_row};
 
 /// Fig. 4 (E1): the three-scheme overhead ordering and rough magnitudes
 /// on a representative cross-suite subset.
@@ -17,7 +17,7 @@ fn fig4_shape_holds() {
     ];
     let rows: Vec<_> = names
         .iter()
-        .map(|n| fig4_row(&Workload::by_name(n).unwrap(), Scale::Test))
+        .map(|n| try_fig4_row(&Workload::by_name(n).unwrap(), Scale::Test).unwrap())
         .collect();
     for r in &rows {
         assert!(
@@ -96,7 +96,7 @@ fn fig5_shape_holds() {
 
 /// Fig. 6 (E3): coverage totals, ASAN's CWE690 blindness, and the CWE122
 /// delta — on the full modelled suite (the measured variant is validated
-/// sample-wise in `hwst-juliet` and in full by the `fig6` binary).
+/// sample-wise in `hwst-juliet` and in full by `hwst-bench fig6`).
 #[test]
 fn fig6_shape_holds() {
     let r = model_coverage();

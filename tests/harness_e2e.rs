@@ -7,7 +7,7 @@
 use hwst128::workloads::{Scale, Workload};
 use hwst_bench::runs::fig4_results;
 use hwst_bench::summary::fig4_summary;
-use hwst_bench::{fig4_geomean, fig4_row, try_fig4_row, Fig4Row};
+use hwst_bench::{fig4_geomean, try_fig4_row, Fig4Row};
 use hwst_harness::{collect_ok, Job, JobOutcome, Json, NullSink, PoolConfig};
 use std::time::Duration;
 
@@ -32,7 +32,7 @@ fn fig4_subset_parallel_identical_to_serial() {
     let names = ["string", "math", "treeadd", "health", "bzip2", "lbm"];
     let serial: Vec<Fig4Row> = names
         .iter()
-        .map(|n| fig4_row(&Workload::by_name(n).unwrap(), Scale::Test))
+        .map(|n| try_fig4_row(&Workload::by_name(n).unwrap(), Scale::Test).unwrap())
         .collect();
     let jobs: Vec<Job<Fig4Row>> = names
         .iter()
@@ -119,7 +119,7 @@ fn fig4_json_summary_round_trips() {
     }
 }
 
-/// When CI has just emitted `BENCH_fig4.json` (the harness smoke step),
+/// When CI has just emitted `BENCH_fig4.json` (`hwst-bench fig4`),
 /// the artifact must parse and agree with a freshly computed serial
 /// geomean. Skips silently when the artifact is absent (local runs).
 #[test]

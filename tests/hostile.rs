@@ -7,12 +7,11 @@
 
 use hwst128::compiler::ir::Module;
 use hwst128::compiler::{
-    compile_with_options, CompileError, CompileOptions, ModuleBuilder, OptLevel,
+    compile_with_options, CompileError, CompileOptions, ModuleBuilder, OptLevel, Scheme,
 };
 use hwst128::config_for;
 use hwst128::exec::{run_fast, BlockCache};
 use hwst128::sim::{ExitStatus, Machine, Trap};
-use hwst_bench::cli::ALL_SCHEMES;
 
 /// Far more than any module here needs: running out is a failure.
 const FUEL: u64 = 1_000_000;
@@ -26,7 +25,7 @@ type Outcome = (String, Result<Result<ExitStatus, Trap>, CompileError>);
 /// fast engine.
 fn outcomes(module: &Module) -> Vec<Outcome> {
     let mut out = Vec::new();
-    for scheme in ALL_SCHEMES {
+    for scheme in Scheme::EVERY {
         for opt in [OptLevel::O0, OptLevel::O1] {
             for passes in [false, true] {
                 let mut opts = CompileOptions::new(scheme).with_opt(opt);

@@ -126,7 +126,7 @@ fn trace_exports_round_trip() {
     }
 }
 
-/// When CI has just emitted `BENCH_profile.json` (the P1 smoke step),
+/// When CI has just emitted `BENCH_profile.json` (`hwst-bench profile`),
 /// the artifact must parse, be schema-stable and meet the attribution
 /// floor on every row. Skips silently when absent (local runs).
 #[test]
