@@ -31,8 +31,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use hwst_compiler::instrument::config_for;
 use hwst_compiler::{compile, ir::Module, Scheme};
-use hwst_sim::{Machine, SafetyConfig};
+use hwst_exec::{run_fast, BlockCache};
+use hwst_sim::Machine;
 
 /// The dynamic pointer-operation profile of one workload, measured by
 /// running it on the simulator.
@@ -74,18 +76,17 @@ pub fn profile_workload(module: &Module, fuel: u64) -> WorkloadProfile {
 /// Returns a message naming the failing scheme when the module does
 /// not compile or does not run to clean exit.
 pub fn try_profile_workload(module: &Module, fuel: u64) -> Result<WorkloadProfile, String> {
-    let run = |scheme: Scheme, cfg: SafetyConfig| {
+    let run = |scheme: Scheme| {
         let prog =
             compile(module, scheme).map_err(|e| format!("{scheme} failed to compile: {e}"))?;
-        let mut m = Machine::new(prog, cfg);
-        let exit = m
-            .run(fuel)
+        let mut m = Machine::new(prog, config_for(scheme));
+        let exit = run_fast(&mut m, fuel, &mut BlockCache::new())
             .map_err(|e| format!("{scheme} did not run clean: {e}"))?;
         Ok::<_, String>((exit.stats, m.events()))
     };
-    let (base, _) = run(Scheme::None, SafetyConfig::baseline())?;
-    let (sb, _) = run(Scheme::Sbcets, SafetyConfig::baseline())?;
-    let (hwst, ev) = run(Scheme::Hwst128Tchk, SafetyConfig::default())?;
+    let (base, _) = run(Scheme::None)?;
+    let (sb, _) = run(Scheme::Sbcets)?;
+    let (hwst, ev) = run(Scheme::Hwst128Tchk)?;
     Ok(WorkloadProfile {
         baseline_cycles: base.total_cycles(),
         sbcets_cycles: sb.total_cycles(),

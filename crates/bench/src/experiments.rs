@@ -7,12 +7,13 @@
 
 use crate::{Ctx, Outcome};
 use hwst128::compiler::{
-    binval, compile, compile_with_options, compile_with_sizes, ir::Module, lint, opt::optimize,
-    CompileOptions, OptLevel, Scheme,
+    binval, compile, compile_with_options, ir::Module, lint, opt::optimize, CompileOptions,
+    OptLevel, Scheme,
 };
 use hwst128::config_for;
+use hwst128::exec::{run_fast, BlockCache};
 use hwst128::hwcost::hwst128_report;
-use hwst128::juliet::{execute_detects_opts, model_coverage, sample_reachable};
+use hwst128::juliet::{execute_detects, model_coverage, sample_reachable};
 use hwst128::mem::{LinearShadow, ShadowTrie};
 use hwst128::metadata::{CompressionConfig, Metadata, ShadowCodec};
 use hwst128::pipeline::{CacheConfig, ShadowLayout};
@@ -290,11 +291,13 @@ fn cycles_with_layout(wl: &Workload, layout: ShadowLayout) -> Result<u64, String
         .map_err(|e| format!("{}: {e}", wl.name))?;
     let mut cfg = SafetyConfig::default();
     cfg.pipeline.shadow_layout = layout;
-    Ok(Machine::new(prog, cfg)
-        .run(wl.fuel(Scale::Test))
-        .map_err(|e| format!("{}: {e}", wl.name))?
-        .stats
-        .total_cycles())
+    let exit = run_fast(
+        &mut Machine::new(prog, cfg),
+        wl.fuel(Scale::Test),
+        &mut BlockCache::new(),
+    )
+    .map_err(|e| format!("{}: {e}", wl.name))?;
+    Ok(exit.stats.total_cycles())
 }
 
 /// A3: linear-mapped shadow memory vs the shadow trie (paper §2 — the
@@ -381,11 +384,10 @@ fn dcache_overhead(wl: &Workload, scheme: Scheme, dcache: CacheConfig) -> Result
         cfg.pipeline.dcache = dcache;
         let prog = compile(&wl.module(Scale::Test), scheme)
             .map_err(|e| format!("{} ({scheme}): {e}", wl.name))?;
-        Ok(Machine::new(prog, cfg)
-            .run(wl.fuel(Scale::Test))
-            .map_err(|e| format!("{} ({scheme}): {e}", wl.name))?
-            .stats
-            .total_cycles())
+        let fuel = wl.fuel(Scale::Test);
+        let exit = run_fast(&mut Machine::new(prog, cfg), fuel, &mut BlockCache::new())
+            .map_err(|e| format!("{} ({scheme}): {e}", wl.name))?;
+        Ok(exit.stats.total_cycles())
     };
     Ok((run(scheme)? as f64 / run(Scheme::None)? as f64 - 1.0) * 100.0)
 }
@@ -484,7 +486,7 @@ pub fn ablation_shore(_cx: &mut Ctx) -> Result<Outcome, String> {
         let module = wl.module(Scale::Test);
         let fuel = wl.fuel(Scale::Test);
         let cycles = |s: Scheme| -> Result<f64, String> {
-            Ok(run_scheme(&module, s, fuel)
+            Ok(run_scheme(&module, CompileOptions::new(s), fuel)
                 .map_err(|e| format!("{name}: {e}"))?
                 .stats
                 .total_cycles() as f64)
@@ -521,7 +523,7 @@ fn container_shadow_bytes(wl: &Workload, scheme: Scheme) -> Result<u64, String> 
     let l = cfg.layout;
     let shadow = |a: u64| (a << 2) + l.shadow_offset;
     let mut m = Machine::new(prog, cfg);
-    m.run(wl.fuel(Scale::Test))
+    run_fast(&mut m, wl.fuel(Scale::Test), &mut BlockCache::new())
         .map_err(|e| format!("{}: {e}", wl.name))?;
     let all = m.mem().nonzero_bytes_in(l.shadow_offset, u64::MAX);
     let stack = m
@@ -591,7 +593,7 @@ pub fn codesize(cx: &mut Ctx) -> Result<Outcome, String> {
         let module = workload(name)?.module(Scale::Test);
         print!("{name:<11}");
         for (i, &s) in schemes.iter().enumerate() {
-            let (prog, _) = compile_with_sizes(&module, s).map_err(|e| format!("{name}: {e}"))?;
+            let prog = compile(&module, s).map_err(|e| format!("{name}: {e}"))?;
             print!(" {:>12}", prog.len());
             totals[i] += prog.len();
         }
@@ -636,9 +638,7 @@ pub fn codesize(cx: &mut Ctx) -> Result<Outcome, String> {
 fn fig4_overheads(module: &Module, fuel: u64) -> Result<[f64; 4], String> {
     let mut cycles = [0f64; 4];
     for (i, &scheme) in Scheme::ALL.iter().enumerate() {
-        let prog = compile(module, scheme).map_err(|e| format!("{scheme}: {e}"))?;
-        cycles[i] = Machine::new(prog, config_for(scheme))
-            .run(fuel)
+        cycles[i] = run_scheme(module, CompileOptions::new(scheme), fuel)
             .map_err(|e| format!("{scheme}: {e}"))?
             .stats
             .total_cycles() as f64;
@@ -902,9 +902,8 @@ fn bounds_run(module: &Module, fuel: u64, opts: CompileOptions) -> Result<Bounds
         )
     };
     let compiled = compile_with_options(module, opts).map_err(|e| tag(&e))?;
-    let exit = Machine::new(compiled.program, config_for(opts.scheme))
-        .run(fuel)
-        .map_err(|e| tag(&e))?;
+    let mut m = Machine::new(compiled.program, config_for(opts.scheme));
+    let exit = run_fast(&mut m, fuel, &mut BlockCache::new()).map_err(|e| tag(&e))?;
     Ok(BoundsRun {
         static_checks: compiled.check_count,
         proven: compiled.bounds.proven,
@@ -918,10 +917,7 @@ fn bounds_run(module: &Module, fuel: u64, opts: CompileOptions) -> Result<Bounds
 fn bounds_row(wl: &Workload, scale: Scale, seeds: &[u64]) -> Result<BoundsRow, String> {
     let module = wl.module(scale);
     let fuel = wl.fuel(scale);
-    let baseline =
-        compile(&module, Scheme::None).map_err(|e| format!("{}: baseline: {e}", wl.name))?;
-    let base_exit = Machine::new(baseline, config_for(Scheme::None))
-        .run(fuel)
+    let base_exit = run_scheme(&module, CompileOptions::new(Scheme::None), fuel)
         .map_err(|e| format!("{}: baseline: {e}", wl.name))?;
     let mut runs = Vec::new();
     for scheme in BOUNDS_SCHEMES {
@@ -1048,8 +1044,8 @@ pub fn ablation_boundscheck(cx: &mut Ctx) -> Result<Outcome, String> {
     let mut juliet_lost = 0usize;
     for case in &juliet_cases {
         for scheme in [Scheme::Sbcets, Scheme::Hwst128Tchk] {
-            let before = execute_detects_opts(case, bounds_opts(scheme, true, false));
-            let after = execute_detects_opts(case, bounds_opts(scheme, true, true));
+            let before = execute_detects(case, bounds_opts(scheme, true, false));
+            let after = execute_detects(case, bounds_opts(scheme, true, true));
             if before {
                 juliet_detected += 1;
                 if !after {

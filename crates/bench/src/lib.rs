@@ -33,10 +33,11 @@ pub mod profile;
 pub mod runs;
 pub mod summary;
 
-use hwst128::compiler::{compile, OptLevel, Scheme};
+use hwst128::compiler::{compile, CompileOptions, OptLevel, Scheme};
+use hwst128::exec::{run_fast, BlockCache};
+use hwst128::run_scheme;
 use hwst128::sim::{Machine, SafetyConfig};
 use hwst128::workloads::{all, Scale, Suite, Workload};
-use hwst128::{run_scheme, run_scheme_opt};
 
 /// One Fig. 4 row: per-scheme overhead percentages for a workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +63,7 @@ pub fn try_fig4_row(wl: &Workload, scale: Scale) -> Result<Fig4Row, String> {
     let fuel = wl.fuel(scale);
     let mut cycles = [0.0f64; 4];
     for (slot, &s) in cycles.iter_mut().zip(Scheme::ALL.iter()) {
-        *slot = run_scheme(&module, s, fuel)
+        *slot = run_scheme(&module, CompileOptions::new(s), fuel)
             .map_err(|e| format!("{} ({s}): {e}", wl.name))?
             .stats
             .total_cycles() as f64;
@@ -144,7 +145,7 @@ pub fn try_fig4_o1_row(wl: &Workload, scale: Scale) -> Result<Fig4O1Row, String>
     let mut cycles = [[0.0f64; 4]; 2];
     for (t, &opt) in [OptLevel::O0, OptLevel::O1].iter().enumerate() {
         for (slot, &s) in cycles[t].iter_mut().zip(Scheme::ALL.iter()) {
-            *slot = run_scheme_opt(&module, s, fuel, opt)
+            *slot = run_scheme(&module, CompileOptions::new(s).with_opt(opt), fuel)
                 .map_err(|e| format!("{} ({s}@{}): {e}", wl.name, opt.label()))?
                 .stats
                 .total_cycles() as f64;
@@ -258,11 +259,13 @@ pub fn try_cycles_with_keybuffer(
     let mut cfg = SafetyConfig::default();
     cfg.pipeline.keybuffer_entries = entries;
     cfg.keybuffer = entries > 0;
-    Ok(Machine::new(prog, cfg)
-        .run(wl.fuel(scale))
-        .map_err(|e| format!("{} (kb={entries}): {e}", wl.name))?
-        .stats
-        .total_cycles())
+    let exit = run_fast(
+        &mut Machine::new(prog, cfg),
+        wl.fuel(scale),
+        &mut BlockCache::new(),
+    )
+    .map_err(|e| format!("{} (kb={entries}): {e}", wl.name))?;
+    Ok(exit.stats.total_cycles())
 }
 
 use hwst128::sim::inject::{FaultClass, OutcomeCounts};

@@ -11,7 +11,7 @@
 //! Everything here is deterministic: same workload + scale ⇒ the same
 //! row, bit for bit, on any worker count.
 
-use hwst128::compiler::{compile, compile_with_plan, LowerPlan, Scheme};
+use hwst128::compiler::{compile, compile_with_options, CompileOptions, LowerPlan, Scheme};
 use hwst128::sim::Machine;
 use hwst128::telemetry::{
     attribute, chrome_trace, collapsed_stacks, Breakdown, FnTable, Profiler, Symbol, SymbolTable,
@@ -81,12 +81,12 @@ fn profiled_table(
     profiler: &mut Profiler,
 ) -> Result<(FnTable, u64), String> {
     let module = wl.module(scale);
-    let (prog, plan) = compile_with_plan(&module, Scheme::Hwst128Tchk)
+    let c = compile_with_options(&module, CompileOptions::new(Scheme::Hwst128Tchk))
         .map_err(|e| format!("{} (Hwst128Tchk): {e}", wl.name))?;
-    let exit = Machine::new(prog, config_for(Scheme::Hwst128Tchk))
+    let exit = Machine::new(c.program, config_for(Scheme::Hwst128Tchk))
         .run_profiled(wl.fuel(scale), profiler)
         .map_err(|e| format!("{} (Hwst128Tchk): {e}", wl.name))?;
-    let table = attribute(&profiler.profile, &symbol_table(&plan));
+    let table = attribute(&profiler.profile, &symbol_table(&c.plan));
     debug_assert_eq!(table.total().total(), exit.stats.total_cycles());
     Ok((table, exit.stats.total_cycles()))
 }
@@ -105,10 +105,14 @@ pub fn profile_row(wl: &Workload, scale: Scale) -> ProfileRow {
 pub fn try_profile_row(wl: &Workload, scale: Scale) -> Result<ProfileRow, String> {
     let mut profiler = Profiler::new();
     let (table, _) = profiled_table(wl, scale, &mut profiler)?;
-    let baseline_cycles = run_scheme(&wl.module(scale), Scheme::None, wl.fuel(scale))
-        .map_err(|e| format!("{} (None): {e}", wl.name))?
-        .stats
-        .total_cycles();
+    let baseline_cycles = run_scheme(
+        &wl.module(scale),
+        CompileOptions::new(Scheme::None),
+        wl.fuel(scale),
+    )
+    .map_err(|e| format!("{} (None): {e}", wl.name))?
+    .stats
+    .total_cycles();
     Ok(ProfileRow {
         name: wl.name.to_string(),
         total: table.total(),

@@ -15,7 +15,7 @@ use crate::{
     Fig5Row, ResilienceConfig, ResilienceRow,
 };
 use hwst128::compiler::binval;
-use hwst128::compiler::{compile, OptLevel, Scheme};
+use hwst128::compiler::{compile, CompileOptions, OptLevel, Scheme};
 use hwst128::isa::Program;
 use hwst128::juliet::{measure_case, CoverageReport};
 use hwst128::sim::inject::{campaign, FaultClass, OutcomeCounts};
@@ -327,11 +327,12 @@ pub fn try_binval_row(
     opt: OptLevel,
 ) -> Result<BinvalRow, String> {
     let module = wl.module(scale);
-    let tv = match opt {
-        OptLevel::O0 => binval::translation_validate_with(&module, scheme, true),
-        OptLevel::O1 => binval::translation_validate_opt(&module, scheme, OptLevel::O1),
-    }
-    .map_err(|e| format!("{} ({scheme:?}): {e}", wl.name))?;
+    let opts = match opt {
+        OptLevel::O0 => CompileOptions::new(scheme).with_rce(),
+        OptLevel::O1 => CompileOptions::new(scheme).with_opt(OptLevel::O1),
+    };
+    let tv = binval::translation_validate(&module, opts)
+        .map_err(|e| format!("{} ({scheme:?}): {e}", wl.name))?;
     if tv.diverged() {
         return Err(format!(
             "{} ({scheme:?}): translation validation diverged — IR verdict {}, binary \

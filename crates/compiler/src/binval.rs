@@ -58,8 +58,8 @@
 //! (d) is a flow-insensitive per-function check.
 //!
 //! When the image was produced with the static bounds-proof pass
-//! ([`crate::bounds`]), a fifth obligation applies
-//! ([`validate_with_elim`]):
+//! ([`crate::bounds`]), a fifth obligation applies (checked by
+//! [`translation_validate`] whenever `opts.bounds` is set):
 //!
 //! * **(e) elimination witnesses** — every check the instrumenter
 //!   skipped must carry an arithmetically valid proof witness that
@@ -99,11 +99,11 @@ use hwst_isa::{AluImmOp, AluOp, Instr, LoadWidth, Program, Reg, StoreWidth};
 use hwst_mem::MemoryLayout;
 use hwst_metadata::{CompressionConfig, ShadowCodec};
 
-use crate::bounds::{self, Witness};
+use crate::bounds::Witness;
 use crate::instrument::{self, Scheme, SkippedCheck};
 use crate::ir::Module;
-use crate::lower::{lower_with_plan, lower_with_plan_opt, CheckSite, FnPlan, LowerPlan, OptLevel};
-use crate::{analysis, rce, verify, CompileError};
+use crate::lower::{lower_with_plan_opt, CheckSite, FnPlan, LowerPlan, OptLevel};
+use crate::{front_half, rce, verify, CompileError, CompileOptions};
 
 // ---------------------------------------------------------------------------
 // Findings
@@ -1834,25 +1834,16 @@ pub fn validate(
     compression: CompressionConfig,
     layout: MemoryLayout,
 ) -> BinvalReport {
-    validate_impl(program, plan, compression, layout, None)
+    validate_with_elim(program, plan, compression, layout, None)
 }
 
-/// [`validate`] plus the check-elimination obligations (check **e**):
-/// every skip in `elim` must carry a valid witness resolving to a
-/// recorded check site, and — under [`Scheme::Hwst128Tchk`] — every
-/// checked access whose home slot has no reachable `tchk` on its copy
-/// chain must be one of the witnessed sites.
-pub fn validate_with_elim(
-    program: &Program,
-    plan: &LowerPlan,
-    compression: CompressionConfig,
-    layout: MemoryLayout,
-    elim: &ElimPlan,
-) -> BinvalReport {
-    validate_impl(program, plan, compression, layout, Some(elim))
-}
-
-fn validate_impl(
+/// [`validate`] plus, given an [`ElimPlan`], the check-elimination
+/// obligations (check **e**): every skip in `elim` must carry a valid
+/// witness resolving to a recorded check site, and — under
+/// [`Scheme::Hwst128Tchk`] — every checked access whose home slot has
+/// no reachable `tchk` on its copy chain must be one of the witnessed
+/// sites.
+fn validate_with_elim(
     program: &Program,
     plan: &LowerPlan,
     compression: CompressionConfig,
@@ -2050,39 +2041,6 @@ fn global_finding(program: &Program, code: &'static str, message: String) -> Fin
     }
 }
 
-/// Instruments, lowers and validates `module` for `scheme` with the
-/// default layout and spec compression config.
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] when the module fails analysis or
-/// lowering (validation itself never errors — it reports findings).
-pub fn validate_module(module: &Module, scheme: Scheme) -> Result<BinvalReport, CompileError> {
-    validate_module_opt(module, scheme, OptLevel::O0)
-}
-
-/// [`validate_module`] at a caller-chosen back-end optimization tier —
-/// the `-O1` gate that every optimized image must clear.
-///
-/// # Errors
-///
-/// Same as [`validate_module`].
-pub fn validate_module_opt(
-    module: &Module,
-    scheme: Scheme,
-    opt: OptLevel,
-) -> Result<BinvalReport, CompileError> {
-    let info = analysis::analyze(module)?;
-    let instrumented = instrument::instrument(module, &info, scheme);
-    let (program, plan) = lower_with_plan_opt(&instrumented, scheme, opt)?;
-    Ok(validate(
-        &program,
-        &plan,
-        CompressionConfig::SPEC_DEFAULT,
-        MemoryLayout::default(),
-    ))
-}
-
 // ---------------------------------------------------------------------------
 // Translation validation
 // ---------------------------------------------------------------------------
@@ -2116,37 +2074,46 @@ impl TvOutcome {
     }
 }
 
-/// Runs IR-level verification and binary-level validation over the same
-/// instrumented module and pairs the verdicts.
+/// Compiles `module` with `opts` through the same passes as
+/// [`crate::compile_with_options`] and pairs the IR-level and
+/// binary-level verdicts on what they produce. The IR verdict is
+/// [`verify::verify_with`] over the final instrumented module and its
+/// bounds skips (always run; `opts.verify` is not consulted). The
+/// binary verdict is [`validate`] of the image lowered at `opts.opt`,
+/// under the spec compression config and default layout, including
+/// the register-assignment obligations at `-O1` and, when
+/// `opts.bounds`, the [`ElimPlan`] of the skipped checks.
 ///
 /// # Errors
 ///
 /// Returns a [`CompileError`] for analysis/lowering failures (not for
 /// verification findings, which are part of the outcome).
-pub fn translation_validate(module: &Module, scheme: Scheme) -> Result<TvOutcome, CompileError> {
-    translation_validate_with(module, scheme, false)
-}
-
-/// [`translation_validate`] with optional IR-level redundant-check
-/// elimination first — the A9 ablation compares binary-level discharge
-/// against what RCE already removed.
-///
-/// # Errors
-///
-/// Same as [`translation_validate`].
-pub fn translation_validate_with(
+pub fn translation_validate(
     module: &Module,
-    scheme: Scheme,
-    run_rce: bool,
+    opts: CompileOptions,
 ) -> Result<TvOutcome, CompileError> {
-    translation_validate_full(module, scheme, run_rce, OptLevel::O0)
+    let front = front_half(module, opts)?;
+    let ir = verify::verify_with(&front.module, opts.scheme, &front.skips, &front.witnesses);
+    let (program, plan) = lower_with_plan_opt(&front.module, opts.scheme, opts.opt)?;
+    let elim = opts
+        .bounds
+        .then(|| ElimPlan::new(&front.module, &front.skips, &front.witnesses));
+    let report = validate_with_elim(
+        &program,
+        &plan,
+        CompressionConfig::SPEC_DEFAULT,
+        MemoryLayout::default(),
+        elim.as_ref(),
+    );
+    Ok(TvOutcome {
+        ir_ok: ir.is_ok(),
+        ir_error: ir.err().map(|e| e.to_string()),
+        rce: front.rce,
+        report,
+    })
 }
 
-/// [`translation_validate`] at a caller-chosen back-end optimization
-/// tier: the `-O1` soundness gate. The IR-level verdict is tier-
-/// independent (the same instrumented module is lowered either way);
-/// the binary-level validation runs against the optimized image and
-/// its plan, including the register-assignment obligations.
+/// [`translation_validate`] of a plain build for `scheme` at `opt`.
 ///
 /// # Errors
 ///
@@ -2156,36 +2123,7 @@ pub fn translation_validate_opt(
     scheme: Scheme,
     opt: OptLevel,
 ) -> Result<TvOutcome, CompileError> {
-    translation_validate_full(module, scheme, false, opt)
-}
-
-fn translation_validate_full(
-    module: &Module,
-    scheme: Scheme,
-    run_rce: bool,
-    opt: OptLevel,
-) -> Result<TvOutcome, CompileError> {
-    let info = analysis::analyze(module)?;
-    let mut instrumented = instrument::instrument(module, &info, scheme);
-    let stats = if run_rce {
-        rce::eliminate(&mut instrumented)
-    } else {
-        rce::RceStats::default()
-    };
-    let ir = verify::verify(&instrumented, scheme);
-    let (program, plan) = lower_with_plan_opt(&instrumented, scheme, opt)?;
-    let report = validate(
-        &program,
-        &plan,
-        CompressionConfig::SPEC_DEFAULT,
-        MemoryLayout::default(),
-    );
-    Ok(TvOutcome {
-        ir_ok: ir.is_ok(),
-        ir_error: ir.err().map(|e| e.to_string()),
-        rce: stats,
-        report,
-    })
+    translation_validate(module, CompileOptions::new(scheme).with_opt(opt))
 }
 
 // ---------------------------------------------------------------------------
@@ -2382,43 +2320,84 @@ pub fn mutation_campaign(
     scheme: Scheme,
     seeds: &[u64],
 ) -> Result<MutationReport, CompileError> {
-    let info = analysis::analyze(module)?;
-    let instrumented = instrument::instrument(module, &info, scheme);
-    let (program, plan) = lower_with_plan(&instrumented, scheme)?;
+    let (program, plan) = campaign_image(module, scheme, OptLevel::O0)?;
     let sites = mutation_sites(&program);
-    let mut report = MutationReport {
+    let lists = [sites.as_slice(); Mutation::ALL.len()];
+    let outcomes = campaign(
+        &program,
+        &plan,
+        seeds,
+        0xa076_1d64_78bd_642f,
+        &lists,
+        |mi, site| {
+            let m = Mutation::ALL[mi];
+            (m.name(), mutate(&program, site, m))
+        },
+    );
+    Ok(MutationReport {
         candidates: sites.len(),
-        outcomes: Vec::new(),
-    };
-    if sites.is_empty() {
-        return Ok(report);
-    }
+        outcomes,
+    })
+}
+
+/// The plain image a code-mutation campaign corrupts: `module` compiled
+/// for `scheme` at `opt` with every optional pass off.
+fn campaign_image(
+    module: &Module,
+    scheme: Scheme,
+    opt: OptLevel,
+) -> Result<(Program, LowerPlan), CompileError> {
+    let front = front_half(module, CompileOptions::new(scheme))?;
+    lower_with_plan_opt(&front.module, scheme, opt)
+}
+
+/// The seed × operator loop the code-mutation campaigns share: for
+/// every seed and every operator `mi` whose site list `lists[mi]` is
+/// non-empty, `splitmix64(seed ^ mi * salt)` picks a site, `mutant`
+/// corrupts it (returning the operator name and the mutant), and the
+/// mutant is re-validated against the unchanged `plan`.
+fn campaign(
+    program: &Program,
+    plan: &LowerPlan,
+    seeds: &[u64],
+    salt: u64,
+    lists: &[&[usize]],
+    mutant: impl Fn(usize, usize) -> (&'static str, Program),
+) -> Vec<MutantOutcome> {
+    let mut outcomes = Vec::new();
     for &seed in seeds {
-        for (mi, &m) in Mutation::ALL.iter().enumerate() {
-            let pick = splitmix64(seed ^ (mi as u64).wrapping_mul(0xa076_1d64_78bd_642f));
-            let site = sites[(pick % sites.len() as u64) as usize];
-            let mutant = mutate(&program, site, m);
+        for (mi, list) in lists.iter().enumerate() {
+            if list.is_empty() {
+                continue;
+            }
+            let pick = splitmix64(seed ^ (mi as u64).wrapping_mul(salt));
+            let site = list[(pick % list.len() as u64) as usize];
+            let (mutation, mutant) = mutant(mi, site);
             let r = validate(
                 &mutant,
-                &plan,
+                plan,
                 CompressionConfig::SPEC_DEFAULT,
                 MemoryLayout::default(),
             );
             let pc = program.base() + site as u64 * 4;
-            report.outcomes.push(MutantOutcome {
-                mutation: m.name(),
+            outcomes.push(MutantOutcome {
+                mutation,
                 seed,
                 site,
                 pc,
-                func: plan
-                    .func_at_pc(pc)
-                    .map_or_else(|| "<shim>".to_string(), |f| f.name.clone()),
+                func: func_name(plan, pc),
                 killed: !r.ok(),
                 findings: r.findings.len(),
             });
         }
     }
-    Ok(report)
+    outcomes
+}
+
+/// The function containing `pc`, or `"<shim>"` for the startup shim.
+fn func_name(plan: &LowerPlan, pc: u64) -> String {
+    plan.func_at_pc(pc)
+        .map_or_else(|| "<shim>".to_string(), |f| f.name.clone())
 }
 
 // ---------------------------------------------------------------------------
@@ -2572,44 +2551,24 @@ pub fn reg_mutation_campaign(
     opt: OptLevel,
     seeds: &[u64],
 ) -> Result<MutationReport, CompileError> {
-    let info = analysis::analyze(module)?;
-    let instrumented = instrument::instrument(module, &info, scheme);
-    let (program, plan) = lower_with_plan_opt(&instrumented, scheme, opt)?;
+    let (program, plan) = campaign_image(module, scheme, opt)?;
     let sites = reg_mutation_sites(&program, &plan);
-    let mut report = MutationReport {
+    let lists = RegMutation::ALL.map(|m| sites.for_op(m));
+    let outcomes = campaign(
+        &program,
+        &plan,
+        seeds,
+        0x2545_f491_4f6c_dd1d,
+        &lists,
+        |mi, site| {
+            let m = RegMutation::ALL[mi];
+            (m.name(), reg_mutate(&program, site, m))
+        },
+    );
+    Ok(MutationReport {
         candidates: sites.total(),
-        outcomes: Vec::new(),
-    };
-    for &seed in seeds {
-        for (mi, &m) in RegMutation::ALL.iter().enumerate() {
-            let list = sites.for_op(m);
-            if list.is_empty() {
-                continue;
-            }
-            let pick = splitmix64(seed ^ (mi as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
-            let site = list[(pick % list.len() as u64) as usize];
-            let mutant = reg_mutate(&program, site, m);
-            let r = validate(
-                &mutant,
-                &plan,
-                CompressionConfig::SPEC_DEFAULT,
-                MemoryLayout::default(),
-            );
-            let pc = program.base() + site as u64 * 4;
-            report.outcomes.push(MutantOutcome {
-                mutation: m.name(),
-                seed,
-                site,
-                pc,
-                func: plan
-                    .func_at_pc(pc)
-                    .map_or_else(|| "<shim>".to_string(), |f| f.name.clone()),
-                killed: !r.ok(),
-                findings: r.findings.len(),
-            });
-        }
-    }
-    Ok(report)
+        outcomes,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -2708,18 +2667,14 @@ pub fn witness_campaign(
     seeds: &[u64],
 ) -> Result<WitnessCampaignReport, CompileError> {
     let scheme = Scheme::Hwst128Tchk;
-    let info = analysis::analyze(module)?;
-    let outcome = bounds::analyze(module);
-    let (mut instrumented, skips) =
-        instrument::instrument_with_bounds(module, &info, scheme, Some(&outcome));
-    rce::eliminate(&mut instrumented);
-    let (program, plan) = lower_with_plan(&instrumented, scheme)?;
-    let witnesses = outcome.witnesses;
+    let front = front_half(module, CompileOptions::new(scheme).with_rce().with_bounds())?;
+    let (program, plan) = lower_with_plan_opt(&front.module, scheme, OptLevel::O0)?;
+    let (instrumented, skips, witnesses) = (front.module, front.skips, front.witnesses);
     let elim = ElimPlan::new(&instrumented, &skips, &witnesses);
     let compression = CompressionConfig::SPEC_DEFAULT;
     let layout = MemoryLayout::default();
     let revalidate = |prog: &Program, e: &ElimPlan| {
-        validate_impl(prog, &plan, compression, MemoryLayout::default(), Some(e))
+        validate_with_elim(prog, &plan, compression, MemoryLayout::default(), Some(e))
     };
     let mut report = WitnessCampaignReport {
         baseline_ok: revalidate(&program, &elim).ok(),
@@ -2835,10 +2790,7 @@ pub fn witness_campaign(
                         imm: 0,
                     };
                     let mutant = Program::from_instrs(program.base(), instrs);
-                    let pc = program.base() + at as u64 * 4;
-                    let func = plan
-                        .func_at_pc(pc)
-                        .map_or_else(|| "<shim>".to_string(), |f| f.name.clone());
+                    let func = func_name(&plan, program.base() + at as u64 * 4);
                     (at, func, revalidate(&mutant, &elim))
                 }
             };
@@ -2860,7 +2812,7 @@ pub fn witness_campaign(
 mod tests {
     use super::*;
     use crate::ir::Width;
-    use crate::ModuleBuilder;
+    use crate::{FrontHalf, ModuleBuilder};
 
     /// Heap, stack, global and cross-function pointer traffic — enough
     /// to exercise every lowering arm the validator models.
@@ -2895,17 +2847,16 @@ mod tests {
     }
 
     fn lower(scheme: Scheme) -> (Program, LowerPlan) {
-        let m = sample_module();
-        let info = analysis::analyze(&m).unwrap();
-        let inst = instrument::instrument(&m, &info, scheme);
-        lower_with_plan(&inst, scheme).unwrap()
+        campaign_image(&sample_module(), scheme, OptLevel::O0).unwrap()
     }
 
     #[test]
     fn clean_lowering_validates_under_every_scheme() {
         for scheme in Scheme::ALL {
             let m = sample_module();
-            let r = validate_module(&m, scheme).unwrap();
+            let r = translation_validate(&m, CompileOptions::new(scheme))
+                .unwrap()
+                .report;
             assert!(
                 r.ok(),
                 "{scheme:?}: {:?}",
@@ -2919,7 +2870,11 @@ mod tests {
         for scheme in Scheme::ALL {
             let m = sample_module();
             for rce in [false, true] {
-                let tv = translation_validate_with(&m, scheme, rce).unwrap();
+                let opts = CompileOptions {
+                    rce,
+                    ..CompileOptions::new(scheme)
+                };
+                let tv = translation_validate(&m, opts).unwrap();
                 assert!(!tv.diverged(), "{scheme:?} rce={rce}: {:?}", tv.ir_error);
                 assert!(tv.ok());
             }
@@ -3053,34 +3008,47 @@ mod tests {
         mb.finish()
     }
 
-    /// The full bounds pipeline: analyze → instrument-with-skips → RCE →
-    /// lower, returning everything the elimination obligation needs.
-    fn bounds_pipeline(m: &Module) -> (Program, LowerPlan, ElimPlan) {
-        let info = analysis::analyze(m).unwrap();
-        let outcome = bounds::analyze(m);
-        let (mut inst, skips) =
-            instrument::instrument_with_bounds(m, &info, Scheme::Hwst128Tchk, Some(&outcome));
-        rce::eliminate(&mut inst);
-        let (program, plan) = lower_with_plan(&inst, Scheme::Hwst128Tchk).unwrap();
-        let elim = ElimPlan::new(&inst, &skips, &outcome.witnesses);
-        (program, plan, elim)
+    /// The HWST128_tchk build with RCE and bounds proofs: the front half
+    /// [`translation_validate`] runs for it, and the image it lowers.
+    fn bounds_pipeline(m: &Module) -> (FrontHalf, Program, LowerPlan) {
+        let opts = CompileOptions::new(Scheme::Hwst128Tchk)
+            .with_rce()
+            .with_bounds();
+        let front = front_half(m, opts).unwrap();
+        let (program, plan) = lower_with_plan_opt(&front.module, opts.scheme, opts.opt).unwrap();
+        (front, program, plan)
+    }
+
+    fn elim_plan(front: &FrontHalf) -> ElimPlan {
+        ElimPlan::new(&front.module, &front.skips, &front.witnesses)
     }
 
     #[test]
     fn bounds_optimised_image_validates_with_its_elim_plan() {
-        let (program, plan, elim) = bounds_pipeline(&bounds_module());
+        let m = bounds_module();
+        let (front, program, plan) = bounds_pipeline(&m);
+        let elim = elim_plan(&front);
         assert!(elim.site_count() >= 3, "expected several witnessed skips");
         assert_eq!(elim.invalid(), 0);
-        let r = validate_with_elim(
-            &program,
-            &plan,
-            CompressionConfig::SPEC_DEFAULT,
-            MemoryLayout::default(),
-            &elim,
-        );
-        assert!(r.ok(), "clean bounds image rejected: {:?}", r.findings);
+        let tv = translation_validate(
+            &m,
+            CompileOptions::new(Scheme::Hwst128Tchk)
+                .with_rce()
+                .with_bounds(),
+        )
+        .unwrap();
         assert!(
-            r.funcs.iter().map(|f| f.tchk_witnessed).sum::<usize>() >= 3,
+            tv.ok(),
+            "clean bounds image rejected: {:?}",
+            tv.report.findings
+        );
+        assert!(
+            tv.report
+                .funcs
+                .iter()
+                .map(|f| f.tchk_witnessed)
+                .sum::<usize>()
+                >= 3,
             "witnessed sites should be accounted"
         );
         // Without the elim plan the obligation is inactive and the image
@@ -3096,7 +3064,7 @@ mod tests {
 
     #[test]
     fn unwitnessed_tchk_elision_fails_validation() {
-        let (program, plan, elim) = bounds_pipeline(&bounds_module());
+        let (front, program, plan) = bounds_pipeline(&bounds_module());
         let tchk_at = program
             .instrs()
             .iter()
@@ -3115,7 +3083,7 @@ mod tests {
             &plan,
             CompressionConfig::SPEC_DEFAULT,
             MemoryLayout::default(),
-            &elim,
+            Some(&elim_plan(&front)),
         );
         assert!(!r.ok());
         assert!(r.findings.iter().any(|f| f.code == "TCHK_ELIDED"));
@@ -3123,23 +3091,17 @@ mod tests {
 
     #[test]
     fn forged_witness_arithmetic_is_rejected() {
-        let m = bounds_module();
-        let info = analysis::analyze(&m).unwrap();
-        let outcome = bounds::analyze(&m);
-        let (mut inst, skips) =
-            instrument::instrument_with_bounds(&m, &info, Scheme::Hwst128Tchk, Some(&outcome));
-        rce::eliminate(&mut inst);
-        let (program, plan) = lower_with_plan(&inst, Scheme::Hwst128Tchk).unwrap();
-        let mut forged = outcome.witnesses.clone();
-        forged[skips[0].witness].hi = forged[skips[0].witness].size as i64 + 8;
-        let elim = ElimPlan::new(&inst, &skips, &forged);
+        let (mut front, program, plan) = bounds_pipeline(&bounds_module());
+        let w = front.skips[0].witness;
+        front.witnesses[w].hi = front.witnesses[w].size as i64 + 8;
+        let elim = elim_plan(&front);
         assert!(elim.invalid() >= 1);
         let r = validate_with_elim(
             &program,
             &plan,
             CompressionConfig::SPEC_DEFAULT,
             MemoryLayout::default(),
-            &elim,
+            Some(&elim),
         );
         assert!(r.findings.iter().any(|f| f.code == "WITNESS_INVALID"));
         assert!(!r.ok());

@@ -18,6 +18,7 @@ use crate::analysis::PointerInfo;
 use crate::ir::{
     BinOp, Block, BlockId, Function, Global, Inst, MetaField, Module, Terminator, VarId, Width,
 };
+use hwst_sim::SafetyConfig;
 use std::collections::HashMap;
 
 /// The instrumentation scheme (the paper's Fig. 4 series).
@@ -176,6 +177,32 @@ impl Scheme {
 impl std::fmt::Display for Scheme {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// The [`SafetyConfig`] a program instrumented for `scheme` runs on in
+/// the paper's experiments: software schemes run on the baseline core,
+/// hardware schemes arm the corresponding checks.
+pub fn config_for(scheme: Scheme) -> SafetyConfig {
+    match scheme {
+        Scheme::None | Scheme::Sbcets => SafetyConfig::baseline(),
+        Scheme::Hwst128 => SafetyConfig::hwst128_no_tchk(),
+        Scheme::Hwst128Tchk => SafetyConfig::default(),
+        // SHORE: spatial hardware armed, no temporal machinery.
+        Scheme::Shore => SafetyConfig {
+            temporal: false,
+            keybuffer: false,
+            ..SafetyConfig::default()
+        },
+        // Zoo designs (DESIGN.md §4l). RV-CURE validates capabilities
+        // inline with no lock cache, so every `tchk` pays the lock-word
+        // access — the same timing point as HWST128-without-keybuffer.
+        Scheme::RvCure => SafetyConfig::hwst128_no_tchk(),
+        // HeapSafe's heap tag check is a cached fast path: full hardware
+        // with the keybuffer armed (fewer binds reach it anyway).
+        Scheme::HeapSafe => SafetyConfig::default(),
+        // L4 Pointer and CryptSan are software-only: baseline core.
+        Scheme::L4Pointer | Scheme::CryptSan => SafetyConfig::baseline(),
     }
 }
 

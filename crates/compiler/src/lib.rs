@@ -18,8 +18,26 @@
 //!   [`Scheme::Hwst128Tchk`] (hardware `tchk` + keybuffer), plus
 //!   [`Scheme::None`] as the uninstrumented baseline,
 //! * a `-O0` back-end performing frame allocation and machine-code
-//!   emission for RV64IM + HWST128 (see [`compile`]),
+//!   emission for RV64IM + HWST128, and its `-O1` tier ([`OptLevel`]),
 //! * [`opt`] — an optional light optimizer for the A5 ablation.
+//!
+//! ## Entry points
+//!
+//! The pass order is defined once: pointer analysis, the bounds proofs
+//! (optional), instrumentation, redundant-check elimination (optional),
+//! the completeness verifier (optional), lowering.
+//!
+//! * [`compile_with_options`] runs it for a [`CompileOptions`] and
+//!   returns a [`Compiled`]: the program, its [`LowerPlan`] and the pass
+//!   counters. [`compile`] keeps only the program of a plain build.
+//! * [`binval::translation_validate`] compiles through the same passes
+//!   and pairs the IR verifier's verdict with the binary validator's on
+//!   the image they emit; the `binval` mutation campaigns corrupt that
+//!   image.
+//! * [`lower_with_plan_opt`] lowers a module that is already
+//!   instrumented, for callers that run the passes one by one.
+//! * [`instrument::config_for`] names the simulator configuration each
+//!   [`Scheme`] runs on.
 //!
 //! ## Example
 //!
@@ -66,14 +84,14 @@ pub mod verify;
 pub use builder::{FuncBuilder, ModuleBuilder};
 pub use error::CompileError;
 pub use instrument::Scheme;
-pub use lower::{
-    lower_opt, lower_with_plan, lower_with_plan_opt, CheckSite, FnPlan, LowerPlan, OptLevel,
-};
+pub use lower::{lower_with_plan_opt, CheckSite, FnPlan, LowerPlan, OptLevel};
 pub use printer::function_with_cfg;
 
 use hwst_isa::Program;
 
-/// Instruments `module` for `scheme` and lowers it to machine code.
+/// Instruments `module` for `scheme` and lowers it to machine code:
+/// [`compile_with_options`] with every optional pass off, keeping only
+/// the program.
 ///
 /// The entry point is the function named `main`; the emitted program
 /// begins with a startup shim that calls `main` and passes its return
@@ -84,40 +102,7 @@ use hwst_isa::Program;
 /// Returns a [`CompileError`] for malformed IR (pointer-analysis
 /// violations, unknown callees, missing `main`).
 pub fn compile(module: &ir::Module, scheme: Scheme) -> Result<Program, CompileError> {
-    let info = analysis::analyze(module)?;
-    let instrumented = instrument::instrument(module, &info, scheme);
-    lower::lower(&instrumented, scheme)
-}
-
-/// Compiles and also returns the static instruction count per function —
-/// used by tests and the code-size diagnostics.
-///
-/// # Errors
-///
-/// Same as [`compile`].
-pub fn compile_with_sizes(
-    module: &ir::Module,
-    scheme: Scheme,
-) -> Result<(Program, Vec<(String, usize)>), CompileError> {
-    let info = analysis::analyze(module)?;
-    let instrumented = instrument::instrument(module, &info, scheme);
-    lower::lower_with_sizes(&instrumented, scheme)
-}
-
-/// Compiles and also returns the [`LowerPlan`] side-tables — function
-/// symbol ranges (`start_pc`/`end_pc`), frame geometry and check sites.
-/// This is what the telemetry profiler and the binary validator consume.
-///
-/// # Errors
-///
-/// Same as [`compile`].
-pub fn compile_with_plan(
-    module: &ir::Module,
-    scheme: Scheme,
-) -> Result<(Program, LowerPlan), CompileError> {
-    let info = analysis::analyze(module)?;
-    let instrumented = instrument::instrument(module, &info, scheme);
-    lower::lower_with_plan(&instrumented, scheme)
+    compile_with_options(module, CompileOptions::new(scheme)).map(|c| c.program)
 }
 
 /// Pass configuration for [`compile_with_options`].
@@ -183,6 +168,11 @@ impl CompileOptions {
 pub struct Compiled {
     /// The lowered program.
     pub program: Program,
+    /// The lowering side-tables of `program`: function symbol ranges,
+    /// frame geometry and check sites — what the telemetry profiler and
+    /// the binary validator consume. `plan.funcs[i].len` is the static
+    /// instruction count of function `i`.
+    pub plan: LowerPlan,
     /// Check-elimination counters (all zero when RCE was off).
     pub rce: rce::RceStats,
     /// Static check sites remaining in the final instrumented IR
@@ -201,14 +191,15 @@ pub struct Compiled {
 
 /// [`compile`] with the optional static-analysis passes: the bounds-
 /// proof check eliminator, redundant-check elimination and the
-/// metadata-completeness verifier.
+/// metadata-completeness verifier, lowered at `opts.opt`.
 ///
 /// Pass order: `bounds` analyzes the *source* IR and the instrumenter
 /// skips every proven check as it inserts the rest; `rce` then removes
 /// dominated duplicates among the surviving checks; `verify` finally
 /// re-checks completeness, accepting a missing check only where a skip
 /// carries an arithmetically valid witness
-/// ([`verify::verify_with`]).
+/// ([`verify::verify_with`]). [`binval::translation_validate`] and the
+/// `binval` campaigns compile through the same passes.
 ///
 /// # Errors
 ///
@@ -219,32 +210,56 @@ pub fn compile_with_options(
     module: &ir::Module,
     opts: CompileOptions,
 ) -> Result<Compiled, CompileError> {
+    let front = front_half(module, opts)?;
+    if opts.verify {
+        verify::verify_with(&front.module, opts.scheme, &front.skips, &front.witnesses)?;
+    }
+    let check_count = rce::static_check_count(&front.module);
+    let (program, plan) = lower_with_plan_opt(&front.module, opts.scheme, opts.opt)?;
+    Ok(Compiled {
+        program,
+        plan,
+        rce: front.rce,
+        check_count,
+        bounds: front.bounds,
+        witnesses: front.witnesses,
+        skips: front.skips,
+    })
+}
+
+/// What [`front_half`] hands to verification and lowering. The other
+/// fields mean what the [`Compiled`] fields of the same names do.
+pub(crate) struct FrontHalf {
+    /// The instrumented module, after RCE when enabled.
+    pub(crate) module: ir::Module,
+    pub(crate) rce: rce::RceStats,
+    pub(crate) bounds: bounds::BoundsStats,
+    pub(crate) witnesses: Vec<bounds::Witness>,
+    pub(crate) skips: Vec<instrument::SkippedCheck>,
+}
+
+/// The one definition of the pass order up to lowering: pointer
+/// analysis, then the bounds proofs when `opts.bounds`, then
+/// instrumentation (skipping every proven check), then RCE when
+/// `opts.rce`. Every compile in this crate starts here.
+pub(crate) fn front_half(
+    module: &ir::Module,
+    opts: CompileOptions,
+) -> Result<FrontHalf, CompileError> {
     let info = analysis::analyze(module)?;
-    let (outcome, bounds_stats) = if opts.bounds {
-        let o = bounds::analyze(module);
-        let s = o.stats;
-        (Some(o), s)
-    } else {
-        (None, bounds::BoundsStats::default())
-    };
+    let outcome = opts.bounds.then(|| bounds::analyze(module));
     let (mut instrumented, skips) =
         instrument::instrument_with_bounds(module, &info, opts.scheme, outcome.as_ref());
-    let stats = if opts.rce {
+    let rce = if opts.rce {
         rce::eliminate(&mut instrumented)
     } else {
         rce::RceStats::default()
     };
-    let witnesses = outcome.map(|o| o.witnesses).unwrap_or_default();
-    if opts.verify {
-        verify::verify_with(&instrumented, opts.scheme, &skips, &witnesses)?;
-    }
-    let check_count = rce::static_check_count(&instrumented);
-    let program = lower::lower_opt(&instrumented, opts.scheme, opts.opt)?;
-    Ok(Compiled {
-        program,
-        rce: stats,
-        check_count,
-        bounds: bounds_stats,
+    let (bounds, witnesses) = outcome.map_or_else(Default::default, |o| (o.stats, o.witnesses));
+    Ok(FrontHalf {
+        module: instrumented,
+        rce,
+        bounds,
         witnesses,
         skips,
     })

@@ -17,7 +17,7 @@
 //! repeated `sbdl`/`sbdu` shuttle loads are elided when the emitter's
 //! cache — mirrored block-by-block on `binval`'s abstract domain — can
 //! prove them redundant. Every `-O1` image re-passes
-//! [`crate::binval::translation_validate_opt`] unchanged.
+//! [`crate::binval::translation_validate`] unchanged.
 //!
 //! Calling convention: arguments in `a0..a7`, result in `a0`, `ra` saved
 //! in the frame; pointer-argument metadata travels through the
@@ -61,26 +61,6 @@ impl OptLevel {
             _ => None,
         }
     }
-}
-
-/// Lowers an (already instrumented) module to machine code.
-pub fn lower(module: &Module, scheme: Scheme) -> Result<Program, CompileError> {
-    lower_with_plan(module, scheme).map(|(p, _)| p)
-}
-
-/// `lower` at a caller-chosen [`OptLevel`].
-pub fn lower_opt(module: &Module, scheme: Scheme, opt: OptLevel) -> Result<Program, CompileError> {
-    lower_with_plan_opt(module, scheme, opt).map(|(p, _)| p)
-}
-
-/// Lowers and reports `(program, per-function static instruction counts)`.
-pub fn lower_with_sizes(
-    module: &Module,
-    scheme: Scheme,
-) -> Result<(Program, Vec<(String, usize)>), CompileError> {
-    let (program, plan) = lower_with_plan(module, scheme)?;
-    let sizes = plan.funcs.iter().map(|f| (f.name.clone(), f.len)).collect();
-    Ok((program, sizes))
 }
 
 /// Side-tables produced by lowering: enough structure to map IR-level
@@ -171,24 +151,14 @@ pub struct CheckSite {
     pub is_store: bool,
 }
 
-/// Lowers and returns the [`LowerPlan`] side-tables alongside the
-/// program.
+/// Lowers an (already instrumented) module to machine code at `opt`
+/// and returns the [`LowerPlan`] side-tables alongside the program.
+/// [`crate::compile_with_options`] instruments and then lowers here.
 ///
 /// # Errors
 ///
-/// Same as the plain `lower` path.
-pub fn lower_with_plan(
-    module: &Module,
-    scheme: Scheme,
-) -> Result<(Program, LowerPlan), CompileError> {
-    lower_with_plan_opt(module, scheme, OptLevel::O0)
-}
-
-/// [`lower_with_plan`] at a caller-chosen [`OptLevel`].
-///
-/// # Errors
-///
-/// Same as the plain `lower` path.
+/// [`CompileError::MissingMain`], [`CompileError::UnknownCallee`] or
+/// [`CompileError::TooManyArgs`] for IR the back-end cannot lower.
 pub fn lower_with_plan_opt(
     module: &Module,
     scheme: Scheme,
@@ -1738,6 +1708,10 @@ mod tests {
     use super::*;
     use crate::ModuleBuilder;
 
+    fn lower(m: &Module) -> Result<(Program, LowerPlan), CompileError> {
+        lower_with_plan_opt(m, Scheme::None, OptLevel::O0)
+    }
+
     #[test]
     fn li_materialises_arbitrary_values() {
         // Round-trip a set of tricky constants through the assembler by
@@ -1774,10 +1748,7 @@ mod tests {
     #[test]
     fn lower_rejects_missing_main() {
         let m = Module::default();
-        assert!(matches!(
-            lower(&m, Scheme::None),
-            Err(CompileError::MissingMain)
-        ));
+        assert!(matches!(lower(&m), Err(CompileError::MissingMain)));
     }
 
     #[test]
@@ -1790,7 +1761,7 @@ mod tests {
         f.ret(Some(c));
         f.finish();
         let m = mb.finish();
-        let p = lower(&m, Scheme::None).unwrap();
+        let (p, _) = lower(&m).unwrap();
         assert!(p.len() > 5);
         // Every emitted instruction encodes and decodes.
         for i in p.instrs() {
@@ -1810,7 +1781,7 @@ mod tests {
         f.ret(Some(r));
         f.finish();
         let m = mb.finish();
-        let (p, plan) = lower_with_plan(&m, Scheme::None).unwrap();
+        let (p, plan) = lower(&m).unwrap();
         assert_eq!(plan.funcs.len(), 2);
         let end = p.base() + p.len() as u64 * 4;
         for w in plan.funcs.windows(2) {

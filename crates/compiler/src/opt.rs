@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn optimized_programs_behave_identically() {
         use crate::{compile, Scheme};
-        use hwst_sim::{Machine, SafetyConfig};
+        use hwst_sim::Machine;
         // A small program mixing memory, arithmetic and control flow.
         let build = || {
             let mut mb = ModuleBuilder::new();
@@ -486,11 +486,7 @@ mod tests {
             mb.finish()
         };
         for scheme in [Scheme::None, Scheme::Hwst128Tchk] {
-            let cfg = if scheme == Scheme::None {
-                SafetyConfig::baseline()
-            } else {
-                SafetyConfig::default()
-            };
+            let cfg = crate::instrument::config_for(scheme);
             let plain = Machine::new(compile(&build(), scheme).unwrap(), cfg)
                 .run(1_000_000)
                 .unwrap();

@@ -9,11 +9,12 @@
 //! time (`CompileError::InvalidWitness` fails the test through
 //! `expect`).
 
+use hwst_compiler::instrument::config_for;
 use hwst_compiler::ir::{BinOp, VarId, Width};
 use hwst_compiler::{
     bounds, compile_with_options, CompileOptions, FuncBuilder, ModuleBuilder, Scheme,
 };
-use hwst_sim::{Machine, SafetyConfig};
+use hwst_sim::Machine;
 use proptest::prelude::*;
 
 /// One generated action. Indices are taken modulo live state at build
@@ -231,22 +232,6 @@ fn build(acts: &[Act]) -> hwst_compiler::ir::Module {
     f.ret(Some(code));
     f.finish();
     mb.finish()
-}
-
-fn config_for(scheme: Scheme) -> SafetyConfig {
-    match scheme {
-        Scheme::None | Scheme::Sbcets => SafetyConfig::baseline(),
-        Scheme::Hwst128 => SafetyConfig::hwst128_no_tchk(),
-        Scheme::Hwst128Tchk => SafetyConfig::default(),
-        Scheme::Shore => SafetyConfig {
-            temporal: false,
-            keybuffer: false,
-            ..SafetyConfig::default()
-        },
-        Scheme::RvCure => SafetyConfig::hwst128_no_tchk(),
-        Scheme::HeapSafe => SafetyConfig::default(),
-        Scheme::L4Pointer | Scheme::CryptSan => SafetyConfig::baseline(),
-    }
 }
 
 fn exec(module: &hwst_compiler::ir::Module, opts: CompileOptions, tag: &str) -> (u64, Vec<u8>) {

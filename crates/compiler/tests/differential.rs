@@ -3,9 +3,10 @@
 //! and (b) produce identical outputs and exit codes across all four
 //! schemes — instrumentation must be semantically transparent.
 
+use hwst_compiler::instrument::config_for;
 use hwst_compiler::ir::{BinOp, Width};
 use hwst_compiler::{compile, FuncBuilder, ModuleBuilder, Scheme};
-use hwst_sim::{Machine, SafetyConfig};
+use hwst_sim::Machine;
 use proptest::prelude::*;
 
 /// One generated program action. All indices are taken modulo the live
@@ -157,22 +158,6 @@ fn build(acts: &[Act]) -> hwst_compiler::ir::Module {
     f.ret(Some(code));
     f.finish();
     mb.finish()
-}
-
-fn config_for(scheme: Scheme) -> SafetyConfig {
-    match scheme {
-        Scheme::None | Scheme::Sbcets => SafetyConfig::baseline(),
-        Scheme::Hwst128 => SafetyConfig::hwst128_no_tchk(),
-        Scheme::Hwst128Tchk => SafetyConfig::default(),
-        Scheme::Shore => SafetyConfig {
-            temporal: false,
-            keybuffer: false,
-            ..SafetyConfig::default()
-        },
-        Scheme::RvCure => SafetyConfig::hwst128_no_tchk(),
-        Scheme::HeapSafe => SafetyConfig::default(),
-        Scheme::L4Pointer | Scheme::CryptSan => SafetyConfig::baseline(),
-    }
 }
 
 proptest! {

@@ -1,24 +1,10 @@
 //! End-to-end: IR → instrument → lower → simulate, across all schemes.
 
-use hwst_compiler::{compile, ir::BinOp, ir::Width, ModuleBuilder, Scheme};
-use hwst_sim::{Machine, SafetyConfig, Trap};
-
-fn config_for(scheme: Scheme) -> SafetyConfig {
-    match scheme {
-        Scheme::None => SafetyConfig::baseline(),
-        Scheme::Sbcets => SafetyConfig::baseline(), // all checks in software
-        Scheme::Hwst128 => SafetyConfig::hwst128_no_tchk(),
-        Scheme::Hwst128Tchk => SafetyConfig::default(),
-        Scheme::Shore => SafetyConfig {
-            temporal: false,
-            keybuffer: false,
-            ..SafetyConfig::default()
-        },
-        Scheme::RvCure => SafetyConfig::hwst128_no_tchk(),
-        Scheme::HeapSafe => SafetyConfig::default(),
-        Scheme::L4Pointer | Scheme::CryptSan => SafetyConfig::baseline(),
-    }
-}
+use hwst_compiler::instrument::config_for;
+use hwst_compiler::{
+    compile, compile_with_options, ir::BinOp, ir::Width, CompileOptions, ModuleBuilder, Scheme,
+};
+use hwst_sim::{Machine, Trap};
 
 fn run_scheme(
     module: &hwst_compiler::ir::Module,
@@ -310,8 +296,7 @@ fn output_is_identical_across_schemes() {
 }
 
 #[test]
-fn compile_with_sizes_reports_per_function_counts() {
-    use hwst_compiler::compile_with_sizes;
+fn compiled_plan_reports_per_function_sizes() {
     let mut mb = ModuleBuilder::new();
     let mut f = mb.func("helper");
     let v = f.konst(1);
@@ -322,21 +307,25 @@ fn compile_with_sizes_reports_per_function_counts() {
     f.ret(Some(r));
     f.finish();
     let m = mb.finish();
-    let (prog, sizes) = compile_with_sizes(&m, Scheme::None).unwrap();
-    assert_eq!(sizes.len(), 2);
-    let by_name: std::collections::HashMap<_, _> = sizes.into_iter().collect();
+    let c = compile_with_options(&m, CompileOptions::new(Scheme::None)).unwrap();
+    assert_eq!(c.plan.funcs.len(), 2);
+    let by_name: std::collections::HashMap<_, _> = c
+        .plan
+        .funcs
+        .iter()
+        .map(|f| (f.name.as_str(), f.len))
+        .collect();
     assert!(by_name["helper"] > 0 && by_name["main"] > 0);
     // Shim + functions account for the whole program.
-    assert!(by_name["helper"] + by_name["main"] < prog.len());
+    assert!(by_name["helper"] + by_name["main"] < c.program.len());
 }
 
 #[test]
 fn instrumented_code_size_ordering() {
-    use hwst_compiler::compile_with_sizes;
     // tchk's single-instruction temporal check must make the complete-
     // protection binary smaller than the software-key-check variant.
     let m = uaf_module();
-    let size = |s: Scheme| compile_with_sizes(&m, s).unwrap().0.len();
+    let size = |s: Scheme| compile(&m, s).unwrap().len();
     assert!(size(Scheme::None) < size(Scheme::Shore));
     assert!(size(Scheme::Shore) < size(Scheme::Hwst128Tchk));
     assert!(size(Scheme::Hwst128Tchk) < size(Scheme::Hwst128));

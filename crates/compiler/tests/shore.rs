@@ -2,20 +2,13 @@
 //! violation, is blind to temporal ones, and costs less than complete
 //! protection.
 
+use hwst_compiler::instrument::config_for;
 use hwst_compiler::{compile, ir::Width, ModuleBuilder, Scheme};
-use hwst_sim::{Machine, SafetyConfig, Trap};
-
-fn shore_cfg() -> SafetyConfig {
-    SafetyConfig {
-        temporal: false,
-        keybuffer: false,
-        ..SafetyConfig::default()
-    }
-}
+use hwst_sim::{Machine, Trap};
 
 fn run_shore(module: &hwst_compiler::ir::Module) -> Result<hwst_sim::ExitStatus, Trap> {
     let prog = compile(module, Scheme::Shore).expect("compiles");
-    Machine::new(prog, shore_cfg()).run(50_000_000)
+    Machine::new(prog, config_for(Scheme::Shore)).run(50_000_000)
 }
 
 #[test]
@@ -74,14 +67,17 @@ fn shore_costs_less_than_complete_protection() {
         f.finish();
         mb.finish()
     };
-    let shore = Machine::new(compile(&build(), Scheme::Shore).unwrap(), shore_cfg())
-        .run(1_000_000)
-        .unwrap()
-        .stats
-        .total_cycles();
+    let shore = Machine::new(
+        compile(&build(), Scheme::Shore).unwrap(),
+        config_for(Scheme::Shore),
+    )
+    .run(1_000_000)
+    .unwrap()
+    .stats
+    .total_cycles();
     let full = Machine::new(
         compile(&build(), Scheme::Hwst128Tchk).unwrap(),
-        SafetyConfig::default(),
+        config_for(Scheme::Hwst128Tchk),
     )
     .run(1_000_000)
     .unwrap()
@@ -89,7 +85,7 @@ fn shore_costs_less_than_complete_protection() {
     .total_cycles();
     let base = Machine::new(
         compile(&build(), Scheme::None).unwrap(),
-        SafetyConfig::baseline(),
+        config_for(Scheme::None),
     )
     .run(1_000_000)
     .unwrap()
@@ -116,7 +112,7 @@ fn shore_agrees_with_baseline_on_correct_programs() {
     f.finish();
     let m = mb.finish();
     let shore = run_shore(&m).unwrap();
-    let base = Machine::new(compile(&m, Scheme::None).unwrap(), SafetyConfig::baseline())
+    let base = Machine::new(compile(&m, Scheme::None).unwrap(), config_for(Scheme::None))
         .run(1_000_000)
         .unwrap();
     assert_eq!(shore.code, base.code);

@@ -477,8 +477,8 @@ fn decode_op(pc: u64, instr: Instr, next: Option<Instr>) -> Op {
 /// its blocks from and flushes itself whenever the machine it runs
 /// against carries a different id. Ids are unique per program load in
 /// the process, so a cache stays warm across runs of one machine and
-/// its clones, and any other machine — a fresh [`Machine::new`] or a
-/// [`Machine::reload_image`] — costs a flush, never stale execution.
+/// its clones, and any other machine — every [`Machine::new`] — costs
+/// a flush, never stale execution.
 #[derive(Debug, Default)]
 pub struct BlockCache {
     slots: Vec<Option<Box<Block>>>,
@@ -697,10 +697,9 @@ mod tests {
     }
 
     #[test]
-    fn revalidate_flushes_on_reload_only() {
+    fn revalidate_flushes_on_a_new_program_id_only() {
         let prog = Program::from_instrs(0x1_0000, vec![Instr::Fence, Instr::Ebreak]);
-        let image = prog.to_image();
-        let mut m = Machine::new(prog, SafetyConfig::default());
+        let m = Machine::new(prog.clone(), SafetyConfig::default());
         let mut cache = BlockCache::new();
         cache.revalidate(&m);
         cache.block_for(&m, 0x1_0000).unwrap();
@@ -712,10 +711,10 @@ mod tests {
         cache.block_for(&m, 0x1_0000).unwrap();
         assert_eq!(cache.hits(), 1);
 
-        // A reload draws a new program id; the stale blocks must go.
-        m.reload_image(0x1_0000, &image).unwrap();
-        cache.revalidate(&m);
-        assert_eq!(cache.len(), 0, "reload_image invalidates the cache");
+        // A second machine draws a new program id, even for the same
+        // program; the stale blocks must go.
+        cache.revalidate(&Machine::new(prog, SafetyConfig::default()));
+        assert_eq!(cache.len(), 0, "a new machine invalidates the cache");
         assert_eq!(cache.decodes(), 1);
     }
 }

@@ -42,9 +42,9 @@
 //!
 //! A [`BlockCache`] is valid for one program load. It stamps itself
 //! with the [`Machine::program_id`] it decoded from and flushes when the
-//! id no longer matches. Ids are process-unique and change only on
-//! [`Machine::new`] and [`Machine::reload_image`] (a clone keeps its
-//! original's), because the instruction image is immutable in between.
+//! id no longer matches. Ids are process-unique and drawn only by
+//! [`Machine::new`] (a clone keeps its original's), because the
+//! instruction image is immutable for a machine's lifetime.
 //!
 //! ## Example
 //!

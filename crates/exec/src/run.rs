@@ -724,18 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn reload_image_flushes_and_reexecutes_correctly() {
-        let exit7 = assemble(BASE, "  li a0, 7\n  li a7, 93\n  ecall\n").unwrap();
-        let exit9 = assemble(BASE, "  li a0, 9\n  li a7, 93\n  ecall\n").unwrap();
-        let mut m = Machine::new(exit7, SafetyConfig::default());
-        let mut cache = BlockCache::new();
-        assert_eq!(run_fast(&mut m, 100, &mut cache).unwrap().code, 7);
-        m.reload_image(BASE, &exit9.to_image()).unwrap();
-        assert_eq!(run_fast(&mut m, 100, &mut cache).unwrap().code, 9);
-        assert_eq!(cache.len(), 1, "stale blocks must be flushed");
-    }
-
-    #[test]
     fn engine_dispatch_matches_direct_calls() {
         let prog = assemble(BASE, MIXED).unwrap();
         let mut results = Vec::new();

@@ -64,7 +64,7 @@ pub use hwst_workloads as workloads;
 /// The names most programs need, in one import.
 pub mod prelude {
     pub use hwst_compiler::ir::{BinOp, Width};
-    pub use hwst_compiler::{compile, FuncBuilder, ModuleBuilder, Scheme};
+    pub use hwst_compiler::{compile, CompileOptions, FuncBuilder, ModuleBuilder, Scheme};
     pub use hwst_exec::{run_fast, BlockCache};
     pub use hwst_isa::{Instr, Program, Reg};
     pub use hwst_metadata::{CompressionConfig, Metadata, ShadowCodec};
@@ -72,36 +72,12 @@ pub mod prelude {
     pub use hwst_workloads::{Scale, Suite, Workload};
 }
 
-/// Returns the [`sim::SafetyConfig`] that pairs with an instrumentation
-/// [`compiler::Scheme`] in the paper's experiments: software schemes run
-/// on the baseline core, hardware schemes arm the corresponding checks.
-pub fn config_for(scheme: compiler::Scheme) -> sim::SafetyConfig {
-    use compiler::Scheme;
-    match scheme {
-        Scheme::None | Scheme::Sbcets => sim::SafetyConfig::baseline(),
-        Scheme::Hwst128 => sim::SafetyConfig::hwst128_no_tchk(),
-        Scheme::Hwst128Tchk => sim::SafetyConfig::default(),
-        // SHORE: spatial hardware armed, no temporal machinery.
-        Scheme::Shore => sim::SafetyConfig {
-            temporal: false,
-            keybuffer: false,
-            ..sim::SafetyConfig::default()
-        },
-        // Zoo designs (DESIGN.md §4l). RV-CURE validates capabilities
-        // inline with no lock cache, so every `tchk` pays the lock-word
-        // access — the same timing point as HWST128-without-keybuffer.
-        Scheme::RvCure => sim::SafetyConfig::hwst128_no_tchk(),
-        // HeapSafe's heap tag check is a cached fast path: full hardware
-        // with the keybuffer armed (fewer binds reach it anyway).
-        Scheme::HeapSafe => sim::SafetyConfig::default(),
-        // L4 Pointer and CryptSan are software-only: baseline core.
-        Scheme::L4Pointer | Scheme::CryptSan => sim::SafetyConfig::baseline(),
-    }
-}
+pub use hwst_compiler::instrument::config_for;
 
-/// Compiles `module` for `scheme` and runs it with the matching safety
-/// configuration on the fast engine ([`exec::run_fast`], bit-identical
-/// to [`sim::Machine::run`]) — the one-call experiment step.
+/// Compiles `module` with `opts` and runs it for `fuel` instructions on
+/// the safety configuration [`config_for`] pairs with `opts.scheme`,
+/// on the fast engine ([`exec::run_fast`], bit-identical to
+/// [`sim::Machine::run`]) — the one-call experiment step.
 ///
 /// # Errors
 ///
@@ -109,45 +85,18 @@ pub fn config_for(scheme: compiler::Scheme) -> sim::SafetyConfig {
 /// boxed errors.
 pub fn run_scheme(
     module: &compiler::ir::Module,
-    scheme: compiler::Scheme,
+    opts: compiler::CompileOptions,
     fuel: u64,
 ) -> Result<sim::ExitStatus, Box<dyn std::error::Error + Send + Sync>> {
-    let prog = compiler::compile(module, scheme)?;
-    run_program(prog, scheme, fuel)
-}
-
-/// [`run_scheme`] at an explicit back-end [`compiler::OptLevel`] —
-/// `O1` images pass through the same translation-validation obligations
-/// as `O0`, so this is still the one-call experiment step.
-///
-/// # Errors
-///
-/// Returns the compile error or the trap that stopped execution, both as
-/// boxed errors.
-pub fn run_scheme_opt(
-    module: &compiler::ir::Module,
-    scheme: compiler::Scheme,
-    fuel: u64,
-    opt: compiler::OptLevel,
-) -> Result<sim::ExitStatus, Box<dyn std::error::Error + Send + Sync>> {
-    let opts = compiler::CompileOptions::new(scheme).with_opt(opt);
     let prog = compiler::compile_with_options(module, opts)?.program;
-    run_program(prog, scheme, fuel)
-}
-
-fn run_program(
-    prog: isa::Program,
-    scheme: compiler::Scheme,
-    fuel: u64,
-) -> Result<sim::ExitStatus, Box<dyn std::error::Error + Send + Sync>> {
-    let mut m = sim::Machine::new(prog, config_for(scheme));
+    let mut m = sim::Machine::new(prog, config_for(opts.scheme));
     Ok(exec::run_fast(&mut m, fuel, &mut exec::BlockCache::new())?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use compiler::Scheme;
+    use compiler::{CompileOptions, Scheme};
 
     #[test]
     fn config_pairing() {
@@ -167,7 +116,8 @@ mod tests {
         f.finish();
         let m = mb.finish();
         for s in Scheme::ALL {
-            assert_eq!(run_scheme(&m, s, 100_000).unwrap().code, 9);
+            let exit = run_scheme(&m, CompileOptions::new(s), 100_000).unwrap();
+            assert_eq!(exit.code, 9);
         }
     }
 
@@ -186,7 +136,7 @@ mod tests {
             let prog = compiler::compile(&m, s).unwrap();
             let reference = sim::Machine::new(prog, config_for(s)).run(100_000);
             assert_eq!(
-                run_scheme(&m, s, 100_000).unwrap(),
+                run_scheme(&m, CompileOptions::new(s), 100_000).unwrap(),
                 reference.unwrap(),
                 "scheme {s:?}"
             );

@@ -43,10 +43,7 @@ mod static_detect;
 
 pub use case::{sample_reachable, suite, Case, Cwe, Flow};
 pub use detector::{model_detects, Detector};
-pub use program::{
-    build_benign_program, build_program, execute_detects, execute_detects_opts,
-    execute_detects_with,
-};
+pub use program::{build_benign_program, build_program, execute_detects};
 pub use report::{measure_case, measure_coverage, model_coverage, CaseDetections, CoverageReport};
 pub use static_detect::{
     binval_detects, static_coverage, static_coverage_strided, static_detects, StaticRow,

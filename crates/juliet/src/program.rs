@@ -1,11 +1,11 @@
 //! Expanding cases into runnable IR programs.
 
 use crate::{Case, Cwe};
+use hwst_compiler::instrument::config_for;
 use hwst_compiler::ir::{BinOp, Module, Width};
-use hwst_compiler::{
-    compile, compile_with_options, CompileOptions, FuncBuilder, ModuleBuilder, Scheme,
-};
-use hwst_sim::{Machine, SafetyConfig};
+use hwst_compiler::{compile_with_options, CompileOptions, FuncBuilder, ModuleBuilder};
+use hwst_exec::{run_fast, BlockCache};
+use hwst_sim::Machine;
 
 /// Builds the IR program for a case: allocate, exercise the buffer
 /// legitimately, then perform the CWE's characteristic violation (in the
@@ -262,64 +262,18 @@ fn launder(f: &mut FuncBuilder<'_>, p: hwst_compiler::ir::VarId) -> hwst_compile
     f.load_ptr(cell, 0)
 }
 
-fn hwst128_config_for(scheme: Scheme) -> SafetyConfig {
-    match scheme {
-        Scheme::None | Scheme::Sbcets => SafetyConfig::baseline(),
-        Scheme::Hwst128 => SafetyConfig::hwst128_no_tchk(),
-        Scheme::Hwst128Tchk => SafetyConfig::default(),
-        Scheme::Shore => SafetyConfig {
-            temporal: false,
-            keybuffer: false,
-            ..SafetyConfig::default()
-        },
-        // Zoo designs — mirrors `hwst128::config_for` (this crate sits
-        // below the facade): RV-CURE checks tags with no lock cache,
-        // HeapSafe keeps the cached fast path, the software designs run
-        // on the baseline core.
-        Scheme::RvCure => SafetyConfig::hwst128_no_tchk(),
-        Scheme::HeapSafe => SafetyConfig::default(),
-        Scheme::L4Pointer | Scheme::CryptSan => SafetyConfig::baseline(),
-    }
-}
-
-/// Compiles and runs a case under `scheme`; returns `true` iff a
+/// Compiles a case with `opts` and runs it on the fast engine under the
+/// safety configuration paired with `opts.scheme`; returns `true` iff a
 /// spatial/temporal violation trap fired (the paper's detection
-/// criterion).
-pub fn execute_detects(case: &Case, scheme: Scheme) -> bool {
-    let module = build_program(case);
-    let cfg = hwst128_config_for(scheme);
-    let prog = match compile(&module, scheme) {
-        Ok(p) => p,
-        Err(_) => return false,
+/// criterion). A case that fails to compile counts as "not detected" —
+/// with `opts.verify` armed, that includes a pass deleting a check the
+/// scheme's contract still needs.
+pub fn execute_detects(case: &Case, opts: CompileOptions) -> bool {
+    let Ok(compiled) = compile_with_options(&build_program(case), opts) else {
+        return false;
     };
-    match Machine::new(prog, cfg).run(5_000_000) {
-        Err(t) => t.is_violation(),
-        Ok(_) => false,
-    }
-}
-
-/// Like [`execute_detects`], but with redundant-check elimination
-/// switched on or off, and the metadata-completeness verifier always
-/// armed: compilation fails (counting as "not detected") if RCE ever
-/// deletes a check the scheme's contract still needs.
-pub fn execute_detects_with(case: &Case, scheme: Scheme, rce: bool) -> bool {
-    let mut opts = CompileOptions::new(scheme).with_verify();
-    opts.rce = rce;
-    execute_detects_opts(case, opts)
-}
-
-/// Like [`execute_detects_with`], but with full control over the pass
-/// pipeline — this is what the bounds-elimination detection gate uses
-/// to compare RCE-alone against RCE + the static bounds-proof pass on
-/// the same case.
-pub fn execute_detects_opts(case: &Case, opts: CompileOptions) -> bool {
-    let module = build_program(case);
-    let cfg = hwst128_config_for(opts.scheme);
-    let compiled = match compile_with_options(&module, opts) {
-        Ok(c) => c,
-        Err(_) => return false,
-    };
-    match Machine::new(compiled.program, cfg).run(5_000_000) {
+    let mut m = Machine::new(compiled.program, config_for(opts.scheme));
+    match run_fast(&mut m, 5_000_000, &mut BlockCache::new()) {
         Err(t) => t.is_violation(),
         Ok(_) => false,
     }
@@ -329,6 +283,11 @@ pub fn execute_detects_opts(case: &Case, opts: CompileOptions) -> bool {
 mod tests {
     use super::*;
     use crate::case::make_case;
+    use hwst_compiler::{compile, Scheme};
+
+    fn detects(case: &Case, scheme: Scheme) -> bool {
+        execute_detects(case, CompileOptions::new(scheme))
+    }
 
     fn reachable(cwe: Cwe) -> Case {
         // Index past the sub-granule slice but inside the reachable zone.
@@ -343,10 +302,7 @@ mod tests {
     fn baseline_never_detects() {
         for cwe in Cwe::ALL {
             let c = reachable(cwe);
-            assert!(
-                !execute_detects(&c, Scheme::None),
-                "{cwe}: baseline must not trap"
-            );
+            assert!(!detects(&c, Scheme::None), "{cwe}: baseline must not trap");
         }
     }
 
@@ -355,11 +311,11 @@ mod tests {
         for cwe in Cwe::ALL {
             let c = reachable(cwe);
             assert!(
-                execute_detects(&c, Scheme::Sbcets),
+                detects(&c, Scheme::Sbcets),
                 "{cwe}: SBCETS must detect the reachable case"
             );
             assert!(
-                execute_detects(&c, Scheme::Hwst128Tchk),
+                detects(&c, Scheme::Hwst128Tchk),
                 "{cwe}: HWST128 must detect the reachable case"
             );
         }
@@ -371,11 +327,11 @@ mod tests {
             let c = laundered(cwe);
             assert!(c.laundered);
             assert!(
-                !execute_detects(&c, Scheme::Sbcets),
+                !detects(&c, Scheme::Sbcets),
                 "{cwe}: laundered case must evade SBCETS"
             );
             assert!(
-                !execute_detects(&c, Scheme::Hwst128Tchk),
+                !detects(&c, Scheme::Hwst128Tchk),
                 "{cwe}: laundered case must evade HWST128"
             );
         }
@@ -387,7 +343,7 @@ mod tests {
             let module = build_benign_program(cwe);
             for scheme in [Scheme::Sbcets, Scheme::Hwst128, Scheme::Hwst128Tchk] {
                 let prog = compile(&module, scheme).unwrap_or_else(|e| panic!("{cwe}: {e}"));
-                let cfg = hwst128_config_for(scheme);
+                let cfg = config_for(scheme);
                 let r = Machine::new(prog, cfg).run(5_000_000);
                 assert!(
                     r.is_ok(),
@@ -437,12 +393,13 @@ mod tests {
         // Differential gate: for every sampled case and scheme, the
         // RCE-compiled binary detects exactly what the plain one does
         // (and the completeness verifier accepts the RCE output, since
-        // execute_detects_with always arms it).
+        // the verifier is armed for both builds).
         for cwe in Cwe::ALL {
             for case in differential_sample(cwe) {
                 for scheme in Scheme::ALL {
-                    let plain = execute_detects_with(&case, scheme, false);
-                    let rce = execute_detects_with(&case, scheme, true);
+                    let opts = CompileOptions::new(scheme).with_verify();
+                    let plain = execute_detects(&case, opts);
+                    let rce = execute_detects(&case, opts.with_rce());
                     assert_eq!(
                         plain, rce,
                         "{cwe} case {} under {scheme}: detection changed with RCE",
@@ -458,7 +415,7 @@ mod tests {
         for cwe in Cwe::ALL {
             let module = build_benign_program(cwe);
             for scheme in Scheme::ALL {
-                let cfg = hwst128_config_for(scheme);
+                let cfg = config_for(scheme);
                 let run = |rce: bool| {
                     let opts = if rce {
                         CompileOptions::new(scheme).with_rce().with_verify()
@@ -486,11 +443,11 @@ mod tests {
         let c = make_case(Cwe::Cwe122, 0);
         assert!(c.sub_granule);
         assert!(
-            execute_detects(&c, Scheme::Sbcets),
+            detects(&c, Scheme::Sbcets),
             "SBCETS keeps exact bounds and must detect"
         );
         assert!(
-            !execute_detects(&c, Scheme::Hwst128Tchk),
+            !detects(&c, Scheme::Hwst128Tchk),
             "HWST128's compressed bounds round up past the overflow"
         );
     }

@@ -1,7 +1,7 @@
 //! Coverage aggregation (the Fig. 6 data).
 
 use crate::{execute_detects, model_detects, suite, Case, Cwe, Detector};
-use hwst_compiler::Scheme;
+use hwst_compiler::{CompileOptions, Scheme};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -115,8 +115,14 @@ pub fn measure_case(c: &Case) -> CaseDetections {
         detected: [
             (Detector::Gcc, model_detects(Detector::Gcc, c)),
             (Detector::Asan, model_detects(Detector::Asan, c)),
-            (Detector::Sbcets, execute_detects(c, Scheme::Sbcets)),
-            (Detector::Hwst128, execute_detects(c, Scheme::Hwst128Tchk)),
+            (
+                Detector::Sbcets,
+                execute_detects(c, CompileOptions::new(Scheme::Sbcets)),
+            ),
+            (
+                Detector::Hwst128,
+                execute_detects(c, CompileOptions::new(Scheme::Hwst128Tchk)),
+            ),
         ],
     }
 }
@@ -171,13 +177,13 @@ mod tests {
         let cases: Vec<Case> = suite().into_iter().step_by(97).collect();
         for c in &cases {
             assert_eq!(
-                execute_detects(c, Scheme::Sbcets),
+                execute_detects(c, CompileOptions::new(Scheme::Sbcets)),
                 model_detects(Detector::Sbcets, c),
                 "SBCETS mismatch on {:?}",
                 c
             );
             assert_eq!(
-                execute_detects(c, Scheme::Hwst128Tchk),
+                execute_detects(c, CompileOptions::new(Scheme::Hwst128Tchk)),
                 model_detects(Detector::Hwst128, c),
                 "HWST128 mismatch on {:?}",
                 c

@@ -13,9 +13,10 @@
 //! must-style and never flags code that could be correct.
 
 use crate::{build_program, suite, Case, Cwe};
-use hwst_compiler::binval;
+use hwst_compiler::binval::{self, BinvalReport};
+use hwst_compiler::ir::Module;
 use hwst_compiler::lint::lint;
-use hwst_compiler::Scheme;
+use hwst_compiler::{CompileError, CompileOptions, Scheme};
 
 /// Whether `hwst-lint` statically detects a case: some diagnostic on
 /// the case's program carries the case's own CWE code.
@@ -35,12 +36,19 @@ pub fn static_detects(case: &Case) -> bool {
 /// allocations with constant offsets), whereas the IR linter reasons
 /// symbolically over regions.
 pub fn binval_detects(case: &Case) -> bool {
-    match binval::validate_module(&build_program(case), Scheme::Hwst128Tchk) {
+    match validated(&build_program(case)) {
         Ok(report) => report.findings.iter().any(|f| {
             f.class == binval::FindingClass::StaticBug && f.cwe == Some(case.cwe.code() as u16)
         }),
         Err(_) => false,
     }
+}
+
+/// The binary validator's report on the plain HWST128_tchk image of
+/// `module`.
+fn validated(module: &Module) -> Result<BinvalReport, CompileError> {
+    binval::translation_validate(module, CompileOptions::new(Scheme::Hwst128Tchk))
+        .map(|tv| tv.report)
 }
 
 /// One row of the static-detection table.
@@ -165,8 +173,7 @@ mod tests {
         // Neither lowering findings (the programs are correctly
         // lowered) nor static bugs (the twins are safe).
         for cwe in Cwe::ALL {
-            let r = binval::validate_module(&build_benign_program(cwe), Scheme::Hwst128Tchk)
-                .expect("benign twin compiles");
+            let r = validated(&build_benign_program(cwe)).expect("benign twin compiles");
             assert!(
                 r.findings.is_empty(),
                 "{cwe} benign twin: {:?}",
@@ -189,8 +196,7 @@ mod tests {
         // Buggy-but-correctly-lowered programs must never trip the
         // translation validator itself (sampled for test budget).
         for case in suite().into_iter().step_by(97) {
-            let r = binval::validate_module(&build_program(&case), Scheme::Hwst128Tchk)
-                .expect("case compiles");
+            let r = validated(&build_program(&case)).expect("case compiles");
             assert!(
                 r.ok(),
                 "CWE{} #{}: {:?}",

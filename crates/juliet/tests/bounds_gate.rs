@@ -6,7 +6,7 @@
 //! the RCE build detects must still be detected by the bounds build.
 
 use hwst_compiler::{CompileOptions, Scheme};
-use hwst_juliet::{execute_detects_opts, sample_reachable};
+use hwst_juliet::{execute_detects, sample_reachable};
 
 #[test]
 fn bounds_pass_costs_zero_true_positive_detections() {
@@ -17,8 +17,8 @@ fn bounds_pass_costs_zero_true_positive_detections() {
         for case in &cases {
             let rce_only = CompileOptions::new(scheme).with_rce().with_verify();
             let with_bounds = rce_only.with_bounds();
-            let before = execute_detects_opts(case, rce_only);
-            let after = execute_detects_opts(case, with_bounds);
+            let before = execute_detects(case, rce_only);
+            let after = execute_detects(case, with_bounds);
             if before {
                 detected += 1;
                 assert!(

@@ -160,7 +160,7 @@ pub struct Machine {
     /// Custom CSR backing store (hwst.* registers).
     pub(crate) csrs: std::collections::HashMap<u16, u64>,
     /// Process-unique identity of the loaded program, drawn by
-    /// [`Self::new`] and [`Self::reload_image`] and kept by clones;
+    /// [`Self::new`] and kept by clones;
     /// decoded-block caches validate against it so no other program
     /// can ever execute through their pre-decoded blocks.
     pub(crate) program_id: u64,
@@ -220,12 +220,6 @@ impl Machine {
     /// [`LoadError::RaggedImage`] when the image length is not a multiple
     /// of 4, [`LoadError::Decode`] for the first undecodable word.
     pub fn from_image(base: u64, image: &[u8], cfg: SafetyConfig) -> Result<Self, LoadError> {
-        Ok(Self::new(Self::decode_image(base, image)?, cfg))
-    }
-
-    /// Decodes a raw little-endian image into a [`Program`] (shared by
-    /// [`Self::from_image`] and [`Self::reload_image`]).
-    fn decode_image(base: u64, image: &[u8]) -> Result<Program, LoadError> {
         if !image.len().is_multiple_of(4) {
             return Err(LoadError::RaggedImage { len: image.len() });
         }
@@ -234,34 +228,11 @@ impl Machine {
             let word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
             instrs.push(hwst_isa::decode(word)?);
         }
-        Ok(Program::from_instrs(base, instrs))
-    }
-
-    /// Replaces the loaded program with a freshly decoded image,
-    /// resetting the PC to the new base and clearing any exit latch.
-    ///
-    /// Data memory, registers, shadow structures and cycle counters are
-    /// deliberately left untouched — this models a program swap on a
-    /// warm machine. The machine draws a new [`Self::program_id`],
-    /// which is the signal decoded-block caches (`hwst-exec`'s
-    /// `BlockCache`) use to flush themselves.
-    ///
-    /// # Errors
-    ///
-    /// The same structured [`LoadError`]s as [`Self::from_image`]; on
-    /// error the machine is unchanged.
-    pub fn reload_image(&mut self, base: u64, image: &[u8]) -> Result<(), LoadError> {
-        let program = Self::decode_image(base, image)?;
-        self.pc = program.base();
-        self.program = program;
-        self.exited = None;
-        self.program_id = next_program_id();
-        Ok(())
+        Ok(Self::new(Program::from_instrs(base, instrs), cfg))
     }
 
     /// The loaded program's identity, unique within the process: every
-    /// [`Self::new`] and [`Self::reload_image`] draws a fresh one, and a
-    /// clone keeps its original's. The instruction image is immutable
+    /// [`Self::new`] draws a fresh one, and a clone keeps its original's. The instruction image is immutable
     /// while the id stands, so decoded-block caches key their validity
     /// on it alone.
     pub fn program_id(&self) -> u64 {
@@ -562,8 +533,8 @@ mod tests {
     }
 
     #[test]
-    fn reload_image_swaps_program_and_id() {
-        let mut m = Machine::new(exit_prog(5), SafetyConfig::default());
+    fn clones_keep_the_program_id_and_new_machines_draw_one() {
+        let m = Machine::new(exit_prog(5), SafetyConfig::default());
         let id = m.program_id();
         assert_eq!(m.clone().program_id(), id, "a clone keeps the id");
         assert_ne!(
@@ -571,24 +542,5 @@ mod tests {
             id,
             "every new machine draws its own id"
         );
-        assert_eq!(m.run(100).unwrap().code, 5);
-        let stats_before = m.stats();
-        m.reload_image(0x2_0000, &exit_prog(9).to_image())
-            .expect("valid image reloads");
-        assert_ne!(m.program_id(), id, "a reload draws a new id");
-        assert_eq!(m.pc(), 0x2_0000, "pc reset to the new base");
-        assert_eq!(m.exit_code(), None, "exit latch cleared");
-        let e = m.run(100).unwrap();
-        assert_eq!(e.code, 9);
-        assert!(
-            e.stats.instret > stats_before.instret,
-            "cycle counters carry across the reload"
-        );
-        // A bad image leaves the machine (and its id) unchanged.
-        let mut m2 = Machine::new(exit_prog(1), SafetyConfig::default());
-        let id2 = m2.program_id();
-        assert!(m2.reload_image(0, &[0x13u8; 3]).is_err());
-        assert_eq!(m2.program_id(), id2);
-        assert_eq!(m2.run(100).unwrap().code, 1);
     }
 }

@@ -371,29 +371,6 @@ fn bad_image_reports_decode_error() {
 }
 
 #[test]
-fn image_reload_flushes_the_block_cache() {
-    // Run program A on the fast engine (populating the block cache),
-    // reload program B over the same base, and rerun with the SAME
-    // cache: the stale decoded blocks must not execute — the reload
-    // draws a new program id, which is the cache's flush signal.
-    let mut m = Machine::new(exit_prog(7), SafetyConfig::default());
-    let mut cache = BlockCache::new();
-    let first = run_fast(&mut m, 1_000, &mut cache).expect("program A exits");
-    assert_eq!(first.code, 7);
-    assert!(cache.decodes() > 0, "the cold run populates the cache");
-
-    let image_b = exit_prog(9).to_image();
-    m.reload_image(0x1_0000, &image_b).expect("image B loads");
-    let decodes_before = cache.decodes();
-    let second = run_fast(&mut m, 1_000, &mut cache).expect("program B exits");
-    assert_eq!(second.code, 9, "stale blocks must not execute");
-    assert!(
-        cache.decodes() > decodes_before,
-        "the reload must force a re-decode, not serve stale blocks"
-    );
-}
-
-#[test]
 fn one_cache_never_runs_another_machines_program() {
     // Two fresh machines whose programs share a base and a length, one
     // cache: the second machine must run its own program, exactly as

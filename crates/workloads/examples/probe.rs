@@ -1,14 +1,7 @@
+use hwst_compiler::instrument::config_for;
 use hwst_compiler::{compile, Scheme};
-use hwst_sim::{Machine, SafetyConfig};
+use hwst_sim::Machine;
 use hwst_workloads::{all, Scale};
-
-fn config_for(scheme: Scheme) -> SafetyConfig {
-    match scheme {
-        Scheme::None | Scheme::Sbcets => SafetyConfig::baseline(),
-        Scheme::Hwst128 => SafetyConfig::hwst128_no_tchk(),
-        _ => SafetyConfig::default(),
-    }
-}
 
 fn main() {
     let mut logsum = [0f64; 3];

@@ -115,8 +115,9 @@ pub fn fill_array(f: &mut FuncBuilder<'_>, arr: VarId, n: i64, seed: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hwst_compiler::instrument::config_for;
     use hwst_compiler::{compile, ModuleBuilder, Scheme};
-    use hwst_sim::{Machine, SafetyConfig};
+    use hwst_sim::Machine;
 
     fn run_main(build: impl FnOnce(&mut FuncBuilder<'_>)) -> u64 {
         let mut mb = ModuleBuilder::new();
@@ -125,7 +126,7 @@ mod tests {
         f.finish();
         let m = mb.finish();
         let p = compile(&m, Scheme::None).unwrap();
-        Machine::new(p, SafetyConfig::baseline())
+        Machine::new(p, config_for(Scheme::None))
             .run(10_000_000)
             .unwrap()
             .code
@@ -235,12 +236,8 @@ mod tests {
             f.finish();
             let m = mb.finish();
             let p = compile(&m, scheme).unwrap();
-            let cfg = if scheme == Scheme::None {
-                SafetyConfig::baseline()
-            } else {
-                SafetyConfig::default()
-            };
-            results.push(Machine::new(p, cfg).run(10_000_000).unwrap().code);
+            let exit = Machine::new(p, config_for(scheme)).run(10_000_000);
+            results.push(exit.unwrap().code);
         }
         assert_eq!(results[0], results[1]);
         assert_ne!(results[0], 0);

@@ -1,25 +1,10 @@
 //! Every workload compiles, runs to completion under every scheme, and
 //! produces the same result regardless of the safety machinery.
 
+use hwst_compiler::instrument::config_for;
 use hwst_compiler::{compile, Scheme};
-use hwst_sim::{Machine, SafetyConfig};
+use hwst_sim::Machine;
 use hwst_workloads::{all, Scale, Workload};
-
-fn config_for(scheme: Scheme) -> SafetyConfig {
-    match scheme {
-        Scheme::None | Scheme::Sbcets => SafetyConfig::baseline(),
-        Scheme::Hwst128 => SafetyConfig::hwst128_no_tchk(),
-        Scheme::Hwst128Tchk => SafetyConfig::default(),
-        Scheme::Shore => SafetyConfig {
-            temporal: false,
-            keybuffer: false,
-            ..SafetyConfig::default()
-        },
-        Scheme::RvCure => SafetyConfig::hwst128_no_tchk(),
-        Scheme::HeapSafe => SafetyConfig::default(),
-        Scheme::L4Pointer | Scheme::CryptSan => SafetyConfig::baseline(),
-    }
-}
 
 fn run(wl: &Workload, scheme: Scheme) -> (u64, u64) {
     let module = wl.module(Scale::Test);

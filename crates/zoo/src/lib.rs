@@ -14,7 +14,7 @@
 //! overhead frontier, and exits non-zero when a calibration or
 //! agreement contract is violated.
 
-use hwst128::compiler::Scheme;
+use hwst128::compiler::{CompileOptions, Scheme};
 use hwst128::juliet::{execute_detects, model_detects, sample_reachable, suite, Detector};
 use hwst128::sim::inject::{campaign, FaultClass, OutcomeCounts};
 use hwst128::sim::Machine;
@@ -272,7 +272,7 @@ pub fn try_zoo_row(wl: &Workload, scale: Scale) -> Result<ZooRow, String> {
     let module = wl.module(scale);
     let fuel = wl.fuel(scale);
     let profile = try_profile_workload(&module, fuel).map_err(|e| format!("{}: {e}", wl.name))?;
-    let baseline = hwst128::run_scheme(&module, Scheme::None, fuel)
+    let baseline = hwst128::run_scheme(&module, CompileOptions::new(Scheme::None), fuel)
         .map_err(|e| format!("{} (baseline): {e}", wl.name))?;
     let overhead = |cycles: u64| (cycles as f64 / profile.baseline_cycles as f64 - 1.0) * 100.0;
     let mut measured = [0f64; 7];
@@ -282,7 +282,7 @@ pub fn try_zoo_row(wl: &Workload, scale: Scale) -> Result<ZooRow, String> {
             Design::Sbcets => profile.sbcets_cycles,
             Design::Hwst128Tchk => profile.hwst_cycles,
             _ => {
-                let exit = hwst128::run_scheme(&module, design.scheme(), fuel)
+                let exit = hwst128::run_scheme(&module, CompileOptions::new(design.scheme()), fuel)
                     .map_err(|e| format!("{} ({design}): {e}", wl.name))?;
                 if exit.code != baseline.code {
                     return Err(format!(
@@ -323,7 +323,7 @@ pub fn design_coverage(design: Design, per_cwe: u32) -> DesignCoverage {
     let mut sample_model = 0u32;
     let mut sample_agree = true;
     for case in &sample {
-        let measured = execute_detects(case, design.scheme());
+        let measured = execute_detects(case, CompileOptions::new(design.scheme()));
         let modeled = verdict(case);
         sample_detected += u32::from(measured);
         sample_model += u32::from(modeled);

@@ -26,7 +26,7 @@ fn main() {
     let module = wl.module(Scale::Test);
     let mut baseline = 0u64;
     for scheme in Scheme::ALL {
-        let exit = hwst128::run_scheme(&module, scheme, wl.fuel(Scale::Test))
+        let exit = hwst128::run_scheme(&module, CompileOptions::new(scheme), wl.fuel(Scale::Test))
             .expect("benchmark runs clean");
         let s = exit.stats;
         if scheme == Scheme::None {
@@ -48,14 +48,22 @@ fn main() {
     }
 
     // The speedup sentence the paper leads with (Eq. 8).
-    let sb = hwst128::run_scheme(&module, Scheme::Sbcets, wl.fuel(Scale::Test))
-        .unwrap()
-        .stats
-        .total_cycles();
-    let hw = hwst128::run_scheme(&module, Scheme::Hwst128Tchk, wl.fuel(Scale::Test))
-        .unwrap()
-        .stats
-        .total_cycles();
+    let sb = hwst128::run_scheme(
+        &module,
+        CompileOptions::new(Scheme::Sbcets),
+        wl.fuel(Scale::Test),
+    )
+    .unwrap()
+    .stats
+    .total_cycles();
+    let hw = hwst128::run_scheme(
+        &module,
+        CompileOptions::new(Scheme::Hwst128Tchk),
+        wl.fuel(Scale::Test),
+    )
+    .unwrap()
+    .stats
+    .total_cycles();
     println!(
         "HWST128 is {:.2}x faster than the software-only SBCETS on {}",
         sb as f64 / hw as f64,

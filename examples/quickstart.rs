@@ -41,8 +41,8 @@ fn main() {
     println!("{:<14} {:>10} {:>10}", "scheme", "cycles", "overhead");
     let mut baseline = 0u64;
     for scheme in Scheme::ALL {
-        let exit =
-            hwst128::run_scheme(&module, scheme, 10_000_000).expect("program is well-behaved");
+        let exit = hwst128::run_scheme(&module, CompileOptions::new(scheme), 10_000_000)
+            .expect("program is well-behaved");
         let cycles = exit.stats.total_cycles();
         if scheme == Scheme::None {
             baseline = cycles;
@@ -68,11 +68,11 @@ fn main() {
     let buggy = mb.finish();
 
     println!();
-    match hwst128::run_scheme(&buggy, Scheme::Hwst128Tchk, 10_000_000) {
+    match hwst128::run_scheme(&buggy, CompileOptions::new(Scheme::Hwst128Tchk), 10_000_000) {
         Err(e) => println!("HWST128 caught the bug: {e}"),
         Ok(_) => unreachable!("the bounded store must trap"),
     }
-    match hwst128::run_scheme(&buggy, Scheme::None, 10_000_000) {
+    match hwst128::run_scheme(&buggy, CompileOptions::new(Scheme::None), 10_000_000) {
         Ok(_) => println!("...which the unprotected core silently corrupts"),
         Err(e) => unreachable!("baseline must not trap: {e}"),
     }

@@ -4,7 +4,7 @@
 //! mutation suite must be killed completely.
 
 use hwst_compiler::binval;
-use hwst_compiler::Scheme;
+use hwst_compiler::{CompileOptions, Scheme};
 use hwst_workloads::{all, Scale};
 
 const SCHEMES: [Scheme; 4] = [
@@ -19,8 +19,9 @@ fn all_workloads_validate_cleanly_under_every_scheme() {
     for wl in all() {
         let module = wl.module(Scale::Test);
         for scheme in SCHEMES {
-            let report = binval::validate_module(&module, scheme)
-                .unwrap_or_else(|e| panic!("{} ({scheme:?}): {e}", wl.name));
+            let report = binval::translation_validate(&module, CompileOptions::new(scheme))
+                .unwrap_or_else(|e| panic!("{} ({scheme:?}): {e}", wl.name))
+                .report;
             let lowering: Vec<_> = report
                 .findings
                 .iter()
@@ -42,13 +43,15 @@ fn translation_validation_never_diverges() {
     for wl in all() {
         let module = wl.module(Scale::Test);
         for scheme in SCHEMES {
-            for rce in [false, true] {
-                let tv = binval::translation_validate_with(&module, scheme, rce)
+            let plain = CompileOptions::new(scheme);
+            for opts in [plain, plain.with_rce(), plain.with_rce().with_bounds()] {
+                let (rce, bounds) = (opts.rce, opts.bounds);
+                let tv = binval::translation_validate(&module, opts)
                     .unwrap_or_else(|e| panic!("{} ({scheme:?}): {e}", wl.name));
                 assert!(
                     !tv.diverged(),
-                    "{} ({scheme:?}, rce={rce}): IR verdict {} vs binary verdict {}; \
-                     ir_error={:?}, first finding: {:?}",
+                    "{} ({scheme:?}, rce={rce}, bounds={bounds}): IR verdict {} vs binary \
+                     verdict {}; ir_error={:?}, first finding: {:?}",
                     wl.name,
                     tv.ir_ok,
                     tv.report.ok(),
@@ -57,7 +60,7 @@ fn translation_validation_never_diverges() {
                 );
                 assert!(
                     tv.ok(),
-                    "{} ({scheme:?}, rce={rce}) failed both levels",
+                    "{} ({scheme:?}, rce={rce}, bounds={bounds}) failed both levels",
                     wl.name
                 );
             }
@@ -106,8 +109,9 @@ fn binval_discharges_checks_beyond_rce() {
     let mut discharged = 0usize;
     for wl in all() {
         let module = wl.module(Scale::Test);
-        let tv = binval::translation_validate_with(&module, Scheme::Hwst128, true)
-            .unwrap_or_else(|e| panic!("{}: {e}", wl.name));
+        let tv =
+            binval::translation_validate(&module, CompileOptions::new(Scheme::Hwst128).with_rce())
+                .unwrap_or_else(|e| panic!("{}: {e}", wl.name));
         discharged += tv.report.discharged();
     }
     assert!(

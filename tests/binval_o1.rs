@@ -4,7 +4,7 @@
 //! mutation suite must be killed completely.
 
 use hwst_compiler::binval;
-use hwst_compiler::{OptLevel, Scheme};
+use hwst_compiler::{CompileOptions, OptLevel, Scheme};
 use hwst_workloads::{all, Scale, Workload};
 
 const SCHEMES: [Scheme; 4] = [
@@ -21,19 +21,27 @@ fn o1_images_validate_cleanly_under_every_scheme() {
     for wl in all() {
         let module = wl.module(Scale::Test);
         for scheme in SCHEMES {
-            let tv = binval::translation_validate_opt(&module, scheme, OptLevel::O1)
-                .unwrap_or_else(|e| panic!("{} ({scheme:?}): {e}", wl.name));
-            assert!(
-                !tv.diverged(),
-                "{} ({scheme:?}, -O1): IR verdict {} vs binary verdict {}; \
-                 ir_error={:?}, first finding: {:?}",
-                wl.name,
-                tv.ir_ok,
-                tv.report.ok(),
-                tv.ir_error,
-                tv.report.findings.first().map(|f| f.to_string()),
-            );
-            assert!(tv.ok(), "{} ({scheme:?}, -O1) failed both levels", wl.name);
+            let plain = CompileOptions::new(scheme).with_opt(OptLevel::O1);
+            for opts in [plain, plain.with_rce().with_bounds()] {
+                let bounds = opts.bounds;
+                let tv = binval::translation_validate(&module, opts)
+                    .unwrap_or_else(|e| panic!("{} ({scheme:?}): {e}", wl.name));
+                assert!(
+                    !tv.diverged(),
+                    "{} ({scheme:?}, -O1, rce+bounds={bounds}): IR verdict {} vs binary \
+                     verdict {}; ir_error={:?}, first finding: {:?}",
+                    wl.name,
+                    tv.ir_ok,
+                    tv.report.ok(),
+                    tv.ir_error,
+                    tv.report.findings.first().map(|f| f.to_string()),
+                );
+                assert!(
+                    tv.ok(),
+                    "{} ({scheme:?}, -O1, rce+bounds={bounds}) failed both levels",
+                    wl.name
+                );
+            }
         }
     }
 }

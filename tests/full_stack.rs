@@ -13,7 +13,7 @@ fn representative_workloads_agree_and_order_correctly() {
         let mut cycles = Vec::new();
         let mut codes = Vec::new();
         for scheme in Scheme::ALL {
-            let exit = run_scheme(&module, scheme, wl.fuel(Scale::Test))
+            let exit = run_scheme(&module, CompileOptions::new(scheme), wl.fuel(Scale::Test))
                 .unwrap_or_else(|e| panic!("{name}/{scheme}: {e}"));
             cycles.push(exit.stats.total_cycles());
             codes.push(exit.code);
@@ -134,8 +134,18 @@ fn deterministic_replay() {
     // is deterministic; figure regeneration depends on it).
     let wl = Workload::by_name("FFT").unwrap();
     let module = wl.module(Scale::Test);
-    let a = run_scheme(&module, Scheme::Hwst128Tchk, wl.fuel(Scale::Test)).unwrap();
-    let b = run_scheme(&module, Scheme::Hwst128Tchk, wl.fuel(Scale::Test)).unwrap();
+    let a = run_scheme(
+        &module,
+        CompileOptions::new(Scheme::Hwst128Tchk),
+        wl.fuel(Scale::Test),
+    )
+    .unwrap();
+    let b = run_scheme(
+        &module,
+        CompileOptions::new(Scheme::Hwst128Tchk),
+        wl.fuel(Scale::Test),
+    )
+    .unwrap();
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.output, b.output);
 }

@@ -14,7 +14,7 @@
 use hwst128::compiler::{CompileOptions, OptLevel, Scheme};
 use hwst128::config_for;
 use hwst128::exec::{run_fast, BlockCache};
-use hwst128::juliet::{execute_detects_opts, sample_reachable};
+use hwst128::juliet::{execute_detects, sample_reachable};
 use hwst128::sim::{Machine, Trap};
 use hwst128::workloads::{Scale, Workload};
 
@@ -84,8 +84,8 @@ fn assert_tiers_agree(wl: &Workload, scheme: Scheme) {
 /// scheme.
 fn assert_juliet_agrees(case: &hwst128::juliet::Case) {
     for scheme in SCHEMES {
-        let o0 = execute_detects_opts(case, CompileOptions::new(scheme));
-        let o1 = execute_detects_opts(case, CompileOptions::new(scheme).with_opt(OptLevel::O1));
+        let o0 = execute_detects(case, CompileOptions::new(scheme));
+        let o1 = execute_detects(case, CompileOptions::new(scheme).with_opt(OptLevel::O1));
         assert_eq!(
             o0,
             o1,

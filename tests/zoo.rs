@@ -4,7 +4,7 @@
 //! re-emission) must be schema-valid, self-consistent and carry a
 //! monotone coverage × overhead frontier.
 
-use hwst128::compiler::Scheme;
+use hwst128::compiler::{CompileOptions, Scheme};
 use hwst128::workloads::{all, Scale};
 use hwst_harness::Json;
 use hwst_zoo::Design;
@@ -16,10 +16,10 @@ fn zoo_schemes_preserve_exit_status_on_all_workloads() {
     for wl in all() {
         let module = wl.module(Scale::Test);
         let fuel = wl.fuel(Scale::Test);
-        let base = hwst128::run_scheme(&module, Scheme::None, fuel)
+        let base = hwst128::run_scheme(&module, CompileOptions::new(Scheme::None), fuel)
             .unwrap_or_else(|e| panic!("{} (baseline): {e}", wl.name));
         for scheme in Scheme::ZOO {
-            let got = hwst128::run_scheme(&module, scheme, fuel)
+            let got = hwst128::run_scheme(&module, CompileOptions::new(scheme), fuel)
                 .unwrap_or_else(|e| panic!("{} ({scheme}): {e}", wl.name));
             assert_eq!(
                 got.code, base.code,
