@@ -1,14 +1,14 @@
 //! The experiments `hwst-bench` dispatches to. Each prints its table to
-//! stdout and returns its JSON document, if it has one, and whether its
-//! gates passed; the driver owns flags, timing, `--json` and the exit
-//! code. Worker counts and wall times go to stderr (printed by the
-//! driver), so stdout is byte-identical for any `--jobs N` wherever the
-//! table itself is deterministic.
+//! stdout and returns its `sim` payload (and X1 its `host` payload), its
+//! failed jobs and whether its gates passed; the driver owns flags,
+//! timing, the artifact envelope and the exit code. Worker counts and
+//! wall times go to stderr (printed by the driver), so stdout is
+//! byte-identical for any `--jobs N` wherever the table itself is
+//! deterministic.
 
 use crate::{Ctx, Outcome};
 use hwst128::compiler::{
-    binval, compile, compile_with_options, ir::Module, lint, opt::optimize, CompileOptions,
-    OptLevel, Scheme,
+    binval, compile, compile_with_options, ir::Module, lint, CompileOptions, OptLevel, Scheme,
 };
 use hwst128::config_for;
 use hwst128::exec::{run_fast, BlockCache};
@@ -30,17 +30,17 @@ use hwst_bench::runs::{
     BINVAL_MASTER_SEED,
 };
 use hwst_bench::summary::{
-    binval_summary, boundscheck_summary, exec_summary, fig4_o1_summary, fig4_summary, fig5_summary,
-    fig6_summary, profile_summary, resilience_summary, zoo_summary, SCHEMA_VERSION,
+    binval_sim, boundscheck_sim, exec_payloads, fig4_o1_sim, fig4_sim, fig5_sim, fig6_sim,
+    overhead_triple, profile_sim, resilience_sim, zoo_sim,
 };
 use hwst_bench::{
     fig4_geomean, fig4_o1_geomean, fig4_o1_geomean_speedup, fig5_geomean,
     resilience_guarantee_violations, Fig4Row, ResilienceConfig,
 };
-use hwst_harness::{collect_ok, run, FailedJob, Job, Json};
+use hwst_harness::{run, FailedJob, Job, Json};
 use hwst_zoo::{
-    design_points, frontier_flags, measured_geomeans, model_geomeans, zoo_coverage_results,
-    zoo_inject_results, zoo_row_results, zoo_violations, Design, ZooConfig, ZooReport,
+    design_points, frontier_flags, model_geomeans, zoo_coverage_results, zoo_inject_results,
+    zoo_row_results, zoo_violations, Design, ZooConfig, ZooReport,
 };
 
 /// A percentage column.
@@ -79,7 +79,7 @@ pub fn fig4(cx: &mut Ctx) -> Result<Outcome, String> {
         "workload", "suite", "base cycles", "SBCETS", "HWST128", "_tchk"
     );
     let results = fig4_results(scale, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = collect_ok(results.clone());
+    let (rows, failed) = cx.settle(results);
     for r in &rows {
         println!(
             "{:<12} {:<8} {:>12} {} {} {}",
@@ -92,12 +92,14 @@ pub fn fig4(cx: &mut Ctx) -> Result<Outcome, String> {
         );
     }
     print_failed(&failed);
-    for suite in [Suite::MiBench, Suite::Olden, Suite::Spec] {
-        let sub: Vec<Fig4Row> = rows.iter().filter(|r| r.suite == suite).cloned().collect();
-        if sub.is_empty() {
-            continue;
-        }
-        let g = fig4_geomean(&sub);
+    let suites: Vec<(Suite, [f64; 3])> = [Suite::MiBench, Suite::Olden, Suite::Spec]
+        .into_iter()
+        .filter_map(|suite| {
+            let sub: Vec<Fig4Row> = rows.iter().filter(|r| r.suite == suite).cloned().collect();
+            (!sub.is_empty()).then(|| (suite, fig4_geomean(&sub)))
+        })
+        .collect();
+    for (suite, g) in &suites {
         println!(
             "{:<12} {:<8} {:>12} {} {} {}",
             "(geomean)",
@@ -119,11 +121,7 @@ pub fn fig4(cx: &mut Ctx) -> Result<Outcome, String> {
         pct(g[2])
     );
     println!("paper      : SBCETS 441.4%  HWST128 152.9%  HWST128_tchk 94.9%");
-    let doc = fig4_summary(scale, cx.pool.workers, &results, cx.elapsed(), &failed);
-    Ok(Outcome {
-        doc: Some(doc),
-        passed: failed.is_empty(),
-    })
+    Ok(Outcome::new(fig4_sim(&rows, &suites, &g), failed))
 }
 
 /// Fig. 5: speedup over SoftBoundCETS (Eq. 8) for BOGO, WatchdogLite
@@ -136,7 +134,7 @@ pub fn fig5(cx: &mut Ctx) -> Result<Outcome, String> {
         "workload", "BOGO", "WDL(narrow)", "WDL(wide)", "HWST128"
     );
     let results = fig5_results(scale, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = collect_ok(results.clone());
+    let (rows, failed) = cx.settle(results);
     for r in &rows {
         println!(
             "{:<10} {:>6.2}x {:>11.2}x {:>9.2}x {:>8.2}x",
@@ -150,11 +148,7 @@ pub fn fig5(cx: &mut Ctx) -> Result<Outcome, String> {
         "Geo. mean", g[0], g[1], g[2], g[3]
     );
     println!("paper     :  1.31x        1.58x      1.64x     3.74x");
-    let doc = fig5_summary(scale, cx.pool.workers, &results, cx.elapsed(), &failed);
-    Ok(Outcome {
-        doc: Some(doc),
-        passed: failed.is_empty(),
-    })
+    Ok(Outcome::new(fig5_sim(&rows, &g), failed))
 }
 
 /// Fig. 6: NIST-Juliet-style security coverage of GCC, ASAN, SBCETS and
@@ -163,12 +157,10 @@ pub fn fig5(cx: &mut Ctx) -> Result<Outcome, String> {
 /// the pool; `--model` prints the instant modelled report instead.
 pub fn fig6(cx: &mut Ctx) -> Result<Outcome, String> {
     if cx.args.model {
+        let report = model_coverage();
         println!("Fig. 6 — security coverage (modelled)");
-        println!("{}", model_coverage());
-        return Ok(Outcome {
-            doc: None,
-            passed: true,
-        });
+        println!("{report}");
+        return Ok(Outcome::new(fig6_sim(&report), Vec::new()));
     }
     let stride = cx.args.stride.unwrap_or(1);
     println!("Fig. 6 — security coverage (SBCETS/HWST128 measured, stride {stride})");
@@ -177,11 +169,10 @@ pub fn fig6(cx: &mut Ctx) -> Result<Outcome, String> {
     print_failed(&failed);
     println!();
     println!("paper: GCC 11.20%  ASAN 58.08%  SBCETS 64.49%  HWST128 63.63%");
-    let doc = fig6_summary(stride, cx.pool.workers, &report, cx.elapsed(), &failed);
-    Ok(Outcome {
-        doc: Some(doc),
-        passed: failed.is_empty(),
-    })
+    Ok(Outcome::new(
+        fig6_sim(&report).set("stride", stride),
+        failed,
+    ))
 }
 
 /// §5.3: the hardware-cost table (LUTs, FFs, critical path) for the
@@ -194,14 +185,29 @@ pub fn hwcost(cx: &mut Ctx) -> Result<Outcome, String> {
             .map_err(|_| format!("`{raw}` is not a keybuffer entry count"))?,
         _ => return Err("takes at most one keybuffer entry count".to_string()),
     };
+    let report = hwst128_report(entries);
     println!("§5.3 — hardware cost (keybuffer entries: {entries})");
-    println!("{}", hwst128_report(entries));
+    println!("{report}");
     println!();
     println!("paper: +1536 LUTs (+4.11%), +112 FFs (+0.66%), 5.26 ns -> 6.45 ns");
-    Ok(Outcome {
-        doc: None,
-        passed: true,
-    })
+    let cost = |luts: u32, ffs: u32| Json::obj().set("luts", luts).set("ffs", ffs);
+    let modules = report.modules.iter().map(|m| {
+        Json::obj()
+            .set("name", m.name)
+            .set("luts", m.cost.luts)
+            .set("ffs", m.cost.ffs)
+    });
+    let added = report.delta();
+    let sim = Json::obj()
+        .set("keybuffer_entries", entries)
+        .set("modules", Json::Arr(modules.collect()))
+        .set("added", cost(added.luts, added.ffs))
+        .set("baseline", cost(report.baseline.luts, report.baseline.ffs))
+        .set("lut_overhead_pct", report.lut_overhead_pct())
+        .set("ff_overhead_pct", report.ff_overhead_pct())
+        .set("critical_path_base_ns", report.critical_path_base_ns)
+        .set("critical_path_ns", report.critical_path_ns);
+    Ok(Outcome::new(sim, Vec::new()))
 }
 
 /// A1: keybuffer size sweep on the temporal-heavy workloads (paper
@@ -218,6 +224,7 @@ pub fn ablation_keybuffer(cx: &mut Ctx) -> Result<Outcome, String> {
     println!();
     let scale = cx.scale();
     let (rows, failed) = keybuffer_results(&names, &sizes, scale, &cx.pool, cx.sink.as_mut());
+    let mut sim_rows = Vec::new();
     for row in &rows {
         print!("{:<10}", row.name);
         let base = row.cycles[0];
@@ -225,13 +232,20 @@ pub fn ablation_keybuffer(cx: &mut Ctx) -> Result<Outcome, String> {
             print!("{:>11.3}x", base as f64 / c as f64);
         }
         println!();
+        let cycles = row.cycles.iter().map(|&c| Json::from(c));
+        sim_rows.push(
+            Json::obj()
+                .set("name", row.name.as_str())
+                .set("cycles", Json::Arr(cycles.collect())),
+        );
     }
     print_failed(&failed);
     println!("(values are speedup over the no-keybuffer configuration)");
-    Ok(Outcome {
-        doc: None,
-        passed: failed.is_empty(),
-    })
+    let sizes = sizes.iter().map(|&s| Json::from(s));
+    let sim = Json::obj()
+        .set("keybuffer_entries", Json::Arr(sizes.collect()))
+        .set("rows", Json::Arr(sim_rows));
+    Ok(Outcome::new(sim, failed))
 }
 
 /// A2: compression field-width sweep (paper §3.3 — "the range bit
@@ -245,6 +259,7 @@ pub fn ablation_compression(_cx: &mut Ctx) -> Result<Outcome, String> {
     );
     // The paper's SPEC runs need objects just under 2^28 bytes.
     let spec_object: u64 = (1 << 28) - 8;
+    let mut range = Vec::new();
     for range_bits in [20u8, 22, 24, 25, 26, 28, 29] {
         let cfg = CompressionConfig::new(35, range_bits, 20, 64 - 20)
             .map_err(|e| format!("range sweep: {e}"))?;
@@ -256,15 +271,27 @@ pub fn ablation_compression(_cx: &mut Ctx) -> Result<Outcome, String> {
             cfg.max_range(),
             if fits { "yes" } else { "NO (SPEC would trap)" }
         );
+        range.push(
+            Json::obj()
+                .set("bits", u32::from(range_bits))
+                .set("max_object", cfg.max_range())
+                .set("spec_object_fits", fits),
+        );
     }
 
     println!();
     println!("A2 — lock-width sweep: live allocations supported");
     println!("{:>6} {:>18}", "bits", "lock entries");
+    let mut lock = Vec::new();
     for lock_bits in [12u8, 16, 18, 20, 22] {
         let cfg = CompressionConfig::new(35, 29, lock_bits, 64 - lock_bits)
             .map_err(|e| format!("lock sweep: {e}"))?;
         println!("{:>6} {:>18}", lock_bits, cfg.lock_entries());
+        lock.push(
+            Json::obj()
+                .set("bits", u32::from(lock_bits))
+                .set("lock_entries", cfg.lock_entries()),
+        );
     }
 
     println!();
@@ -277,11 +304,21 @@ pub fn ablation_compression(_cx: &mut Ctx) -> Result<Outcome, String> {
         lock: 0x4000_0000 + 8 * 1234,
     };
     let c = codec.compress(md).map_err(|e| format!("round trip: {e}"))?;
-    println!("  {md}  ->  {c}  ->  {}", codec.decompress(c));
-    Ok(Outcome {
-        doc: None,
-        passed: true,
-    })
+    let back = codec.decompress(c);
+    println!("  {md}  ->  {c}  ->  {back}");
+    let sim = Json::obj()
+        .set("spec_object_bytes", spec_object)
+        .set("range", Json::Arr(range))
+        .set("lock", Json::Arr(lock))
+        .set(
+            "round_trip",
+            Json::Arr(vec![
+                md.to_string().into(),
+                c.to_string().into(),
+                back.to_string().into(),
+            ]),
+        );
+    Ok(Outcome::new(sim, Vec::new()))
 }
 
 /// HWST128_tchk cycles of `wl` at Test scale with the shadow kept in
@@ -357,23 +394,33 @@ pub fn ablation_shadow(_cx: &mut Ctx) -> Result<Outcome, String> {
         "{:<12} {:>12} {:>12} {:>9}",
         "workload", "linear", "trie", "slowdown"
     );
+    let mut rows = Vec::new();
     for name in ["treeadd", "em3d", "bzip2"] {
         let wl = workload(name)?;
         let lin = cycles_with_layout(&wl, ShadowLayout::Linear)?;
-        let trie = cycles_with_layout(&wl, ShadowLayout::Trie)?;
+        let trie_cycles = cycles_with_layout(&wl, ShadowLayout::Trie)?;
         println!(
             "{:<12} {:>12} {:>12} {:>8.2}x",
             name,
             lin,
-            trie,
-            trie as f64 / lin as f64
+            trie_cycles,
+            trie_cycles as f64 / lin as f64
+        );
+        rows.push(
+            Json::obj()
+                .set("name", name)
+                .set("linear_cycles", lin)
+                .set("trie_cycles", trie_cycles),
         );
     }
     println!("-> the paper's choice of the linear map buys this back for free.");
-    Ok(Outcome {
-        doc: None,
-        passed: true,
-    })
+    let sim = Json::obj()
+        .set("containers", containers.len())
+        .set("trie_lookup_mem_ops", ShadowTrie::LOOKUP_MEM_OPS)
+        .set("trie_leaf_tables", trie.leaf_tables())
+        .set("linear_span_bytes", hi - lo)
+        .set("rows", Json::Arr(rows));
+    Ok(Outcome::new(sim, Vec::new()))
 }
 
 /// Eq. 7 overhead of `scheme` on `wl` (Test scale) with the D-cache
@@ -456,7 +503,8 @@ pub fn ablation_dcache(cx: &mut Ctx) -> Result<Outcome, String> {
             })
         })
         .collect();
-    let (rows, failed) = collect_ok(run(jobs, &cx.pool, cx.sink.as_mut()));
+    let results = run(jobs, &cx.pool, cx.sink.as_mut());
+    let (rows, failed) = cx.settle(results);
     for (label, o) in &rows {
         println!("{:<26} {:>8.1}% {:>8.1}% {:>8.1}%", label, o[0], o[1], o[2]);
     }
@@ -467,10 +515,15 @@ pub fn ablation_dcache(cx: &mut Ctx) -> Result<Outcome, String> {
     println!("   traffic is dominated by *instruction count*, not misses,");
     println!("   which is exactly why the paper attacks it with compression");
     println!("   and the keybuffer rather than with a bigger cache.");
-    Ok(Outcome {
-        doc: None,
-        passed: failed.is_empty(),
-    })
+    let rows = rows.iter().map(|(label, o)| {
+        Json::obj()
+            .set("dcache", *label)
+            .set("overhead_pct", overhead_triple(o))
+    });
+    let sim = Json::obj()
+        .set("workload", wl.name)
+        .set("rows", Json::Arr(rows.collect()));
+    Ok(Outcome::new(sim, failed))
 }
 
 /// A6 (paper lineage): SHORE vs HWST128 — the cost of adding
@@ -481,6 +534,7 @@ pub fn ablation_shore(_cx: &mut Ctx) -> Result<Outcome, String> {
         "{:<11} {:>9} {:>13} {:>14}",
         "workload", "SHORE", "HWST128_tchk", "temporal cost"
     );
+    let mut rows = Vec::new();
     for name in ["sha", "susan", "treeadd", "health", "bzip2", "hmmer"] {
         let wl = workload(name)?;
         let module = wl.module(Scale::Test);
@@ -501,15 +555,19 @@ pub fn ablation_shore(_cx: &mut Ctx) -> Result<Outcome, String> {
             full,
             full - shore
         );
+        rows.push(
+            Json::obj()
+                .set("name", name)
+                .set("shore_pct", shore)
+                .set("hwst128_tchk_pct", full),
+        );
     }
     println!();
     println!("-> with tchk + keybuffer, complete (spatial+temporal) safety");
     println!("   costs only a few overhead points more than SHORE's");
     println!("   spatial-only protection — the paper's core pitch.");
-    Ok(Outcome {
-        doc: None,
-        passed: true,
-    })
+    let sim = Json::obj().set("rows", Json::Arr(rows));
+    Ok(Outcome::new(sim, Vec::new()))
 }
 
 /// Nonzero shadow bytes for heap/global containers after running `wl`
@@ -542,6 +600,7 @@ pub fn ablation_footprint(_cx: &mut Ctx) -> Result<Outcome, String> {
         "workload", "SBCETS (256b)", "HWST128 (128b)", "ratio"
     );
     let mut ratios = Vec::new();
+    let mut rows = Vec::new();
     for name in ["treeadd", "em3d", "health", "tsp", "mst", "perimeter"] {
         let wl = workload(name)?;
         let sb = container_shadow_bytes(&wl, Scheme::Sbcets)?;
@@ -549,6 +608,12 @@ pub fn ablation_footprint(_cx: &mut Ctx) -> Result<Outcome, String> {
         let ratio = sb as f64 / hw as f64;
         ratios.push(ratio);
         println!("{name:<11} {sb:>14} B {hw:>16} B {ratio:>7.2}x");
+        rows.push(
+            Json::obj()
+                .set("name", name)
+                .set("sbcets_bytes", sb)
+                .set("hwst128_bytes", hw),
+        );
     }
     let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
     println!();
@@ -560,10 +625,10 @@ record"
     println!("ratio is lower because uncompressed records carry many zero");
     println!("bytes (high address bytes, small keys) that the counter skips —");
     println!("the denser compressed encoding is precisely the paper's point.");
-    Ok(Outcome {
-        doc: None,
-        passed: true,
-    })
+    let sim = Json::obj()
+        .set("rows", Json::Arr(rows))
+        .set("mean_ratio", mean);
+    Ok(Outcome::new(sim, Vec::new()))
 }
 
 /// Static code size (extension): the instrumentation bloat factor per
@@ -589,15 +654,19 @@ pub fn codesize(cx: &mut Ctx) -> Result<Outcome, String> {
     }
     println!();
     let mut totals = vec![0usize; schemes.len()];
+    let mut rows = Vec::new();
     for name in ["sha", "dijkstra", "treeadd", "health", "bzip2"] {
         let module = workload(name)?.module(Scale::Test);
         print!("{name:<11}");
+        let mut insts = Json::obj();
         for (i, &s) in schemes.iter().enumerate() {
             let prog = compile(&module, s).map_err(|e| format!("{name}: {e}"))?;
             print!(" {:>12}", prog.len());
             totals[i] += prog.len();
+            insts = insts.set(s.label(), prog.len());
         }
         println!();
+        rows.push(Json::obj().set("name", name).set("insts", insts));
     }
     print!("{:<11}", "TOTAL");
     for t in &totals {
@@ -627,61 +696,12 @@ pub fn codesize(cx: &mut Ctx) -> Result<Outcome, String> {
     println!("   bndr/sbd pairs replace SBCETS's runtime calls. The no-tchk");
     println!("   variant is the largest — it pays for hardware metadata AND");
     println!("   software temporal checks, exactly why the paper adds tchk.");
-    Ok(Outcome {
-        doc: None,
-        passed: true,
-    })
-}
-
-/// Baseline cycles, then the SBCETS, HWST128 and HWST128_tchk Eq. 7
-/// overheads of `module` in Fig. 4 order.
-fn fig4_overheads(module: &Module, fuel: u64) -> Result<[f64; 4], String> {
-    let mut cycles = [0f64; 4];
-    for (i, &scheme) in Scheme::ALL.iter().enumerate() {
-        cycles[i] = run_scheme(module, CompileOptions::new(scheme), fuel)
-            .map_err(|e| format!("{scheme}: {e}"))?
-            .stats
-            .total_cycles() as f64;
+    let mut total = Json::obj();
+    for (s, t) in schemes.iter().zip(totals) {
+        total = total.set(s.label(), t);
     }
-    Ok([
-        cycles[0],
-        (cycles[1] / cycles[0] - 1.0) * 100.0,
-        (cycles[2] / cycles[0] - 1.0) * 100.0,
-        (cycles[3] / cycles[0] - 1.0) * 100.0,
-    ])
-}
-
-/// A5 (extension): what the paper's `-O0` choice means. Reruns
-/// representative workloads with a light IR optimizer (constant
-/// folding + copy propagation + DCE) applied *before* instrumentation
-/// and compares the Eq. 7 overheads.
-pub fn ablation_optimizer(_cx: &mut Ctx) -> Result<Outcome, String> {
-    println!("A5 — optimizer ablation (Eq. 7 overhead, -O0 vs optimized)");
-    println!(
-        "{:<11} {:<6} {:>11} {:>9} {:>9} {:>9}",
-        "workload", "mode", "base cyc", "SBCETS", "HWST128", "_tchk"
-    );
-    for name in ["sha", "dijkstra", "treeadd", "bzip2"] {
-        let wl = workload(name)?;
-        let fuel = wl.fuel(Scale::Test);
-        let tag = |e: String| format!("{name}: {e}");
-        let plain = fig4_overheads(&wl.module(Scale::Test), fuel).map_err(tag)?;
-        let opt = fig4_overheads(&optimize(wl.module(Scale::Test)), fuel).map_err(tag)?;
-        for (mode, o) in [("-O0", plain), ("opt", opt)] {
-            println!(
-                "{:<11} {:<6} {:>11.0} {:>8.1}% {:>8.1}% {:>8.1}%",
-                name, mode, o[0], o[1], o[2], o[3]
-            );
-        }
-    }
-    println!();
-    println!("-> optimization shrinks the baseline more than the checks, so");
-    println!("   relative overheads rise; the *ordering* between schemes is");
-    println!("   unchanged — the paper's conclusions do not hinge on -O0.");
-    Ok(Outcome {
-        doc: None,
-        passed: true,
-    })
+    let sim = Json::obj().set("rows", Json::Arr(rows)).set("total", total);
+    Ok(Outcome::new(sim, Vec::new()))
 }
 
 /// A9 and the binary-level translation-validation gate: every workload
@@ -709,7 +729,7 @@ pub fn binval(cx: &mut Ctx) -> Result<Outcome, String> {
         BINVAL_MASTER_SEED
     );
     let results = binval_results(scale, seeds_per_scheme, opt, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = collect_ok(results.clone());
+    let (rows, failed) = cx.settle(results);
     println!(
         "{:<10} {:<12} {:>7} {:>6} {:>9} {:>9} {:>7}",
         "workload", "scheme", "checked", "rce-", "inbounds", "redundant", "mutants"
@@ -736,19 +756,10 @@ pub fn binval(cx: &mut Ctx) -> Result<Outcome, String> {
         "mutation: {mutants} mutant(s), all killed: {}",
         failed.is_empty()
     );
-    let doc = binval_summary(
-        scale,
-        cx.pool.workers,
-        seeds_per_scheme,
-        opt,
-        &results,
-        cx.elapsed(),
-        &failed,
-    );
-    Ok(Outcome {
-        doc: Some(doc),
-        passed: failed.is_empty(),
-    })
+    Ok(Outcome::new(
+        binval_sim(seeds_per_scheme, opt, &rows),
+        failed,
+    ))
 }
 
 /// The IR-level static safety linter over the workload modules (all of
@@ -794,15 +805,10 @@ pub fn lint(cx: &mut Ctx) -> Result<Outcome, String> {
         );
     }
     println!("{total} diagnostic(s) across {} workload(s)", targets.len());
-    let doc = Json::obj()
-        .set("schema", "hwst-bench/lint")
-        .set("version", SCHEMA_VERSION)
-        .set("scale", format!("{scale:?}"))
-        .set("total", total)
-        .set("rows", Json::Arr(rows));
+    let sim = Json::obj().set("total", total).set("rows", Json::Arr(rows));
     Ok(Outcome {
-        doc: Some(doc),
         passed: total == 0,
+        ..Outcome::new(sim, Vec::new())
     })
 }
 
@@ -868,19 +874,10 @@ pub fn resilience(cx: &mut Ctx) -> Result<Outcome, String> {
             r.workloads.silent
         );
     }
-    let passed = bad.is_empty() && failed.is_empty();
-    let doc = resilience_summary(
-        &rc,
-        scale,
-        cx.pool.workers,
-        &rows,
-        cx.elapsed(),
-        &failed,
-        passed,
-    );
+    let guarantee = bad.is_empty() && failed.is_empty();
     Ok(Outcome {
-        doc: Some(doc),
-        passed,
+        passed: guarantee,
+        ..Outcome::new(resilience_sim(&rc, &rows, guarantee), failed)
     })
 }
 
@@ -1010,7 +1007,7 @@ pub fn ablation_boundscheck(cx: &mut Ctx) -> Result<Outcome, String> {
         })
         .collect();
     let results = run(jobs, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = collect_ok(results.clone());
+    let (rows, failed) = cx.settle(results);
 
     let mut improved = 0usize;
     for row in &rows {
@@ -1062,18 +1059,10 @@ pub fn ablation_boundscheck(cx: &mut Ctx) -> Result<Outcome, String> {
          validator;\n   Juliet sample: {juliet_detected} detections with RCE, \
          {juliet_lost} lost with bounds on."
     );
-    let doc = boundscheck_summary(
-        scale,
-        cx.pool.workers,
-        &results,
-        cx.elapsed(),
-        &failed,
-        improved,
-        (juliet_detected, juliet_lost),
-    );
+    let sim = boundscheck_sim(&rows, improved, (juliet_detected, juliet_lost));
     Ok(Outcome {
-        doc: Some(doc),
-        passed: failed.is_empty() && juliet_lost == 0,
+        passed: juliet_lost == 0,
+        ..Outcome::new(sim, failed)
     })
 }
 
@@ -1102,7 +1091,7 @@ pub fn profile(cx: &mut Ctx) -> Result<Outcome, String> {
         names.len()
     );
     let results = profile_results(&names, scale, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = collect_ok(results.clone());
+    let (rows, failed) = cx.settle(results);
     println!(
         "{:<10} {:>12} {:>9} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}  hottest",
         "workload", "cycles", "overhead", "base%", "check%", "shad%", "keyb%", "runt%", "attr%",
@@ -1128,7 +1117,7 @@ pub fn profile(cx: &mut Ctx) -> Result<Outcome, String> {
     let mean = profile_mean_fractions(&rows);
     let mean_str: Vec<String> = Breakdown::CATEGORIES
         .iter()
-        .zip(mean)
+        .zip(&mean)
         .map(|(cat, f)| format!("{cat} {:.1}%", f * 100.0))
         .collect();
     println!("mean fraction: {}", mean_str.join(", "));
@@ -1146,11 +1135,7 @@ pub fn profile(cx: &mut Ctx) -> Result<Outcome, String> {
         }
         println!("wrote {path}");
     }
-    let doc = profile_summary(scale, cx.pool.workers, &results, cx.elapsed(), &failed);
-    Ok(Outcome {
-        doc: Some(doc),
-        passed: failed.is_empty(),
-    })
+    Ok(Outcome::new(profile_sim(&rows, &mean), failed))
 }
 
 /// X1: decoded-block fast-engine speedup. Every workload (or the
@@ -1171,7 +1156,7 @@ pub fn exec(cx: &mut Ctx) -> Result<Outcome, String> {
         names.len(),
     );
     let results = exec_results(&names, scale, opt, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = collect_ok(results.clone());
+    let (rows, failed) = cx.settle(results);
     println!(
         "{:<10} {:<8} {:>12} {:>7} {:>11} {:>11} {:>8}",
         "workload", "suite", "instret", "blocks", "cycle Mips", "fast Mips", "speedup"
@@ -1191,10 +1176,10 @@ pub fn exec(cx: &mut Ctx) -> Result<Outcome, String> {
     print_failed(&failed);
     let g = exec_geomean(&rows);
     println!("geomean speedup: {g:.1}x (target >= 10x)");
-    let doc = exec_summary(scale, cx.pool.workers, opt, &results, cx.elapsed(), &failed);
+    let (sim, host) = exec_payloads(opt, &rows, g);
     Ok(Outcome {
-        doc: Some(doc),
-        passed: failed.is_empty(),
+        host,
+        ..Outcome::new(sim, failed)
     })
 }
 
@@ -1215,7 +1200,7 @@ pub fn fig4_o1(cx: &mut Ctx) -> Result<Outcome, String> {
         "workload", "suite", "O0 cycles", "O1 cycles", "speedup", "O1 SBC", "O1 H128", "O1 _tchk"
     );
     let results = fig4_o1_results(&names, scale, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = collect_ok(results.clone());
+    let (rows, failed) = cx.settle(results);
     for r in &rows {
         println!(
             "{:<12} {:<8} {:>12} {:>12} {:>7.2}x {} {} {}",
@@ -1263,11 +1248,7 @@ pub fn fig4_o1(cx: &mut Ctx) -> Result<Outcome, String> {
         "baseline speedup target 1.30x: {}",
         if speedup >= 1.3 { "met" } else { "NOT met" }
     );
-    let doc = fig4_o1_summary(scale, cx.pool.workers, &results, cx.elapsed(), &failed);
-    Ok(Outcome {
-        doc: Some(doc),
-        passed: failed.is_empty(),
-    })
+    Ok(Outcome::new(fig4_o1_sim(&rows, &g0, &g1, speedup), failed))
 }
 
 /// Z1/Z2: the comparative detector zoo — coverage × overhead frontier
@@ -1305,7 +1286,6 @@ pub fn zoo(cx: &mut Ctx) -> Result<Outcome, String> {
         inject,
     };
 
-    let measured = measured_geomeans(&report.rows);
     let model = model_geomeans(&report.rows);
     let points = design_points(&report.rows, &report.coverage);
     let flags = frontier_flags(&points);
@@ -1317,11 +1297,6 @@ pub fn zoo(cx: &mut Ctx) -> Result<Outcome, String> {
         if !shown.contains(&design) {
             continue;
         }
-        let oh = Design::INSTRUMENTED
-            .iter()
-            .position(|&d| d == design)
-            .map(|i| measured[i])
-            .unwrap_or(0.0);
         let model_s = Design::ZOO
             .iter()
             .position(|&d| d == design)
@@ -1331,7 +1306,7 @@ pub fn zoo(cx: &mut Ctx) -> Result<Outcome, String> {
         println!(
             "{:<13} {:>9.1} {:>9} {:>8.2} {:>7} {:>6} {:>6} {:>6}  {}",
             design.label(),
-            oh,
+            points[di].overhead_pct,
             model_s,
             points[di].coverage_pct,
             inj.detected,
@@ -1353,9 +1328,10 @@ pub fn zoo(cx: &mut Ctx) -> Result<Outcome, String> {
     for v in &violations {
         println!("gate VIOLATED: {v}");
     }
-    let doc = zoo_summary(&cfg, scale, &report, &failed, &violations);
+    let gate = violations.is_empty() && failed.is_empty();
+    let sim = zoo_sim(&cfg, &report, &points, &flags, &model, &violations, gate);
     Ok(Outcome {
-        doc: Some(doc),
-        passed: violations.is_empty() && failed.is_empty(),
+        passed: gate,
+        ..Outcome::new(sim, failed)
     })
 }

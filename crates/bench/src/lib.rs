@@ -4,17 +4,17 @@
 //! tables and figures (see DESIGN.md §4 for the experiment index).
 //!
 //! One binary runs them all: `hwst-bench <experiment> [flags]` prints
-//! the experiment's table, writes its `--json` summary and exits `0`
+//! the experiment's table, writes its `--json` artifact and exits `0`
 //! when every gate passed, `1` when a gate or job failed and `2` on a
-//! usage, I/O or hard error. `hwst-bench help` lists the flags each
-//! experiment takes. The experiments:
+//! usage, I/O or hard error; `hwst-bench diff A.json B.json` compares
+//! two artifacts. `hwst-bench help` lists the flags each experiment
+//! takes. The experiments:
 //!
 //! * `fig4`, `fig5`, `fig6`, `hwcost` — the paper's Figs. 4–6 and the
 //!   §5.3 hardware-cost table,
 //! * `ablation_keybuffer` (A1), `ablation_compression` (A2),
 //!   `ablation_shadow` (A3), `ablation_dcache` (A4),
-//!   `ablation_optimizer` (A5), `ablation_shore` (A6),
-//!   `ablation_footprint` (A7), `binval` (A9) and
+//!   `ablation_shore` (A6), `ablation_footprint` (A7), `binval` (A9) and
 //!   `ablation_boundscheck` (A8 and A10) — the ablations,
 //! * `codesize` — static text size per scheme,
 //! * `lint` — the IR-level static safety linter over the workloads,
@@ -22,8 +22,8 @@
 //!   and `zoo` (Z1/Z2) — the extension experiments.
 //!
 //! This library holds what they share: the row computations, the
-//! harness-driven sweeps ([`runs`]) and the JSON renderers
-//! ([`summary`]).
+//! harness-driven sweeps ([`runs`]) and the builders of the artifacts'
+//! `sim` payloads ([`summary`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,14 +1,18 @@
 //! `hwst-bench <experiment> [flags]` — the one driver behind every
-//! figure, table and extension experiment of the reproduction.
+//! figure, table and extension experiment of the reproduction — and
+//! `hwst-bench diff A.json B.json`, which compares two of its artifacts.
 //!
 //! Each experiment is a plain function that prints its table and
-//! returns its JSON document and whether its gates passed. The driver
-//! alone handles the shared flags: it parses them, builds the worker
-//! pool and progress sink, writes `--json`, prints the wall/worker line
-//! to stderr and maps the result to the exit code — `0` every gate
-//! passed, `1` a gate or job failed, `2` a usage error, an I/O error or
-//! a hard error that stopped the run. `hwst-bench help` lists the
-//! experiments and the flags each takes.
+//! returns its payloads — `sim`, every deterministic number, and
+//! `host`, any host timing of its own — its failed jobs and whether its
+//! gates passed. The driver alone handles the rest: it parses the
+//! flags, builds the worker pool and progress sink, writes the
+//! `--json` artifact envelope (`schema`, `version`, `rev`, `scale`,
+//! `flags`, `sim`, `host`), prints the wall/worker line to stderr and
+//! maps the result to the exit code — `0` every gate passed, `1` a gate
+//! or job failed, `2` a usage error, an I/O error or a hard error that
+//! stopped the run. `hwst-bench help` lists the experiments and the
+//! flags each takes.
 
 #![forbid(unsafe_code)]
 
@@ -16,15 +20,19 @@ mod experiments;
 
 use hwst128::compiler::{OptLevel, Scheme};
 use hwst128::workloads::Scale;
-use hwst_bench::summary::write_json;
-use hwst_harness::{ConsoleSink, Json, NullSink, PoolConfig, Sink};
+use hwst_harness::{
+    collect_ok, ConsoleSink, FailedJob, JobResult, Json, NullSink, PoolConfig, Sink,
+};
 use std::path::PathBuf;
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
 use std::time::{Duration, Instant};
 
 /// The flags that size and report on the worker pool; `POOL` in an
 /// experiment's flag list stands for all of them.
 const POOL: [&str; 4] = ["--jobs", "--timeout-secs", "--progress", "--quiet"];
+
+/// The artifact envelope's `version`.
+const VERSION: i64 = 2;
 
 /// One entry of the experiment index.
 struct Experiment {
@@ -37,10 +45,13 @@ struct Experiment {
 }
 
 impl Experiment {
+    /// Every experiment takes `--json PATH`.
     fn takes(&self, flag: &str) -> bool {
-        self.flags
-            .split_whitespace()
-            .any(|t| t == flag || (t == "POOL" && POOL.contains(&flag)))
+        flag == "--json"
+            || self
+                .flags
+                .split_whitespace()
+                .any(|t| t == flag || (t == "POOL" && POOL.contains(&flag)))
     }
 
     fn takes_positional(&self) -> bool {
@@ -50,22 +61,22 @@ impl Experiment {
 
 /// Every experiment, in the order `help` lists them. The names are the
 /// former per-experiment binary names without their `hwst-` prefix.
-const EXPERIMENTS: [Experiment; 20] = [
+const EXPERIMENTS: [Experiment; 19] = [
     Experiment {
         name: "fig4",
-        flags: "POOL --json PATH --bench-scale",
+        flags: "POOL --bench-scale",
         about: "Fig. 4: Eq. 7 overhead of SBCETS, HWST128, HWST128_tchk",
         run: experiments::fig4,
     },
     Experiment {
         name: "fig5",
-        flags: "POOL --json PATH --bench-scale",
+        flags: "POOL --bench-scale",
         about: "Fig. 5: speedup over SBCETS of BOGO, WDL and HWST128",
         run: experiments::fig5,
     },
     Experiment {
         name: "fig6",
-        flags: "POOL --json PATH --stride N --model",
+        flags: "POOL --stride N --model",
         about: "Fig. 6: Juliet coverage, measured (or --model: modelled)",
         run: experiments::fig6,
     },
@@ -118,56 +129,50 @@ const EXPERIMENTS: [Experiment; 20] = [
         run: experiments::codesize,
     },
     Experiment {
-        name: "ablation_optimizer",
-        flags: "",
-        about: "A5: -O0 vs IR-optimized overheads",
-        run: experiments::ablation_optimizer,
-    },
-    Experiment {
         name: "binval",
-        flags: "POOL --json PATH --bench-scale --smoke --opt O0|O1",
+        flags: "POOL --bench-scale --smoke --opt O0|O1",
         about: "A9: binary translation validation + mutation campaign",
         run: experiments::binval,
     },
     Experiment {
         name: "lint",
-        flags: "--json PATH --bench-scale [WORKLOAD...]",
+        flags: "--bench-scale [WORKLOAD...]",
         about: "IR-level static safety diagnostics over the workloads",
         run: experiments::lint,
     },
     Experiment {
         name: "resilience",
-        flags: "POOL --json PATH --bench-scale --smoke",
+        flags: "POOL --bench-scale --smoke",
         about: "R1: metadata-path fault injection",
         run: experiments::resilience,
     },
     Experiment {
         name: "ablation_boundscheck",
-        flags: "POOL --json PATH --bench-scale --smoke",
+        flags: "POOL --bench-scale --smoke",
         about: "A8/A10: RCE and static bounds-proof check elimination",
         run: experiments::ablation_boundscheck,
     },
     Experiment {
         name: "profile",
-        flags: "POOL --json PATH --bench-scale --smoke --trace WL --collapse WL",
+        flags: "POOL --bench-scale --smoke --trace WL --collapse WL",
         about: "P1: per-function overhead attribution, trace export",
         run: experiments::profile,
     },
     Experiment {
         name: "exec",
-        flags: "POOL --json PATH --bench-scale --smoke --opt O0|O1",
+        flags: "POOL --bench-scale --smoke --opt O0|O1",
         about: "X1: fast engine vs reference interpreter, differential",
         run: experiments::exec,
     },
     Experiment {
         name: "fig4_o1",
-        flags: "POOL --json PATH --bench-scale --smoke",
+        flags: "POOL --bench-scale --smoke",
         about: "O1: Fig. 4 at -O0 and -O1",
         run: experiments::fig4_o1,
     },
     Experiment {
         name: "zoo",
-        flags: "POOL --json PATH --bench-scale --smoke --scheme LIST",
+        flags: "POOL --bench-scale --smoke --scheme LIST",
         about: "Z1/Z2: detector zoo frontier + fault campaign",
         run: experiments::zoo,
     },
@@ -192,6 +197,9 @@ struct Args {
     trace: Option<String>,
     collapse: Option<String>,
     positional: Vec<String>,
+    /// The words that can change `sim`: every one but `--json PATH`
+    /// and the POOL flags, as given.
+    flags: Vec<String>,
 }
 
 impl Args {
@@ -206,16 +214,25 @@ impl Args {
                     return Err(format!("unexpected argument `{word}`"));
                 }
                 args.positional.push(word.clone());
+                args.flags.push(word.clone());
                 continue;
             }
             if !exp.takes(word) {
                 return Err(format!("unknown flag `{word}`"));
             }
+            let sim_flag = word != "--json" && !POOL.contains(&word.as_str());
+            if sim_flag {
+                args.flags.push(word.clone());
+            }
+            let flags = &mut args.flags;
             let mut value = || {
-                words
+                let value = words
                     .next()
-                    .map(String::as_str)
-                    .ok_or_else(|| format!("`{word}` needs a value"))
+                    .ok_or_else(|| format!("`{word}` needs a value"))?;
+                if sim_flag {
+                    flags.push(value.clone());
+                }
+                Ok::<_, String>(value.as_str())
             };
             match word.as_str() {
                 "--jobs" => args.jobs = Some(positive(word, value()?)?),
@@ -267,7 +284,8 @@ struct Ctx {
     args: Args,
     pool: PoolConfig,
     sink: Box<dyn Sink>,
-    start: Instant,
+    /// Summed per-job wall time of the sweeps settled so far.
+    serial_wall: Option<Duration>,
 }
 
 impl Ctx {
@@ -280,22 +298,166 @@ impl Ctx {
         }
     }
 
-    /// Host time since the experiment started.
-    fn elapsed(&self) -> Duration {
-        self.start.elapsed()
+    /// Splits a sweep's results into rows and failed jobs, adding the
+    /// jobs' wall times to `host.serial_wall_ms` (what the sweep would
+    /// have cost serially).
+    fn settle<T>(&mut self, results: Vec<JobResult<T>>) -> (Vec<T>, Vec<FailedJob>) {
+        let wall: Duration = results.iter().map(|r| r.wall).sum();
+        *self.serial_wall.get_or_insert(Duration::ZERO) += wall;
+        collect_ok(results)
     }
 }
 
 /// What an experiment hands back.
 struct Outcome {
-    /// Its `--json` document, if it has one.
-    doc: Option<Json>,
-    /// Whether every gate passed.
+    /// Every deterministic number of the run: the envelope's `sim`.
+    sim: Json,
+    /// Host timings of its own (X1's), merged into the envelope's
+    /// `host` after the driver's.
+    host: Json,
+    /// Jobs that returned an error, panicked or timed out; any one
+    /// fails the run.
+    failed: Vec<FailedJob>,
+    /// Whether the experiment's own gates passed.
     passed: bool,
 }
 
+impl Outcome {
+    /// An outcome with no host payload and no gate beyond its jobs.
+    fn new(sim: Json, failed: Vec<FailedJob>) -> Outcome {
+        Outcome {
+            sim,
+            host: Json::obj(),
+            failed,
+            passed: true,
+        }
+    }
+}
+
+/// The artifact envelope of one run of `exp`.
+fn envelope(exp: &Experiment, cx: &Ctx, outcome: Outcome, wall: Duration) -> Json {
+    let failed = outcome.failed.iter().map(|f| {
+        Json::obj()
+            .set("label", f.label.as_str())
+            .set("error", f.error.as_str())
+    });
+    let mut host = Json::obj();
+    if exp.takes("--jobs") {
+        host = host.set("workers", cx.pool.workers);
+    }
+    host = host.set("wall_ms", wall.as_secs_f64() * 1e3);
+    if let Some(serial) = cx.serial_wall {
+        host = host.set("serial_wall_ms", serial.as_secs_f64() * 1e3);
+    }
+    if let Json::Obj(fields) = outcome.host {
+        for (key, value) in fields {
+            host = host.set(&key, value);
+        }
+    }
+    Json::obj()
+        .set("schema", format!("hwst-bench/{}", exp.name))
+        .set("version", VERSION)
+        .set("rev", rev())
+        .set("scale", format!("{:?}", cx.scale()))
+        .set(
+            "flags",
+            Json::Arr(cx.args.flags.iter().cloned().map(Json::from).collect()),
+        )
+        .set(
+            "sim",
+            outcome.sim.set("failed", Json::Arr(failed.collect())),
+        )
+        .set("host", host)
+}
+
+/// `git describe --always --dirty`, or `"unknown"` without git.
+fn rev() -> String {
+    Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|text| text.trim().to_string())
+        .filter(|text| !text.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// `hwst-bench diff A.json B.json`: `0` when the two artifacts agree on
+/// everything but `rev` and `host`, `1` when they differ (the first
+/// differing path is printed with both values, then how many others
+/// differ), `2` on a usage, I/O or parse error.
+fn diff(paths: &[String]) -> ExitCode {
+    let [a, b] = paths else {
+        eprintln!("error: usage: hwst-bench diff A.json B.json");
+        return ExitCode::from(2);
+    };
+    let read = |path: &String| {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
+        let doc = Json::parse(&text).map_err(|e| format!("could not parse {path}: {e}"))?;
+        Ok::<_, String>(match doc {
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .into_iter()
+                    .filter(|(key, _)| key != "rev" && key != "host")
+                    .collect(),
+            ),
+            other => other,
+        })
+    };
+    let (a_doc, b_doc) = match (read(a), read(b)) {
+        (Ok(a_doc), Ok(b_doc)) => (a_doc, b_doc),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("error: diff: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut found = Vec::new();
+    differences(String::new(), Some(&a_doc), Some(&b_doc), &mut found);
+    let Some((path, left, right)) = found.first() else {
+        println!("{a} and {b} agree (rev and host not compared)");
+        return ExitCode::SUCCESS;
+    };
+    println!("{path}: {left} vs {right}");
+    println!("{} other difference(s)", found.len() - 1);
+    ExitCode::from(1)
+}
+
+/// Appends `(path, a, b)` for every place `a` and `b` disagree, in
+/// document order: objects by key (order-insensitive), arrays by index,
+/// anything else by value; a missing side prints as `(absent)`.
+fn differences(
+    path: String,
+    a: Option<&Json>,
+    b: Option<&Json>,
+    out: &mut Vec<(String, String, String)>,
+) {
+    match (a, b) {
+        (Some(left @ Json::Obj(x)), Some(right @ Json::Obj(y))) => {
+            let only_y = y.iter().filter(|(k, _)| left.get(k).is_none());
+            for (key, _) in x.iter().chain(only_y) {
+                differences(format!("{path}.{key}"), left.get(key), right.get(key), out);
+            }
+        }
+        (Some(Json::Arr(x)), Some(Json::Arr(y))) => {
+            for i in 0..x.len().max(y.len()) {
+                differences(format!("{path}[{i}]"), x.get(i), y.get(i), out);
+            }
+        }
+        _ if a == b => {}
+        _ => {
+            let show = |v: Option<&Json>| v.map_or("(absent)".to_string(), Json::to_string);
+            out.push((path, show(a), show(b)));
+        }
+    }
+}
+
 fn help() -> String {
-    let mut text = String::from("usage: hwst-bench <experiment> [flags]\n\nexperiments:\n");
+    let mut text = String::from(
+        "usage: hwst-bench <experiment> [flags]\n       hwst-bench diff A.json B.json\n\n\
+         experiments:\n",
+    );
     for exp in &EXPERIMENTS {
         text += &format!("  {:<21} {}\n", exp.name, exp.about);
         if !exp.flags.is_empty() {
@@ -303,8 +465,10 @@ fn help() -> String {
         }
     }
     text += "\nPOOL = --jobs N --timeout-secs N --progress --quiet\n\
-             exit codes: 0 every gate passed; 1 a gate or job failed;\n\
-             \x20           2 usage, I/O or hard error\n";
+             every experiment takes --json PATH: write its artifact envelope\n\
+             diff: compare two artifacts on everything but rev and host\n\
+             exit codes: 0 every gate passed (diff: equal); 1 a gate or job\n\
+             \x20           failed (diff: different); 2 usage, I/O or hard error\n";
     text
 }
 
@@ -314,6 +478,9 @@ fn main() -> ExitCode {
     if matches!(name, "help" | "--help" | "-h") {
         print!("{}", help());
         return ExitCode::SUCCESS;
+    }
+    if name == "diff" {
+        return diff(&argv[1..]);
     }
     let Some(exp) = EXPERIMENTS.iter().find(|e| e.name == name) else {
         eprintln!("error: unknown experiment `{name}`; `hwst-bench help` lists them");
@@ -344,10 +511,12 @@ fn main() -> ExitCode {
         args,
         pool,
         sink,
-        start: Instant::now(),
+        serial_wall: None,
     };
+    let start = Instant::now();
     let result = (exp.run)(&mut cx);
-    let wall_ms = cx.elapsed().as_secs_f64() * 1e3;
+    let wall = start.elapsed();
+    let wall_ms = wall.as_secs_f64() * 1e3;
     if exp.takes("--jobs") {
         eprintln!("wall {wall_ms:.1} ms on {} worker(s)", cx.pool.workers);
     } else {
@@ -360,18 +529,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let passed = outcome.passed && outcome.failed.is_empty();
     if let Some(path) = json {
-        let Some(doc) = &outcome.doc else {
-            eprintln!("error: {name}: this run has no JSON document to write");
-            return ExitCode::from(2);
-        };
-        if let Err(e) = write_json(&path, doc) {
+        let doc = envelope(exp, &cx, outcome, wall);
+        if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
             eprintln!("error: could not write {}: {e}", path.display());
             return ExitCode::from(2);
         }
         println!("wrote {}", path.display());
     }
-    if outcome.passed {
+    if passed {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

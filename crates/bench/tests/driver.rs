@@ -1,10 +1,14 @@
 //! The `hwst-bench` input and exit contract, driven through the built
 //! binary: `help` lists every experiment once; an unknown experiment,
 //! an unknown flag or a malformed value exits 2 before anything runs; a
-//! `--json` write failure exits 2; and a pool-driven table is
-//! byte-identical at any worker count.
+//! `--json` write failure exits 2; `diff` exits 0/1/2 for
+//! equal/different/unreadable artifacts; the print-only experiments
+//! write the artifact envelope and their committed artifacts regenerate
+//! identically; and a pool-driven table is byte-identical at any worker
+//! count.
 
-use std::path::PathBuf;
+use hwst_harness::Json;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn hwst_bench(args: &[&str]) -> Output {
@@ -27,7 +31,7 @@ fn assert_usage_error(args: &[&str], says: &str) {
 }
 
 /// The former binary names, without their `hwst-` prefix.
-const EXPERIMENTS: [&str; 20] = [
+const EXPERIMENTS: [&str; 19] = [
     "fig4",
     "fig5",
     "fig6",
@@ -39,7 +43,6 @@ const EXPERIMENTS: [&str; 20] = [
     "ablation_shore",
     "ablation_footprint",
     "codesize",
-    "ablation_optimizer",
     "binval",
     "lint",
     "resilience",
@@ -113,7 +116,6 @@ fn malformed_value_exits_2() {
 fn fixed_scale_experiments_reject_bench_scale() {
     for name in [
         "ablation_shore",
-        "ablation_optimizer",
         "ablation_footprint",
         "ablation_shadow",
         "ablation_dcache",
@@ -151,4 +153,91 @@ fn pool_table_is_identical_at_any_worker_count() {
     let serial = run("1");
     assert!(!serial.is_empty());
     assert_eq!(serial, run("2"));
+}
+
+fn repo_file(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name)
+}
+
+fn arg(path: &Path) -> &str {
+    path.to_str().expect("UTF-8 path")
+}
+
+#[test]
+fn diff_compares_everything_but_rev_and_host() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let committed = repo_file("BENCH_hwcost.json");
+    let text = std::fs::read_to_string(&committed).expect("committed artifact");
+    let doc = Json::parse(&text).expect("parses");
+    let copy = |name: &str, body: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, body).expect("scratch file written");
+        path
+    };
+    let diff = |other: &Path| hwst_bench(&["diff", arg(&committed), arg(other)]);
+
+    assert_eq!(diff(&committed).status.code(), Some(0));
+    for (name, changed) in [
+        ("diff-rev.json", doc.clone().set("rev", "elsewhere")),
+        ("diff-host.json", doc.clone().set("host", Json::obj())),
+    ] {
+        let out = diff(&copy(name, changed.to_string()));
+        assert_eq!(out.status.code(), Some(0), "{name}");
+    }
+
+    let sim_change = text.replacen("\"luts\": 1536", "\"luts\": 1537", 1);
+    assert_ne!(sim_change, text, "the fixture carries the added-LUT total");
+    let out = diff(&copy("diff-sim.json", sim_change));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains(".sim.added.luts: 1536 vs 1537"), "{stdout}");
+
+    for other in [
+        dir.join("no-such.json"),
+        copy("diff-bad.json", "{ nope".into()),
+    ] {
+        let out = diff(&other);
+        assert_eq!(out.status.code(), Some(2), "{}", other.display());
+    }
+    assert_usage_error(&["diff", arg(&committed)], "usage: hwst-bench diff");
+}
+
+/// The print-only experiments write the artifact envelope, and their
+/// committed artifacts regenerate from the recorded `flags` with an
+/// identical `sim`.
+#[test]
+fn committed_artifacts_regenerate_identically() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    for file in [
+        "BENCH_hwcost.json",
+        "BENCH_compression.json",
+        "BENCH_codesize.json",
+        "BENCH_lint.json",
+    ] {
+        let committed = repo_file(file);
+        let doc = Json::parse(&std::fs::read_to_string(&committed).expect(file)).expect(file);
+        let schema = doc.get("schema").and_then(Json::as_str).expect("schema");
+        let flags = doc.get("flags").and_then(Json::as_arr).expect("flags");
+        let fresh = dir.join(file);
+        let mut args = vec![schema
+            .strip_prefix("hwst-bench/")
+            .expect("hwst-bench schema")];
+        args.extend(flags.iter().filter_map(Json::as_str));
+        args.extend(["--json", arg(&fresh)]);
+        assert_eq!(hwst_bench(&args).status.code(), Some(0), "{file}");
+
+        let envelope = Json::parse(&std::fs::read_to_string(&fresh).expect(file)).expect(file);
+        assert_eq!(envelope.get("schema").and_then(Json::as_str), Some(schema));
+        assert_eq!(envelope.get("version").and_then(Json::as_i64), Some(2));
+        assert_eq!(envelope.get("flags").and_then(Json::as_arr), Some(flags));
+        for payload in ["sim", "host"] {
+            let found = envelope.get(payload);
+            assert!(matches!(found, Some(Json::Obj(_))), "{file}: {payload}");
+        }
+        let out = hwst_bench(&["diff", arg(&committed), arg(&fresh)]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{file}: {stdout}");
+    }
 }

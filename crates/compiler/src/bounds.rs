@@ -849,79 +849,6 @@ fn try_prove(
     Some(w)
 }
 
-// ---------------------------------------------------------------------------
-// Dead-alloca load elimination facts (for `opt`)
-// ---------------------------------------------------------------------------
-
-/// Sites of `Load`s that [`opt`](crate::opt) may delete outright:
-/// loads from a provably-dead alloca (never written through, never
-/// escaping) whose result is unused and whose access this pass proved
-/// in-bounds and live — removing them cannot change any run-time
-/// behavior, including trap behavior under an instrumented build.
-/// Returned as `(function index, block, inst)` triples.
-pub fn dead_alloca_loads(module: &Module) -> Vec<(usize, usize, usize)> {
-    let outcome = analyze(module);
-    let mut dead = Vec::new();
-    for (fi, f) in module.funcs.iter().enumerate() {
-        let Some(proven) = outcome.proven_for(&f.name) else {
-            continue;
-        };
-        let Some(defs) = DefMap::build(f) else {
-            continue;
-        };
-        let objs = build_objs(module, f, &defs);
-
-        // Objects written through any derived pointer.
-        let mut written: BTreeSet<usize> = BTreeSet::new();
-        for b in &f.blocks {
-            for inst in &b.insts {
-                if let Inst::Store { addr, .. } | Inst::StorePtr { addr, .. } = inst {
-                    if let Some(&o) = objs.derived.get(&defs.canon(*addr)) {
-                        written.insert(o);
-                    }
-                }
-            }
-        }
-
-        // Used variables (instruction operands + terminator reads).
-        let mut used: BTreeSet<VarId> = BTreeSet::new();
-        for b in &f.blocks {
-            for inst in &b.insts {
-                used.extend(inst.uses());
-            }
-            match &b.term {
-                Terminator::Ret { value: Some(v) } => {
-                    used.insert(*v);
-                }
-                Terminator::Br { cond, .. } => {
-                    used.insert(*cond);
-                }
-                _ => {}
-            }
-        }
-
-        for (&(bi, ii), &wi) in proven {
-            if outcome.witnesses[wi].kind != ObjKind::Alloca {
-                continue;
-            }
-            let Inst::Load { dst, addr, .. } = &f.blocks[bi].insts[ii] else {
-                continue;
-            };
-            if used.contains(dst) {
-                continue;
-            }
-            let Some(&o) = objs.derived.get(&defs.canon(*addr)) else {
-                continue;
-            };
-            if objs.objs[o].escapes || written.contains(&o) {
-                continue;
-            }
-            dead.push((fi, bi, ii));
-        }
-    }
-    dead
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1138,41 +1065,5 @@ mod tests {
         f.finish();
         let out = analyze(&mb.finish());
         assert_eq!(out.stats.proven, 0);
-    }
-
-    #[test]
-    fn dead_alloca_loads_are_identified() {
-        let mut mb = ModuleBuilder::new();
-        let mut f = mb.func("main");
-        let p = f.stack_alloc(16);
-        let _unused = f.load(p, 8, Width::U64); // dead: result unused, in bounds
-        let q = f.stack_alloc(16);
-        let used = f.load(q, 0, Width::U64); // live: feeds the return
-        f.ret(Some(used));
-        f.finish();
-        let m = mb.finish();
-        let dead = dead_alloca_loads(&m);
-        assert_eq!(dead, vec![(0, 0, 1)]);
-    }
-
-    #[test]
-    fn written_or_escaping_allocas_keep_their_loads() {
-        let mut mb = ModuleBuilder::new();
-        let mut h = mb.func("helper");
-        let _p = h.param(true);
-        h.ret(None);
-        h.finish();
-        let mut f = mb.func("main");
-        let p = f.stack_alloc(16);
-        let v = f.konst(3);
-        f.store(v, p, 0, Width::U64); // written through
-        let _a = f.load(p, 8, Width::U64);
-        let q = f.stack_alloc(16);
-        f.call_void("helper", &[q]); // escapes
-        let _b = f.load(q, 0, Width::U64);
-        f.ret(None);
-        f.finish();
-        let dead = dead_alloca_loads(&mb.finish());
-        assert!(dead.is_empty(), "{dead:?}");
     }
 }

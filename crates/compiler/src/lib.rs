@@ -19,7 +19,6 @@
 //!   [`Scheme::None`] as the uninstrumented baseline,
 //! * a `-O0` back-end performing frame allocation and machine-code
 //!   emission for RV64IM + HWST128, and its `-O1` tier ([`OptLevel`]),
-//! * [`opt`] — an optional light optimizer for the A5 ablation.
 //!
 //! ## Entry points
 //!
@@ -75,7 +74,6 @@ pub mod instrument;
 pub mod ir;
 pub mod lint;
 mod lower;
-pub mod opt;
 mod printer;
 pub mod rce;
 pub mod regalloc;

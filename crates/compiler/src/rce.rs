@@ -49,7 +49,7 @@
 use crate::dataflow::{solve_forward, Cfg, DefMap, ForwardAnalysis};
 use crate::instrument::{META_LOAD_FN, META_STORE_FN, SPATIAL_CHECK_FN, TEMPORAL_CHECK_FN};
 use crate::ir::{BinOp, BlockId, Function, Inst, Module, Terminator, VarId, Width};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// One available check, in canonical form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -461,7 +461,48 @@ fn sweep(f: &mut Function) {
             block.term = Terminator::Ret { value: None };
         }
     }
-    while crate::opt::eliminate_dead(f) {}
+    while eliminate_dead(f) {}
+}
+
+/// Drops pure definitions whose result nothing reads (memory operations
+/// stay: under instrumentation they carry check semantics); returns
+/// whether anything changed.
+pub(crate) fn eliminate_dead(f: &mut Function) -> bool {
+    // Uses across the whole function (incl. terminators).
+    let mut used: HashSet<VarId> = HashSet::new();
+    for b in &f.blocks {
+        for i in &b.insts {
+            used.extend(i.uses());
+        }
+        match &b.term {
+            Terminator::Ret { value: Some(v) } => {
+                used.insert(*v);
+            }
+            Terminator::Br { cond, .. } => {
+                used.insert(*cond);
+            }
+            _ => {}
+        }
+    }
+    let removable = |i: &Inst| -> bool {
+        match i {
+            Inst::Const { dst, .. }
+            | Inst::Bin { dst, .. }
+            | Inst::BinImm { dst, .. }
+            | Inst::AddrOfGlobal { dst, .. }
+            | Inst::Gep { dst, .. }
+            | Inst::GepImm { dst, .. }
+            | Inst::LocalGet { dst, .. } => !used.contains(dst),
+            _ => false,
+        }
+    };
+    let mut changed = false;
+    for b in &mut f.blocks {
+        let before = b.insts.len();
+        b.insts.retain(|i| !removable(i));
+        changed |= b.insts.len() != before;
+    }
+    changed
 }
 
 #[cfg(test)]
@@ -696,5 +737,23 @@ mod tests {
         let before = static_check_count(&m);
         let stats = eliminate(&mut m);
         assert_eq!(static_check_count(&m), before - stats.total());
+    }
+
+    #[test]
+    fn removes_dead_pure_code_but_keeps_memory_ops() {
+        let mut mb = ModuleBuilder::new();
+        let mut f = mb.func("main");
+        let p = f.malloc_bytes(16);
+        let _dead = f.bin_imm(BinOp::Add, p, 1); // unused arithmetic
+        let _unused_load = f.load(p, 0, Width::U64); // kept: memory op
+        let v = f.konst(3);
+        f.store(v, p, 0, Width::U64);
+        f.ret(None);
+        f.finish();
+        let mut m = mb.finish();
+        while eliminate_dead(&mut m.funcs[0]) {}
+        assert_eq!(count(&m, |i| matches!(i, Inst::BinImm { .. })), 0);
+        assert_eq!(count(&m, |i| matches!(i, Inst::Load { .. })), 1);
+        assert_eq!(count(&m, |i| matches!(i, Inst::Store { .. })), 1);
     }
 }

@@ -189,29 +189,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The optimizer preserves semantics under every scheme.
-    #[test]
-    fn optimizer_is_semantics_preserving(
-        acts in prop::collection::vec(act_strategy(), 1..40)
-    ) {
-        use hwst_compiler::opt::optimize;
-        let module = build(&acts);
-        let optimized = optimize(module.clone());
-        for scheme in Scheme::ALL {
-            let run = |m: &hwst_compiler::ir::Module| {
-                let prog = compile(m, scheme).expect("compiles");
-                Machine::new(prog, config_for(scheme))
-                    .run(20_000_000)
-                    .unwrap_or_else(|t| panic!("trap under {scheme}: {t}"))
-            };
-            let a = run(&module);
-            let b = run(&optimized);
-            prop_assert_eq!(a.code, b.code, "exit codes differ under {}", scheme);
-            prop_assert_eq!(a.output, b.output, "output differs under {}", scheme);
-        }
-    }
-}

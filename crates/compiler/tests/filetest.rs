@@ -7,10 +7,9 @@
 //! [`hwst_compiler::function_with_cfg`], so block-level diffs show
 //! predecessor/dominator changes too.
 //!
-//! Passes: `opt` (the light optimizer, source IR), `rce`
-//! (instrument for HWST128_tchk, then redundant-check elimination),
-//! `bounds` (the static bounds-proof pass: witness table, skip table
-//! and the instrumented-with-skips IR) and `o1` (instrument for
+//! Passes: `rce` (instrument for HWST128_tchk, then redundant-check
+//! elimination), `bounds` (the static bounds-proof pass: witness table,
+//! skip table and the instrumented-with-skips IR) and `o1` (instrument for
 //! HWST128_tchk, then the optimizing back-end: the rendered `-O1`
 //! disassembly with each function's frame/ptr-slot/register-assignment
 //! header, so spill decisions and metadata-op scheduling are pinned).
@@ -22,15 +21,15 @@
 //! ```
 
 use hwst_compiler::ir::{BinOp, Module, VarId, Width};
-use hwst_compiler::{analysis, bounds, function_with_cfg, instrument, opt, rce};
+use hwst_compiler::{analysis, bounds, function_with_cfg, instrument, rce};
 use hwst_compiler::{lower_with_plan_opt, FuncBuilder, ModuleBuilder, OptLevel, Scheme};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------- fixtures
 
-/// Straight-line code: constant math the optimizer folds, a dead
-/// binop, and in-bounds stack/heap accesses the bounds pass proves.
+/// Straight-line code: constant math, a dead binop, and in-bounds
+/// stack/heap accesses the bounds pass proves.
 fn straightline() -> Module {
     let mut mb = ModuleBuilder::new();
     let mut f = mb.func("main");
@@ -202,10 +201,6 @@ fn render_module(m: &Module) -> String {
 
 fn run_pass(pass: &str, module: Module) -> String {
     match pass {
-        "opt" => {
-            let optimized = opt::optimize(module);
-            format!("; pass: opt\n{}", render_module(&optimized))
-        }
         "rce" => {
             let info = analysis::analyze(&module).expect("fixture analyzes");
             let mut instrumented = instrument::instrument(&module, &info, Scheme::Hwst128Tchk);
@@ -324,7 +319,7 @@ fn fixture(name: &str) -> Module {
 }
 
 const FIXTURES: &[&str] = &["straightline", "loop_sum", "heap_copy", "spill", "ptrloop"];
-const PASSES: &[&str] = &["opt", "rce", "bounds", "o1", "l4pointer", "heapsafe"];
+const PASSES: &[&str] = &["rce", "bounds", "o1", "l4pointer", "heapsafe"];
 
 fn filetests_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/filetests")

@@ -82,36 +82,3 @@ fn temporal_heavy_workloads_benefit_most_from_tchk() {
         "hmmer gain {hmmer:.2} must exceed math {math:.2}"
     );
 }
-
-#[test]
-fn optimizer_never_changes_exit_status() {
-    // The light optimizer (including the bounds-assisted dead-alloca
-    // sweep) must be invisible to every workload: same exit code, same
-    // bytes on stdout, under the baseline and the full hardware scheme.
-    use hwst_compiler::opt::optimize;
-    for wl in all() {
-        let module = wl.module(Scale::Test);
-        let optimized = optimize(module.clone());
-        for scheme in [Scheme::None, Scheme::Hwst128Tchk] {
-            let exec = |m: &hwst_compiler::ir::Module| {
-                let prog =
-                    compile(m, scheme).unwrap_or_else(|e| panic!("{} ({scheme}): {e}", wl.name));
-                Machine::new(prog, config_for(scheme))
-                    .run(wl.fuel(Scale::Test))
-                    .unwrap_or_else(|t| panic!("{} ({scheme}) trapped: {t}", wl.name))
-            };
-            let plain = exec(&module);
-            let opt = exec(&optimized);
-            assert_eq!(
-                plain.code, opt.code,
-                "{}: optimizer changed the exit code under {scheme}",
-                wl.name
-            );
-            assert_eq!(
-                plain.output, opt.output,
-                "{}: optimizer changed the program output under {scheme}",
-                wl.name
-            );
-        }
-    }
-}

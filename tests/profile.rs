@@ -9,9 +9,8 @@ use hwst_bench::profile::{
     check_profile_parity, profile_mean_fractions, profile_row, try_profile_trace, ProfileRow,
 };
 use hwst_bench::runs::{profile_results, PROFILE_SMOKE_WORKLOADS};
-use hwst_bench::summary::profile_summary;
+use hwst_bench::summary::profile_sim;
 use hwst_harness::{collect_ok, Json, NullSink, PoolConfig};
-use std::time::Duration;
 
 fn assert_rows_identical(serial: &[ProfileRow], parallel: &[ProfileRow]) {
     assert_eq!(serial.len(), parallel.len());
@@ -36,17 +35,11 @@ fn profile_sweep_identical_on_any_worker_count() {
             &PoolConfig::parallel(workers),
             &mut NullSink,
         );
-        let doc = profile_summary(
-            Scale::Test,
-            workers,
-            &results,
-            Duration::from_millis(1),
-            &[],
-        );
-        let parsed = Json::parse(&doc.to_string()).expect("summary parses");
-        rows_subtrees.push(parsed.get("rows").expect("rows subtree").to_string());
         let (rows, failed) = collect_ok(results);
         assert!(failed.is_empty(), "{failed:?}");
+        let doc = profile_sim(&rows, &profile_mean_fractions(&rows));
+        let parsed = Json::parse(&doc.to_string()).expect("payload parses");
+        rows_subtrees.push(parsed.get("rows").expect("rows subtree").to_string());
         assert_rows_identical(&serial, &rows);
     }
     assert_eq!(rows_subtrees[0], rows_subtrees[1]);
@@ -126,23 +119,22 @@ fn trace_exports_round_trip() {
     }
 }
 
-/// When CI has just emitted `BENCH_profile.json` (`hwst-bench profile`),
-/// the artifact must parse, be schema-stable and meet the attribution
-/// floor on every row. Skips silently when absent (local runs).
+/// The committed `BENCH_profile.json` (`hwst-bench profile`) must parse,
+/// be schema-stable and meet the attribution floor on every row.
 #[test]
 fn emitted_bench_profile_artifact_is_valid() {
-    let path = std::path::Path::new("BENCH_profile.json");
-    if !path.exists() {
-        return;
-    }
-    let text = std::fs::read_to_string(path).expect("readable artifact");
+    let text = std::fs::read_to_string("BENCH_profile.json").expect("committed artifact");
     let doc = Json::parse(&text).expect("BENCH_profile.json parses");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
         Some("hwst-bench/profile")
     );
     assert_eq!(doc.get("scale").and_then(Json::as_str), Some("Test"));
-    let rows = doc.get("rows").and_then(Json::as_arr).expect("rows");
+    let rows = doc
+        .get("sim")
+        .and_then(|sim| sim.get("rows"))
+        .and_then(Json::as_arr)
+        .expect("sim.rows");
     assert!(!rows.is_empty(), "at least the smoke subset");
     for row in rows {
         let name = row.get("name").and_then(Json::as_str).expect("row name");
