@@ -1839,7 +1839,8 @@ pub fn validate(
 
 /// [`validate`] plus, given an [`ElimPlan`], the check-elimination
 /// obligations (check **e**): every skip in `elim` must carry a valid
-/// witness resolving to a recorded check site, and — under
+/// witness resolving to a dereference — under a hardware scheme, to a
+/// recorded check site — and, under
 /// [`Scheme::Hwst128Tchk`] — every checked access whose home slot has
 /// no reachable `tchk` on its copy chain must be one of the witnessed
 /// sites.
@@ -1867,7 +1868,12 @@ fn validate_with_elim(
                 ),
             });
         }
-        for (fname, sites) in &e.sites {
+        // Only hardware lowerings record check sites: a software
+        // scheme's check is IR code the skip removed before lowering,
+        // and its witnessed site was already resolved to a dereference
+        // when `elim` was built (DESIGN.md §4h).
+        let sites = e.sites.iter().filter(|_| plan.scheme.uses_hardware());
+        for (fname, sites) in sites {
             let fp = plan.funcs.iter().find(|f| &f.name == fname);
             for &(b, i) in sites.keys() {
                 let matched =
@@ -3103,6 +3109,33 @@ mod tests {
             MemoryLayout::default(),
             Some(&elim),
         );
+        assert!(r.findings.iter().any(|f| f.code == "WITNESS_INVALID"));
+        assert!(!r.ok());
+    }
+
+    /// SBCETS skips the proven stack store and its lowering records no
+    /// check sites, so the skip is accepted without one; a skip whose
+    /// ordinal names no dereference is still `WITNESS_INVALID`.
+    #[test]
+    fn software_scheme_skips_resolve_to_a_dereference() {
+        let opts = CompileOptions::new(Scheme::Sbcets).with_rce().with_bounds();
+        let mut front = front_half(&bounds_module(), opts).unwrap();
+        let (program, plan) = lower_with_plan_opt(&front.module, opts.scheme, opts.opt).unwrap();
+        let check = |front: &FrontHalf| {
+            let layout = MemoryLayout::default();
+            let elim = Some(elim_plan(front));
+            validate_with_elim(
+                &program,
+                &plan,
+                CompressionConfig::SPEC_DEFAULT,
+                layout,
+                elim.as_ref(),
+            )
+        };
+        assert!(!front.skips.is_empty(), "the stack store is proven");
+        assert!(check(&front).ok(), "{:?}", check(&front).findings);
+        front.skips[0].deref += 100;
+        let r = check(&front);
         assert!(r.findings.iter().any(|f| f.code == "WITNESS_INVALID"));
         assert!(!r.ok());
     }

@@ -1304,11 +1304,21 @@ impl<'a> Rewriter<'a> {
                         (z, z)
                     }
                 };
-                if hw && !self.scheme.heap_only() {
-                    let b = self.copy(dst);
+                if hw {
+                    // HeapSafe binds its unbound stack pointers to the
+                    // all-zero word (`key` and `lock` are zero here),
+                    // which the hardware reads as "no metadata"; an
+                    // unwritten home-slot shadow would instead hold
+                    // whatever an earlier frame left there (DESIGN.md
+                    // §4l).
+                    let (base, bound) = if self.scheme.heap_only() {
+                        (key, lock)
+                    } else {
+                        (self.copy(dst), bound)
+                    };
                     self.emit(Inst::BindSpatial {
                         ptr: dst,
-                        base: b,
+                        base,
                         bound,
                     });
                     if self.scheme.temporal_safety() {

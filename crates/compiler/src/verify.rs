@@ -213,8 +213,9 @@ fn covered(
     match scheme {
         // The zoo's tag-checking designs (RV-CURE, HeapSafe) reuse the
         // `tchk` contract: every dereference must carry a tchk fact.
-        // HeapSafe's stack/global checks pass vacuously at runtime, but
-        // the instruction is still emitted, so the demand is identical.
+        // HeapSafe's stack checks pass vacuously at runtime (stack
+        // pointers carry the all-zero metadata word), but the
+        // instruction is still emitted, so the demand is identical.
         Scheme::Hwst128Tchk | Scheme::RvCure | Scheme::HeapSafe => {
             fact.contains(&CheckFact::Tchk(defs.temporal_root(addr)))
         }

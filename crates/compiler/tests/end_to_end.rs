@@ -330,3 +330,45 @@ fn instrumented_code_size_ordering() {
     assert!(size(Scheme::Shore) < size(Scheme::Hwst128Tchk));
     assert!(size(Scheme::Hwst128Tchk) < size(Scheme::Hwst128));
 }
+
+/// HeapSafe leaves stack pointers unbound, but their home slots still
+/// get the all-zero shadow word; left unwritten, a slot keeps whatever
+/// bounds an earlier callee's frame stored at that address, and reading
+/// the stack buffer traps. `g`'s frame grows one variable pair at a
+/// time, so some of these sizes line its buffer pointer's home slot up
+/// with one of `h`'s twelve heap-pointer slots.
+#[test]
+fn heapsafe_stack_pointer_never_inherits_a_dead_frames_bounds() {
+    for pad in 40..72 {
+        let mut mb = ModuleBuilder::new();
+        let mut f = mb.func("h");
+        for _ in 0..12 {
+            let p = f.malloc_bytes(16);
+            let v = f.konst(7);
+            f.store(v, p, 0, Width::U64);
+        }
+        f.ret(None);
+        f.finish();
+        let mut f = mb.func("g");
+        let s = f.stack_alloc(64);
+        for _ in 0..pad {
+            let k = f.konst(1);
+            let _ = f.bin_imm(BinOp::Add, k, 1);
+        }
+        let o = f.konst(40);
+        let q = f.gep(s, o);
+        let v = f.konst(5);
+        f.store(v, q, 0, Width::U64);
+        let x = f.load(q, 0, Width::U64);
+        f.ret(Some(x));
+        f.finish();
+        let mut f = mb.func("main");
+        f.call_void("h", &[]);
+        let r = f.call("g", &[]);
+        f.ret(Some(r));
+        f.finish();
+        let exit = run_scheme(&mb.finish(), Scheme::HeapSafe)
+            .unwrap_or_else(|t| panic!("g with {pad} padding pairs: {t}"));
+        assert_eq!(exit.code, 5);
+    }
+}

@@ -2,7 +2,6 @@
 
 use crate::{Cache, CacheConfig, CycleStats, KeyBuffer};
 use hwst_isa::{Instr, Reg};
-use hwst_telemetry::{CounterId, Counters};
 
 /// How metadata is located in shadow storage — the §2 trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -281,44 +280,20 @@ pub struct Pipeline {
     cfg: PipelineConfig,
     dcache: Cache,
     keybuffer: KeyBuffer,
-    /// Cycle categories only. The event-style counters (keybuffer
-    /// hits/misses, `hwst_instrs`, `checked_mem`) live in the telemetry
-    /// registry and are merged back in [`Self::stats`], so pipeline
-    /// accounting and profile tables share one source of truth.
     stats: CycleStats,
-    counters: Counters,
-    ids: EventCounterIds,
     /// Destination of the previous instruction if it was a load (for the
     /// load-use interlock).
     prev_load_dest: Option<Reg>,
 }
 
-/// Handles of the event counters the retire loop increments.
-#[derive(Debug, Clone, Copy)]
-struct EventCounterIds {
-    keybuffer_hits: CounterId,
-    keybuffer_misses: CounterId,
-    hwst_instrs: CounterId,
-    checked_mem: CounterId,
-}
-
 impl Pipeline {
     /// Creates a cold pipeline.
     pub fn new(cfg: PipelineConfig) -> Self {
-        let mut counters = Counters::new();
-        let ids = EventCounterIds {
-            keybuffer_hits: counters.register("keybuffer_hits"),
-            keybuffer_misses: counters.register("keybuffer_misses"),
-            hwst_instrs: counters.register("hwst_instrs"),
-            checked_mem: counters.register("checked_mem"),
-        };
         Pipeline {
             cfg,
             dcache: Cache::new(cfg.dcache),
             keybuffer: KeyBuffer::new(cfg.keybuffer_entries),
             stats: CycleStats::default(),
-            counters,
-            ids,
             prev_load_dest: None,
         }
     }
@@ -328,21 +303,9 @@ impl Pipeline {
         self.cfg
     }
 
-    /// Accumulated statistics: the cycle categories the retire loop
-    /// charges plus the event counters read back from the telemetry
-    /// registry.
+    /// Accumulated statistics.
     pub fn stats(&self) -> CycleStats {
-        let mut s = self.stats;
-        s.keybuffer_hits = self.counters.get(self.ids.keybuffer_hits);
-        s.keybuffer_misses = self.counters.get(self.ids.keybuffer_misses);
-        s.hwst_instrs = self.counters.get(self.ids.hwst_instrs);
-        s.checked_mem = self.counters.get(self.ids.checked_mem);
-        s
-    }
-
-    /// The telemetry counter registry backing the event-style counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+        self.stats
     }
 
     /// The keybuffer (for diagnostics).
@@ -407,9 +370,8 @@ impl Pipeline {
     pub fn charge_static(&mut self, c: StaticCharges) {
         self.stats.instret += c.comps as u64;
         self.stats.base_cycles += c.comps as u64;
-        self.counters.add(self.ids.hwst_instrs, c.hwst as u64);
-        self.counters
-            .add(self.ids.checked_mem, c.checked_mem as u64);
+        self.stats.hwst_instrs += c.hwst as u64;
+        self.stats.checked_mem += c.checked_mem as u64;
         self.stats.muldiv_stalls +=
             c.muls as u64 * self.cfg.mul_latency + c.divs as u64 * self.cfg.div_latency;
         self.stats.control_stalls += c.jumps as u64 * self.cfg.control_penalty;
@@ -444,10 +406,10 @@ impl Pipeline {
                 // Keybuffer hit: the key load is bypassed by "modifying
                 // the valid signal in the DCache module" — zero extra
                 // cycles.
-                self.counters.incr(self.ids.keybuffer_hits);
+                self.stats.keybuffer_hits += 1;
             }
             None => {
-                self.counters.incr(self.ids.keybuffer_misses);
+                self.stats.keybuffer_misses += 1;
                 // The key must be fetched from the lock_location through
                 // the D-cache; tchk is a two-memory-access pattern so it
                 // cannot fuse with the load/store (paper §3.5).
@@ -635,36 +597,6 @@ mod tests {
         }
         assert_eq!(a.stats().total_cycles(), b.stats().total_cycles());
         assert_eq!((a.stats().checked_mem, b.stats().checked_mem), (0, 2));
-    }
-
-    #[test]
-    fn event_counters_come_from_the_telemetry_registry() {
-        // The stats() snapshot and the registry must agree — they are
-        // the same storage, read two ways.
-        let mut p = pipe();
-        let tchk = Instr::Tchk { rs1: Reg::A0 };
-        retire(&mut p, &tchk, |p| p.charge_tchk_dyn(0x9000, 42)); // miss
-        retire(&mut p, &tchk, |p| p.charge_tchk_dyn(0x9000, 42)); // hit
-        let checked = Instr::Load {
-            width: LoadWidth::D,
-            rd: Reg::A0,
-            rs1: Reg::A1,
-            offset: 0,
-            checked: true,
-        };
-        retire(&mut p, &checked, |p| p.charge_mem_dyn(0x40));
-        let s = p.stats();
-        let c = p.counters();
-        assert_eq!(c.get_named("keybuffer_hits"), Some(s.keybuffer_hits));
-        assert_eq!(c.get_named("keybuffer_misses"), Some(s.keybuffer_misses));
-        assert_eq!(c.get_named("hwst_instrs"), Some(s.hwst_instrs));
-        assert_eq!(c.get_named("checked_mem"), Some(s.checked_mem));
-        assert_eq!(s.keybuffer_hits, 1);
-        assert_eq!(s.keybuffer_misses, 1);
-        // Two tchk retires plus the checked load (checked memops are
-        // HWST instructions too).
-        assert_eq!(s.hwst_instrs, 3);
-        assert_eq!(s.checked_mem, 1);
     }
 
     /// The instruction-to-timing table, pinned row by row: every

@@ -247,12 +247,24 @@ macro_rules! prop_oneof {
 ///
 /// Supports the common form used in this workspace:
 ///
-/// ```ignore
+/// ```
+/// use proptest::prelude::*;
+///
+/// #[derive(Debug)]
+/// struct Thing {
+///     a: u64,
+///     b: bool,
+/// }
+///
 /// prop_compose! {
 ///     fn my_strategy()(a in 0u64..10, b in any::<bool>()) -> Thing {
 ///         Thing { a, b }
 ///     }
 /// }
+///
+/// let mut rng = proptest::test_runner::TestRng::for_case(0);
+/// let thing = my_strategy().new_value(&mut rng);
+/// assert!(thing.a < 10);
 /// ```
 #[macro_export]
 macro_rules! prop_compose {

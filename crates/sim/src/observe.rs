@@ -26,8 +26,6 @@ pub struct Observation {
     pub events: RuntimeEvents,
     /// Pipeline statistics.
     pub stats: CycleStats,
-    /// The pipeline's telemetry counters, in registration order.
-    pub counters: Vec<(&'static str, u64)>,
     /// D-cache `(hits, misses)`.
     pub dcache: (u64, u64),
     /// Keybuffer `(hits, misses, fills)`.
@@ -81,7 +79,7 @@ impl Observation {
                 }
             )*};
         }
-        fields!(exit, events, stats, counters, dcache, keybuffer);
+        fields!(exit, events, stats, dcache, keybuffer);
         // Both lists are sorted: the first differing entry holds the
         // lowest address whose word differs (a missing word reads 0).
         let n = a.memory.len().max(b.memory.len());
@@ -114,7 +112,6 @@ impl Machine {
             output: self.output.clone(),
             events: self.events,
             stats: self.pipeline.stats(),
-            counters: self.pipeline.counters().iter().collect(),
             dcache: self.pipeline.dcache().stats(),
             keybuffer: self.pipeline.keybuffer().stats(),
             memory: mem

@@ -147,33 +147,6 @@ fn churn_prog() -> Program {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Random decodable instruction streams execute without panicking.
-    #[test]
-    fn random_words_never_panic(words in prop::collection::vec(any::<u32>(), 1..64)) {
-        let instrs: Vec<Instr> =
-            words.iter().filter_map(|&w| decode(w).ok()).collect();
-        if instrs.is_empty() {
-            return Ok(());
-        }
-        let prog = Program::from_instrs(0x1_0000, instrs);
-        let mut m = Machine::new(prog, SafetyConfig::default());
-        // Any outcome is legal; panics are not.
-        let _ = m.run(10_000);
-    }
-
-    /// The same stream on the baseline config is equally panic-free.
-    #[test]
-    fn random_words_never_panic_baseline(words in prop::collection::vec(any::<u32>(), 1..64)) {
-        let instrs: Vec<Instr> =
-            words.iter().filter_map(|&w| decode(w).ok()).collect();
-        if instrs.is_empty() {
-            return Ok(());
-        }
-        let prog = Program::from_instrs(0x1_0000, instrs);
-        let mut m = Machine::new(prog, SafetyConfig::baseline());
-        let _ = m.run(10_000);
-    }
-
     /// Arbitrary CSR writes (including garbage compression configs)
     /// never panic and never brick the machine.
     #[test]
@@ -221,19 +194,20 @@ proptest! {
         hostile_image_is_contained(&image, base, compression, fuel)?;
     }
 
-    /// Random decodable instruction streams execute **identically** on
-    /// the reference interpreter and the decoded-block fast engine, at
-    /// any fuel budget and under the baseline, HWST128 and
-    /// HWST128_tchk configurations: the same result (exit or trap) and
-    /// the same [`Observation`](hwst_sim::Observation). This is the
-    /// generative counterpart of the workload differential gate in
-    /// `tests/exec.rs` — random streams reach decoder corners (jumps
-    /// into fused pairs, blocks ending mid-idiom, traps at every
-    /// offset) no workload exercises.
+    /// Random decodable instruction streams execute without panicking
+    /// and **identically** on the reference interpreter and the
+    /// decoded-block fast engine, at any fuel budget and under the
+    /// baseline, HWST128 and HWST128_tchk configurations: the same
+    /// result (exit or trap) and the same
+    /// [`Observation`](hwst_sim::Observation). This is the
+    /// instruction-level counterpart of the compiled-program gate in
+    /// `tests/differential.rs` — random streams reach decoder corners
+    /// (jumps into fused pairs, blocks ending mid-idiom, traps at every
+    /// offset) no compiled program exercises.
     #[test]
     fn random_words_execute_identically_on_both_engines(
         words in prop::collection::vec(any::<u32>(), 1..64),
-        fuel in 1u64..5_000,
+        fuel in 1u64..=10_000,
     ) {
         let instrs: Vec<Instr> =
             words.iter().filter_map(|&w| decode(w).ok()).collect();

@@ -9,10 +9,6 @@
 //! This crate supplies the missing layer, std-only and dependency-free
 //! (the JSON writer is borrowed from `hwst-harness`):
 //!
-//! * [`Counters`] — a flat counter registry. The pipeline routes its
-//!   event-style counters (keybuffer hits/misses, `hwst_instrs`,
-//!   `checked_mem`) through it so cycle accounting and profile tables
-//!   share one source of truth.
 //! * [`RingRecorder`] — a bounded ring-buffer span recorder. Recording
 //!   is strictly additive: it never touches the timing model, so a run
 //!   with the recorder detached reproduces today's `CycleStats`
@@ -42,12 +38,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counter;
 mod event;
 mod export;
 mod profile;
 
-pub use counter::{CounterId, Counters};
 pub use event::{Event, RingRecorder, Track};
 pub use export::{chrome_trace, collapsed_stacks};
 pub use profile::{attribute, Breakdown, FnRow, FnTable, PcProfile, Profiler, Symbol, SymbolTable};

@@ -16,12 +16,17 @@ fn run(wl: &Workload, scheme: Scheme) -> (u64, u64) {
     (exit.code, exit.stats.total_cycles())
 }
 
+/// One sweep of every workload under the Fig. 4 schemes: each
+/// instrumented run exits with the baseline's code and costs more
+/// cycles than it, and Fig. 4's ordering holds on the geometric mean.
 #[test]
-fn workloads_agree_across_schemes() {
-    for wl in all() {
-        let (base_code, base_cycles) = run(&wl, Scheme::None);
-        for scheme in [Scheme::Sbcets, Scheme::Hwst128, Scheme::Hwst128Tchk] {
-            let (code, cycles) = run(&wl, scheme);
+fn workloads_agree_and_order_across_schemes() {
+    let workloads = all();
+    let mut logsum = [0f64; 4]; // Scheme::ALL order: None, Sbcets, Hwst128, Hwst128Tchk
+    for wl in &workloads {
+        let runs = Scheme::ALL.map(|s| run(wl, s));
+        let (base_code, base_cycles) = runs[0];
+        for (scheme, &(code, cycles)) in Scheme::ALL.iter().zip(&runs).skip(1) {
             assert_eq!(code, base_code, "{} diverges under {scheme}", wl.name);
             assert!(
                 cycles > base_cycles,
@@ -29,31 +34,11 @@ fn workloads_agree_across_schemes() {
                 wl.name
             );
         }
-    }
-}
-
-#[test]
-fn scheme_cost_ordering_holds_per_suite_geomean() {
-    // Fig. 4's ordering must hold on the geometric mean of each suite.
-    let mut logsum = [0f64; 4]; // None, Sbcets, Hwst128, Hwst128Tchk
-    let mut count = 0usize;
-    for wl in all() {
-        let cycles: Vec<u64> = [
-            Scheme::None,
-            Scheme::Sbcets,
-            Scheme::Hwst128,
-            Scheme::Hwst128Tchk,
-        ]
-        .iter()
-        .map(|&s| run(&wl, s).1)
-        .collect();
-        for (i, c) in cycles.iter().enumerate() {
-            logsum[i] += (*c as f64).ln();
+        for (l, &(_, cycles)) in logsum.iter_mut().zip(&runs) {
+            *l += (cycles as f64).ln();
         }
-        count += 1;
     }
-    let geo: Vec<f64> = logsum.iter().map(|l| (l / count as f64).exp()).collect();
-    let (base, sb, hwst, tchk) = (geo[0], geo[1], geo[2], geo[3]);
+    let [base, sb, hwst, tchk] = logsum.map(|l| (l / workloads.len() as f64).exp());
     assert!(
         base < tchk && tchk < hwst && hwst < sb,
         "geomean ordering violated: base={base:.0} tchk={tchk:.0} hwst={hwst:.0} sbcets={sb:.0}"

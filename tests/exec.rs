@@ -1,80 +1,30 @@
-//! The fast-vs-reference differential-correctness gate: for every
-//! workload × scheme, the decoded-block fast engine must be
-//! **bit-identical** to the reference interpreter (`Machine::run`) —
-//! the same exit status (code, output, full `CycleStats`) and the same
-//! final `Observation` (PC, all 32 registers and SRF entries, every
-//! nonzero memory word, named counters, D-cache and keybuffer
-//! hit/miss behaviour).
+//! The fast-vs-reference gate over the kernels, and the committed X1
+//! artifact (`BENCH_exec.json`). Every kernel × scheme at `-O0` goes
+//! through [`common::verdict`], which requires the decoded-block fast
+//! engine to be bit-identical to the reference interpreter — the same
+//! run result (code, output, full `CycleStats`, or trap) and the same
+//! final `Observation` — and must give the baseline's verdict.
 //!
-//! The cross-suite smoke subset runs in tier-1; the full 23-workload ×
-//! 5-scheme sweep rides the `--ignored` CI heavy gate.
+//! The cross-suite smoke subset runs in tier-1; the full 23-kernel ×
+//! `Scheme::EVERY` sweep rides the `--ignored` CI heavy gate.
 
-use hwst128::compiler::{compile, Scheme};
-use hwst128::config_for;
-use hwst128::exec::{run_fast, BlockCache};
-use hwst128::sim::Machine;
-use hwst128::workloads::{Scale, Workload};
+mod common;
 
-/// Every instrumentation scheme the compiler accepts, including the
-/// SHORE baseline — "all schemes" in the acceptance sense.
-const SCHEMES: [Scheme; 5] = [
-    Scheme::None,
-    Scheme::Sbcets,
-    Scheme::Hwst128,
-    Scheme::Hwst128Tchk,
-    Scheme::Shore,
-];
+use common::{kernels_match_baseline, smoke_kernels, SCHEMES};
+use hwst128::compiler::{OptLevel, Scheme};
 
-/// The tier-1 cross-suite subset (one representative per suite family).
-const SMOKE: [&str; 6] = ["string", "math", "FFT", "treeadd", "health", "bzip2"];
-
-/// Runs `wl` under `scheme` on both engines and asserts bit-identity of
-/// the run result and the complete observable final state.
-fn assert_engines_identical(wl: &Workload, scheme: Scheme) {
-    let ctx = format!("{}/{}", wl.name, scheme.label());
-    let module = wl.module(Scale::Test);
-    let prog = match compile(&module, scheme) {
-        Ok(p) => p,
-        Err(e) => panic!("{ctx}: compile failed: {e}"),
-    };
-    let fuel = wl.fuel(Scale::Test);
-    let cfg = config_for(scheme);
-
-    let mut cycle = Machine::new(prog.clone(), cfg);
-    let cycle_result = cycle.run(fuel);
-
-    let mut fast = Machine::new(prog, cfg);
-    let fast_result = run_fast(&mut fast, fuel, &mut BlockCache::new());
-
-    // Same outcome: exit (code, output, full CycleStats) or trap.
-    assert_eq!(cycle_result, fast_result, "{ctx}: run results diverged");
-    // Same final observable state.
-    if let Some(d) = cycle.observe().first_difference(&fast.observe()) {
-        panic!("{ctx}: {d}");
-    }
-}
-
-/// Tier-1: the cross-suite subset × every scheme is bit-identical.
+/// Tier-1: the cross-suite subset × the five kernel schemes.
 #[test]
 fn fast_engine_bit_identical_on_smoke_subset() {
-    for name in SMOKE {
-        let wl = Workload::by_name(name).unwrap();
-        for scheme in SCHEMES {
-            assert_engines_identical(&wl, scheme);
-        }
-    }
+    kernels_match_baseline(&smoke_kernels(), &SCHEMES, OptLevel::O0);
 }
 
-/// Full acceptance: all 23 workloads × all 5 schemes. Heavier (the
-/// reference runs every pair too), so it rides the CI heavy gate.
+/// Full acceptance: all 23 kernels × every scheme. Rides the CI heavy
+/// gate.
 #[test]
 #[ignore = "full sweep; run via the CI heavy gates"]
 fn fast_engine_bit_identical_on_full_suite() {
-    for wl in hwst128::workloads::all() {
-        for scheme in SCHEMES {
-            assert_engines_identical(&wl, scheme);
-        }
-    }
+    kernels_match_baseline(&hwst128::workloads::all(), &Scheme::EVERY, OptLevel::O0);
 }
 
 /// The committed `BENCH_exec.json` artifact (the full-scale X1 run) must
