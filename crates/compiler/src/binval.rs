@@ -296,6 +296,77 @@ struct SrfHalf {
     bounds: Option<Bounds>,
 }
 
+/// A map kept as one vector of entries sorted by key. The abstract
+/// state's maps hold a few frame slots each, and the fixpoint clones
+/// and joins states at every block edge: a vector clones in one
+/// allocation, and [`VecMap::meet`] intersects two maps in one merge
+/// pass, in place. A set is a map to `()`.
+#[derive(Debug, Clone, PartialEq)]
+struct VecMap<K, V>(Vec<(K, V)>);
+
+type VecSet<K> = VecMap<K, ()>;
+
+impl<K: Ord + Copy, V: Copy + PartialEq> VecMap<K, V> {
+    const fn new() -> Self {
+        VecMap(Vec::new())
+    }
+
+    fn find(&self, k: &K) -> Result<usize, usize> {
+        self.0.binary_search_by(|(e, _)| e.cmp(k))
+    }
+
+    fn get(&self, k: &K) -> Option<&V> {
+        self.find(k).ok().map(|i| &self.0[i].1)
+    }
+
+    fn get_mut(&mut self, k: &K) -> Option<&mut V> {
+        self.find(k).ok().map(|i| &mut self.0[i].1)
+    }
+
+    fn contains_key(&self, k: &K) -> bool {
+        self.find(k).is_ok()
+    }
+
+    fn insert(&mut self, k: K, v: V) {
+        match self.find(&k) {
+            Ok(i) => self.0[i].1 = v,
+            Err(i) => self.0.insert(i, (k, v)),
+        }
+    }
+
+    fn remove(&mut self, k: &K) {
+        if let Ok(i) = self.find(k) {
+            self.0.remove(i);
+        }
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
+        self.0.retain(|(k, v)| keep(k, v));
+    }
+
+    /// Intersects `self` with `other` in place: a key present in both
+    /// keeps `join(mine, theirs)` and is dropped when that is `None`;
+    /// every other key is dropped. Returns whether `self` changed.
+    fn meet(&mut self, other: &Self, join: impl Fn(V, V) -> Option<V>) -> bool {
+        let len = self.0.len();
+        let mut changed = false;
+        let mut theirs = other.0.iter().peekable();
+        self.0.retain_mut(|(k, v)| {
+            while theirs.next_if(|(o, _)| o < k).is_some() {}
+            let Some(&(_, ov)) = theirs.next_if(|(o, _)| o == k) else {
+                return false;
+            };
+            let Some(j) = join(*v, ov) else {
+                return false;
+            };
+            changed |= j != *v;
+            *v = j;
+            true
+        });
+        changed || self.0.len() != len
+    }
+}
+
 /// The per-program-point abstract state. All compound members are
 /// must-information: joins intersect.
 #[derive(Debug, Clone, PartialEq)]
@@ -304,14 +375,14 @@ struct AbsState {
     srf_l: [Option<SrfHalf>; 32],
     srf_u: [Option<SrfHalf>; 32],
     /// Known contents of frame slots (keyed by frame offset).
-    vals: BTreeMap<i64, Num>,
+    vals: VecMap<i64, Num>,
     /// Frame-slot shadow words (lower half) written on every path,
     /// with their content's bounds when statically known.
-    shadow_l: BTreeMap<i64, Option<Bounds>>,
+    shadow_l: VecMap<i64, Option<Bounds>>,
     /// Frame-slot shadow words (upper half) written on every path.
-    shadow_u: BTreeSet<i64>,
+    shadow_u: VecSet<i64>,
     /// Checks already performed: (pointer slot, access offset, bytes).
-    done: BTreeSet<(i64, i64, u64)>,
+    done: VecSet<(i64, i64, u64)>,
 }
 
 impl AbsState {
@@ -323,10 +394,10 @@ impl AbsState {
             regs,
             srf_l: [None; 32],
             srf_u: [None; 32],
-            vals: BTreeMap::new(),
-            shadow_l: BTreeMap::new(),
-            shadow_u: BTreeSet::new(),
-            done: BTreeSet::new(),
+            vals: VecMap::new(),
+            shadow_l: VecMap::new(),
+            shadow_u: VecSet::new(),
+            done: VecSet::new(),
         }
     }
 }
@@ -361,49 +432,45 @@ fn join_half(a: Option<SrfHalf>, b: Option<SrfHalf>) -> Option<SrfHalf> {
     }
 }
 
-fn join(a: &AbsState, b: &AbsState) -> AbsState {
-    let mut regs = [TOP; 32];
-    let mut srf_l = [None; 32];
-    let mut srf_u = [None; 32];
+/// Stores `v` in `slot` and reports whether that changed it.
+fn update<T: PartialEq>(slot: &mut T, v: T) -> bool {
+    let changed = *slot != v;
+    *slot = v;
+    changed
+}
+
+/// Joins `st` into `prev` in place and reports whether `prev` changed.
+fn join_into(prev: &mut AbsState, st: &AbsState) -> bool {
+    let mut changed = false;
     for i in 0..32 {
-        regs[i] = AbsVal {
-            prov: join_prov(a.regs[i].prov, b.regs[i].prov),
-            num: join_num(a.regs[i].num, b.regs[i].num),
+        let (a, b) = (prev.regs[i], st.regs[i]);
+        let reg = AbsVal {
+            prov: join_prov(a.prov, b.prov),
+            num: join_num(a.num, b.num),
         };
-        srf_l[i] = join_half(a.srf_l[i], b.srf_l[i]);
-        srf_u[i] = join_half(a.srf_u[i], b.srf_u[i]);
+        let lower = join_half(prev.srf_l[i], st.srf_l[i]);
+        let upper = join_half(prev.srf_u[i], st.srf_u[i]);
+        changed |= update(&mut prev.regs[i], reg);
+        changed |= update(&mut prev.srf_l[i], lower);
+        changed |= update(&mut prev.srf_u[i], upper);
     }
-    let vals = a
-        .vals
-        .iter()
-        .filter(|(k, v)| b.vals.get(k) == Some(v))
-        .map(|(&k, &v)| (k, v))
-        .collect();
-    let shadow_l = a
+    changed |= prev.vals.meet(&st.vals, |a, b| (a == b).then_some(a));
+    changed |= prev
         .shadow_l
-        .iter()
-        .filter_map(|(&k, &v)| {
-            b.shadow_l
-                .get(&k)
-                .map(|&bv| (k, if v == bv { v } else { None }))
-        })
-        .collect();
-    let shadow_u = a.shadow_u.intersection(&b.shadow_u).copied().collect();
-    let done = a.done.intersection(&b.done).copied().collect();
-    AbsState {
-        regs,
-        srf_l,
-        srf_u,
-        vals,
-        shadow_l,
-        shadow_u,
-        done,
-    }
+        .meet(&st.shadow_l, |a, b| Some(if a == b { a } else { None }));
+    changed |= prev.shadow_u.meet(&st.shadow_u, |(), ()| Some(()));
+    changed |= prev.done.meet(&st.done, |(), ()| Some(()));
+    changed
 }
 
 // ---------------------------------------------------------------------------
 // The per-function interpreter
 // ---------------------------------------------------------------------------
+
+/// Block visits the fixpoint may make per recovered block, with four
+/// blocks' worth of slack, before it gives up and fails closed. The
+/// kernels converge in about four visits per block.
+const FUEL_PER_BLOCK: usize = 64;
 
 /// Where a shadow access lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -445,9 +512,11 @@ struct FnInterp<'a> {
     /// Reachable `tchk` instructions and the home slot whose pointer
     /// each one consumed.
     tchk_sites: Vec<(usize, i64)>,
-    /// A reachable `tchk` consumed a pointer of unknown provenance —
-    /// the coverage obligation is skipped for this function.
-    tchk_unknown: bool,
+    /// Coverage is untrackable in this function: a reachable `tchk`
+    /// consumed a pointer of unknown provenance, or the fixpoint ran out
+    /// of fuel. The coverage obligation is skipped; either cause is
+    /// already a lowering finding of its own.
+    coverage_unknown: bool,
     /// Parked-pointer copy edges, destination slot → source slots: a
     /// store into pointer slot `d` of a value derived from pointer
     /// slot `s` records `d → s`, so a `tchk` of `s` temporally covers
@@ -543,7 +612,7 @@ impl<'a> FnInterp<'a> {
             sbdl_slots: BTreeSet::new(),
             sbdl_dyn: 0,
             tchk_sites: Vec::new(),
-            tchk_unknown: false,
+            coverage_unknown: false,
             copy_edges: BTreeMap::new(),
             reg_srcs: vec![BTreeSet::new(); 32],
             heap_srcs: BTreeMap::new(),
@@ -725,7 +794,7 @@ impl<'a> FnInterp<'a> {
                 r.prov = Prov::None;
             }
         }
-        st.done.retain(|&(sl, _, _)| sl != s);
+        st.done.retain(|&(sl, _, _), _| sl != s);
         if let Some(b) = st.shadow_l.get_mut(&s) {
             *b = None;
         }
@@ -895,12 +964,12 @@ impl<'a> FnInterp<'a> {
         }
         if let Prov::Slot { exact: true, .. } = rv.prov {
             let key = (slot, offset, bytes);
-            if st.done.contains(&key) {
+            if st.done.contains_key(&key) {
                 if !discharged && self.emit {
                     self.stats.discharged_redundant += 1;
                 }
             } else {
-                st.done.insert(key);
+                st.done.insert(key, ());
             }
         }
     }
@@ -1273,7 +1342,7 @@ impl<'a> FnInterp<'a> {
                             );
                         } else {
                             st.shadow_l.insert(s, src.and_then(|h| h.bounds));
-                            st.done.retain(|&(sl, _, _)| sl != s);
+                            st.done.retain(|&(sl, _, _), _| sl != s);
                             for (r, h) in st.srf_l.iter_mut().enumerate() {
                                 if r != rs2.index() as usize
                                     && matches!(h, Some(x) if x.src == MetaSrc::Slot(s))
@@ -1332,7 +1401,7 @@ impl<'a> FnInterp<'a> {
                                 ),
                             );
                         } else {
-                            st.shadow_u.insert(s);
+                            st.shadow_u.insert(s, ());
                             for (r, h) in st.srf_u.iter_mut().enumerate() {
                                 if r != rs2.index() as usize
                                     && matches!(h, Some(x) if x.src == MetaSrc::Slot(s))
@@ -1389,7 +1458,7 @@ impl<'a> FnInterp<'a> {
                     Prov::Slot { off, .. } if self.ptr_slots.contains(&off) => off,
                     _ => {
                         if self.emit {
-                            self.tchk_unknown = true;
+                            self.coverage_unknown = true;
                         }
                         self.finding(
                             FindingClass::Lowering,
@@ -1440,61 +1509,83 @@ impl<'a> FnInterp<'a> {
         }
     }
 
-    /// Fixpoint + findings pass over the recovered machine CFG.
     /// Runs the dataflow fixpoint over `g` with findings suppressed
     /// (`self.emit` must be false) and returns the per-block in-states
-    /// (`None` = unreachable).
-    fn fixpoint(&mut self, g: &cfg::MachineCfg) -> Vec<Option<AbsState>> {
+    /// (`None` = unreachable), each in its own allocation. Returns
+    /// `None` when `fuel_per_block · (blocks + 4)` block visits did not
+    /// reach the fixpoint: the in-states reached so far still hold
+    /// facts a later join would drop, so none of them is trusted.
+    fn fixpoint(
+        &mut self,
+        g: &cfg::MachineCfg,
+        fuel_per_block: usize,
+    ) -> Option<Vec<Option<Box<AbsState>>>> {
         let n = g.blocks.len();
-        let mut inputs: Vec<Option<AbsState>> = vec![None; n];
+        let mut inputs: Vec<Option<Box<AbsState>>> = vec![None; n];
         if n == 0 {
-            return inputs;
+            return Some(inputs);
         }
-        inputs[0] = Some(AbsState::entry());
+        inputs[0] = Some(Box::new(AbsState::entry()));
         let mut work = vec![0usize];
-        // Monotone joins on a finite-height domain terminate; the guard
-        // only protects against an analysis bug, never fires on real
-        // input, and degrades to fewer facts (never a panic).
-        let mut fuel = 64usize.saturating_mul(n).saturating_add(256);
+        let mut fuel = fuel_per_block.saturating_mul(n.saturating_add(4));
         while let Some(b) = work.pop() {
             if fuel == 0 {
-                break;
+                return None;
             }
             fuel -= 1;
-            let Some(mut st) = inputs[b].clone() else {
+            let Some(input) = &inputs[b] else {
                 continue;
             };
+            let mut st = AbsState::clone(input);
             let mut pairs = HashMap::new();
             for at in g.blocks[b].start..g.blocks[b].end {
                 self.transfer(&mut st, at, &mut pairs);
             }
             for &s in &g.blocks[b].succs {
-                let joined = match &inputs[s] {
-                    None => st.clone(),
-                    Some(prev) => join(prev, &st),
-                };
-                if inputs[s].as_ref() != Some(&joined) {
-                    inputs[s] = Some(joined);
-                    work.push(s);
+                match &mut inputs[s] {
+                    Some(prev) => {
+                        if join_into(prev, &st) {
+                            work.push(s);
+                        }
+                    }
+                    unreached @ None => {
+                        *unreached = Some(Box::new(st.clone()));
+                        work.push(s);
+                    }
                 }
             }
         }
-        inputs
+        Some(inputs)
     }
 
-    fn run(&mut self) -> (Vec<Finding>, FnReport) {
+    fn run(&mut self, fuel_per_block: usize) -> (Vec<Finding>, FnReport) {
         let range = self.plan.start..self.plan.start + self.plan.len;
         let g = cfg::recover(self.instrs, range);
         if g.blocks.is_empty() {
             return (std::mem::take(&mut self.findings), self.stats.clone());
         }
-        let inputs = self.fixpoint(&g);
+        let Some(inputs) = self.fixpoint(&g, fuel_per_block) else {
+            self.emit = true;
+            self.finding(
+                FindingClass::Lowering,
+                "FIXPOINT_FUEL",
+                self.plan.start,
+                format!(
+                    "the dataflow fixpoint over {} blocks did not converge within its \
+                     block-visit budget, so no in-state is trusted",
+                    g.blocks.len()
+                ),
+            );
+            self.emit = false;
+            self.coverage_unknown = true;
+            return (std::mem::take(&mut self.findings), self.stats.clone());
+        };
         // Findings pass: each reachable block exactly once, from its
         // fixed in-state.
         self.emit = true;
         for (b, input) in inputs.iter().enumerate() {
             let Some(start_state) = input else { continue };
-            let mut st = start_state.clone();
+            let mut st = AbsState::clone(start_state);
             let mut pairs = HashMap::new();
             // `-O1` carries live pointer values across block boundaries
             // in cache registers, so the per-block source tracking is
@@ -1579,13 +1670,17 @@ impl<'a> FnInterp<'a> {
     ///   the stored slot, and the block is not on a CFG cycle so the
     ///   mutant's in-state provably equals the original's;
     /// * `swap_pair`: any reachable scheduled upper-half shadow store.
-    fn reg_sites(&mut self, sites: &mut RegSites) {
+    ///
+    /// A function whose fixpoint runs out of fuel lists no sites.
+    fn reg_sites(&mut self, sites: &mut RegSites, fuel_per_block: usize) {
         let range = self.plan.start..self.plan.start + self.plan.len;
         let g = cfg::recover(self.instrs, range);
         if g.blocks.is_empty() {
             return;
         }
-        let inputs = self.fixpoint(&g);
+        let Some(inputs) = self.fixpoint(&g, fuel_per_block) else {
+            return;
+        };
         let n = g.blocks.len();
         // `on_cycle[b]`: is b reachable from itself?
         let mut on_cycle = vec![false; n];
@@ -1605,7 +1700,7 @@ impl<'a> FnInterp<'a> {
         }
         for (b, input) in inputs.iter().enumerate() {
             let Some(start_state) = input else { continue };
-            let mut st = start_state.clone();
+            let mut st = AbsState::clone(start_state);
             let mut pairs = HashMap::new();
             let end = g.blocks[b].end;
             for at in g.blocks[b].start..end {
@@ -1965,8 +2060,28 @@ fn validate_with_elim(
                 });
             }
         }
-        // Plan sanity: every recorded IR check site must map onto a
-        // checked machine access (catches instruction deletion).
+        // Plan sanity: the function must lie inside the image (CFG
+        // recovery clamps to the image, so a missing tail would never be
+        // interpreted), and every recorded IR check site must map onto
+        // a checked machine access (catches instruction deletion).
+        let end = fp.start.checked_add(fp.len);
+        if end.is_none_or(|end| end > program.len()) {
+            findings.push(Finding {
+                class: FindingClass::Lowering,
+                code: "PLAN_RANGE",
+                func: fp.name.clone(),
+                at: fp.start,
+                pc: program.base() + fp.start as u64 * 4,
+                cwe: None,
+                message: format!(
+                    "the plan places {} instructions at {}, past the end of the \
+                     {}-instruction image",
+                    fp.len,
+                    fp.start,
+                    program.len()
+                ),
+            });
+        }
         for site in &fp.checks {
             let ok = match program.instrs().get(site.at) {
                 Some(Instr::Load { checked, .. }) => *checked && !site.is_store,
@@ -1990,14 +2105,15 @@ fn validate_with_elim(
             }
         }
         let mut interp = FnInterp::new(program.instrs(), program.base(), fp, plan.scheme, codec);
-        let (mut fnd, mut stats) = interp.run();
+        let (mut fnd, mut stats) = interp.run(FUEL_PER_BLOCK);
         findings.append(&mut fnd);
         // Check (e): temporal coverage. Only `Hwst128Tchk` carries
         // machine `tchk`s to account for, and the obligation is active
         // only when an elimination plan was supplied; a tchk of unknown
-        // provenance makes coverage untrackable, so the function bails
-        // (that tchk already failed validation on its own).
-        if plan.scheme == Scheme::Hwst128Tchk && !interp.tchk_unknown {
+        // provenance or an unconverged fixpoint makes coverage
+        // untrackable, so the function bails (it already failed
+        // validation on its own).
+        if plan.scheme == Scheme::Hwst128Tchk && !interp.coverage_unknown {
             if let Some(e) = elim {
                 let tchk_slots: BTreeSet<i64> = interp.tchk_sites.iter().map(|&(_, s)| s).collect();
                 let witnessed = e.sites.get(&fp.name);
@@ -2498,7 +2614,7 @@ pub fn reg_mutation_sites(program: &Program, plan: &LowerPlan) -> RegSites {
     let mut sites = RegSites::default();
     for fp in &plan.funcs {
         let mut interp = FnInterp::new(program.instrs(), program.base(), fp, plan.scheme, codec);
-        interp.reg_sites(&mut sites);
+        interp.reg_sites(&mut sites, FUEL_PER_BLOCK);
     }
     sites
 }
@@ -2696,8 +2812,8 @@ pub fn witness_campaign(
     let mut protected: Vec<usize> = Vec::new();
     for fp in &plan.funcs {
         let mut interp = FnInterp::new(program.instrs(), program.base(), fp, scheme, codec);
-        let _ = interp.run();
-        if interp.tchk_unknown {
+        let _ = interp.run(FUEL_PER_BLOCK);
+        if interp.coverage_unknown {
             continue;
         }
         let slots: Vec<i64> = interp.tchk_sites.iter().map(|&(_, s)| s).collect();
@@ -2817,7 +2933,7 @@ pub fn witness_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::Width;
+    use crate::ir::{BinOp, Width};
     use crate::{FrontHalf, ModuleBuilder};
 
     /// Heap, stack, global and cross-function pointer traffic — enough
@@ -3168,6 +3284,216 @@ mod tests {
                 (y.mutation, y.site, y.killed, y.seed)
             );
         }
+    }
+
+    /// A counted loop over a stack buffer and a heap buffer with a call
+    /// in its body: the loop header joins the entry state with states
+    /// that differ in registers, slot contents, SRF entries and checks.
+    fn loop_module() -> Module {
+        let mut mb = ModuleBuilder::new();
+        let mut f = mb.func("sink");
+        let q = f.param(true);
+        let v = f.konst(1);
+        f.store(v, q, 0, Width::U8);
+        f.ret(None);
+        f.finish();
+        let mut f = mb.func("main");
+        let buf = f.stack_alloc(64);
+        let heap = f.malloc_bytes(64);
+        let i = f.local();
+        let zero = f.konst(0);
+        f.local_set(i, zero);
+        let (head, body, done) = (f.new_block(), f.new_block(), f.new_block());
+        f.jmp(head);
+        f.switch_to(head);
+        let iv = f.local_get(i);
+        let end = f.konst(8);
+        let more = f.bin(BinOp::Slt, iv, end);
+        f.br(more, body, done);
+        f.switch_to(body);
+        let iv = f.local_get(i);
+        let off = f.bin_imm(BinOp::Sll, iv, 3);
+        let slot = f.gep(buf, off);
+        f.store(iv, slot, 0, Width::U64);
+        let cell = f.gep(heap, off);
+        let x = f.load(slot, 0, Width::U64);
+        f.store(x, cell, 0, Width::U64);
+        f.call_void("sink", &[heap]);
+        let next = f.bin_imm(BinOp::Add, iv, 1);
+        f.local_set(i, next);
+        f.jmp(head);
+        f.switch_to(done);
+        f.free(heap);
+        f.ret(None);
+        f.finish();
+        mb.finish()
+    }
+
+    fn interp<'a>(program: &'a Program, plan: &'a LowerPlan, fp: &'a FnPlan) -> FnInterp<'a> {
+        let codec = ShadowCodec::new(
+            CompressionConfig::SPEC_DEFAULT,
+            MemoryLayout::default().lock_region_base,
+        );
+        FnInterp::new(program.instrs(), program.base(), fp, plan.scheme, codec)
+    }
+
+    /// Every reachable block in-state of every function's fixpoint.
+    fn in_states(program: &Program, plan: &LowerPlan) -> Vec<AbsState> {
+        let mut out = Vec::new();
+        for fp in &plan.funcs {
+            let g = cfg::recover(program.instrs(), fp.start..fp.start + fp.len);
+            let inputs = interp(program, plan, fp)
+                .fixpoint(&g, FUEL_PER_BLOCK)
+                .expect("converges");
+            out.extend(inputs.into_iter().flatten().map(|b| *b));
+        }
+        out
+    }
+
+    /// Does `r` hold only facts that `a` holds too? Written against the
+    /// domain's meaning, independently of [`join_into`].
+    fn facts_within(r: &AbsState, a: &AbsState) -> bool {
+        let val = |x: AbsVal, y: AbsVal| {
+            (x.num == Num::Top || x.num == y.num)
+                && match x.prov {
+                    Prov::None => true,
+                    Prov::Slot { off, exact } => {
+                        matches!(y.prov, Prov::Slot { off: o, exact: e } if o == off && (e || !exact))
+                    }
+                }
+        };
+        let half = |x: Option<SrfHalf>, y: Option<SrfHalf>| match (x, y) {
+            (None, _) => true,
+            (Some(h), Some(g)) => h.src == g.src && (h.bounds.is_none() || h.bounds == g.bounds),
+            (Some(_), None) => false,
+        };
+        (0..32).all(|i| {
+            val(r.regs[i], a.regs[i])
+                && half(r.srf_l[i], a.srf_l[i])
+                && half(r.srf_u[i], a.srf_u[i])
+        }) && r.vals.0.iter().all(|(k, v)| a.vals.get(k) == Some(v))
+            && r.shadow_l
+                .0
+                .iter()
+                .all(|(k, v)| a.shadow_l.get(k).is_some_and(|w| v.is_none() || v == w))
+            && r.shadow_u
+                .0
+                .iter()
+                .all(|(k, ())| a.shadow_u.contains_key(k))
+            && r.done.0.iter().all(|(k, ())| a.done.contains_key(k))
+    }
+
+    #[test]
+    fn vec_map_and_set_agree_with_btree_collections() {
+        let join = |a: u8, b: u8| (!a.is_multiple_of(5)).then_some(a.max(b));
+        for seed in 0..64u64 {
+            let (mut map, mut other) = (VecMap::<i64, u8>::new(), VecMap::new());
+            let (mut rmap, mut rother) = (BTreeMap::new(), BTreeMap::new());
+            let mut set = VecSet::<(i64, i64, u64)>::new();
+            let mut rset = BTreeSet::new();
+            let mut x = seed;
+            for _ in 0..512 {
+                x = splitmix64(x);
+                let k = (x >> 8) as i64 % 24 - 12;
+                let v = (x >> 40) as u8;
+                let sk = (k, k & 3, (x >> 16) % 3);
+                match x % 6 {
+                    0 => {
+                        assert_eq!(map.get(&k), rmap.get(&k));
+                        assert_eq!(set.contains_key(&sk), rset.contains(&sk));
+                        if let (Some(a), Some(b)) = (map.get_mut(&k), rmap.get_mut(&k)) {
+                            *a ^= v;
+                            *b ^= v;
+                        }
+                    }
+                    1 => {
+                        map.insert(k, v);
+                        rmap.insert(k, v);
+                        set.insert(sk, ());
+                        rset.insert(sk);
+                    }
+                    2 => {
+                        map.remove(&k);
+                        rmap.remove(&k);
+                        set.remove(&sk);
+                        rset.remove(&sk);
+                    }
+                    3 => {
+                        map.retain(|&key, &val| key != k && val != v);
+                        rmap.retain(|&key, &mut val| key != k && val != v);
+                        set.retain(|&(a, _, c), _| a < k || c == 1);
+                        rset.retain(|&(a, _, c)| a < k || c == 1);
+                    }
+                    4 => {
+                        other.insert(k, v);
+                        rother.insert(k, v);
+                    }
+                    _ => {
+                        let want: BTreeMap<i64, u8> = rmap
+                            .iter()
+                            .filter_map(|(k, &a)| {
+                                rother.get(k).and_then(|&b| join(a, b)).map(|j| (*k, j))
+                            })
+                            .collect();
+                        assert_eq!(map.meet(&other, join), want != rmap, "seed {seed}");
+                        rmap = want;
+                    }
+                }
+                let entries: Vec<(i64, u8)> = rmap.iter().map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(map.0, entries, "seed {seed}");
+                let keys: Vec<_> = rset.iter().map(|&k| (k, ())).collect();
+                assert_eq!(set.0, keys, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn join_into_is_an_idempotent_commutative_meet() {
+        let (mut pairs, mut changed_pairs) = (0usize, 0usize);
+        for m in [sample_module(), bounds_module(), loop_module()] {
+            for scheme in Scheme::EVERY {
+                for opt in [OptLevel::O0, OptLevel::O1] {
+                    let (program, plan) = campaign_image(&m, scheme, opt).unwrap();
+                    let states = in_states(&program, &plan);
+                    for a in &states {
+                        let mut aa = a.clone();
+                        assert!(!join_into(&mut aa, a));
+                        assert_eq!(aa, *a);
+                        for b in &states {
+                            let mut ab = a.clone();
+                            let changed = join_into(&mut ab, b);
+                            assert_eq!(changed, ab != *a, "{scheme:?} {opt:?}");
+                            assert!(facts_within(&ab, a) && facts_within(&ab, b));
+                            let mut ba = b.clone();
+                            join_into(&mut ba, a);
+                            assert_eq!(ab, ba, "{scheme:?} {opt:?}: not commutative");
+                            pairs += 1;
+                            changed_pairs += usize::from(changed);
+                        }
+                    }
+                }
+            }
+        }
+        eprintln!("{changed_pairs} of {pairs} joins changed the state");
+        assert!(changed_pairs > 0 && changed_pairs < pairs);
+    }
+
+    #[test]
+    fn fixpoint_out_of_fuel_fails_closed() {
+        let (program, plan) = lower(Scheme::Hwst128Tchk);
+        let mut fed = RegSites::default();
+        for fp in &plan.funcs {
+            let (findings, _) = interp(&program, &plan, fp).run(0);
+            let codes: Vec<_> = findings.iter().map(|f| f.code).collect();
+            assert_eq!(codes, ["FIXPOINT_FUEL"], "{}", fp.name);
+            let (findings, _) = interp(&program, &plan, fp).run(FUEL_PER_BLOCK);
+            assert!(findings.iter().all(|f| f.class != FindingClass::Lowering));
+            let mut starved = RegSites::default();
+            interp(&program, &plan, fp).reg_sites(&mut starved, 0);
+            assert_eq!(starved.total(), 0, "{}", fp.name);
+            interp(&program, &plan, fp).reg_sites(&mut fed, FUEL_PER_BLOCK);
+        }
+        assert!(fed.total() > 0, "the fuelled fixpoint lists sites");
     }
 
     #[test]

@@ -88,9 +88,10 @@ fn o0_images_have_no_regalloc_mutation_candidates() {
     assert!(rep.all_killed(), "surviving mutant in -O0 campaign");
 }
 
-/// Bench-scale sweep of the full suite × schemes at `-O1`, plus the
-/// full register-allocation mutation campaign. Heavy; run with
-/// `--ignored` in the heavy gates.
+/// The 8-seed register-allocation mutation campaign at `-O1` over every
+/// kernel at Test scale and the three hardware schemes (the tier-1 smoke
+/// above runs four kernels). Heavy; run with `--ignored` in the heavy
+/// gates.
 #[test]
 #[ignore = "heavy: full -O1 mutation campaign across the suite"]
 fn o1_reg_mutation_full_suite_is_killed_completely() {
