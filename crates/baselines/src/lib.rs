@@ -18,11 +18,11 @@
 //! ## Example
 //!
 //! ```no_run
-//! use hwst_baselines::{profile_workload, Comparator};
+//! use hwst_baselines::{try_profile_workload, Comparator};
 //! use hwst_workloads::{Workload, Scale};
 //!
 //! let wl = Workload::by_name("bzip2").unwrap();
-//! let p = profile_workload(&wl.module(Scale::Test), 1_000_000_000);
+//! let p = try_profile_workload(&wl.module(Scale::Test), 1_000_000_000).unwrap();
 //! let bogo = Comparator::Bogo.speedup(&p);
 //! let wide = Comparator::WdlWide.speedup(&p);
 //! assert!(bogo < wide, "WDL beats MPX-based BOGO (paper §5.1)");
@@ -57,19 +57,8 @@ pub struct WorkloadProfile {
 }
 
 /// Measures a workload's profile by executing it under three schemes.
-///
-/// # Panics
-///
-/// Panics if the module fails to compile or traps (profiles are for
-/// well-behaved benchmarks); [`try_profile_workload`] is the
-/// harness-friendly structured-error variant.
-pub fn profile_workload(module: &Module, fuel: u64) -> WorkloadProfile {
-    try_profile_workload(module, fuel).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`profile_workload`], but compile errors and traps come back as
-/// `Err` instead of panicking, so a parallel sweep can record the
-/// failure and keep going.
+/// Compile errors and traps come back as `Err`, so a parallel sweep
+/// can record the failure and keep going.
 ///
 /// # Errors
 ///

@@ -13,7 +13,7 @@ use hwst128::compiler::{
 use hwst128::config_for;
 use hwst128::exec::{run_fast, BlockCache};
 use hwst128::hwcost::hwst128_report;
-use hwst128::juliet::{execute_detects, model_coverage, sample_reachable};
+use hwst128::juliet::{execute_detects, sample_reachable, CoverageReport};
 use hwst128::mem::{LinearShadow, ShadowTrie};
 use hwst128::metadata::{CompressionConfig, Metadata, ShadowCodec};
 use hwst128::pipeline::{CacheConfig, ShadowLayout};
@@ -21,26 +21,25 @@ use hwst128::run_scheme;
 use hwst128::sim::inject::OutcomeCounts;
 use hwst128::sim::{Machine, SafetyConfig};
 use hwst128::telemetry::Breakdown;
-use hwst128::workloads::{all, Scale, Suite, Workload};
-use hwst_bench::exec::exec_geomean;
-use hwst_bench::profile::{profile_mean_fractions, try_profile_trace};
+use hwst128::workloads::{all, spec_suite, Scale, Suite, Workload};
+use hwst_bench::exec::{exec_geomean, try_exec_row};
+use hwst_bench::profile::{profile_mean_fractions, try_profile_row, try_profile_trace};
 use hwst_bench::runs::{
-    binval_results, exec_results, fig4_o1_results, fig4_results, fig5_results, fig6_results,
-    keybuffer_results, profile_names, profile_results, resilience_results, BoundsRow, BoundsRun,
-    BINVAL_MASTER_SEED,
+    binval_jobs, fig6_jobs, keybuffer_jobs, profile_workloads, resilience_jobs, resilience_rows,
+    workload_jobs, BoundsRow, BoundsRun, BINVAL_MASTER_SEED,
 };
 use hwst_bench::summary::{
     binval_sim, boundscheck_sim, exec_payloads, fig4_o1_sim, fig4_sim, fig5_sim, fig6_sim,
     overhead_triple, profile_sim, resilience_sim, zoo_sim,
 };
 use hwst_bench::{
-    fig4_geomean, fig4_o1_geomean, fig4_o1_geomean_speedup, fig5_geomean,
-    resilience_guarantee_violations, Fig4Row, ResilienceConfig,
+    fig4_geomean, fig5_geomean, geomean_baseline_speedup, resilience_guarantee_violations,
+    try_fig4_row, try_fig5_row, Fig4Row, ResilienceConfig,
 };
-use hwst_harness::{run, FailedJob, Job, Json};
+use hwst_harness::{FailedJob, Job, Json};
 use hwst_zoo::{
-    design_points, frontier_flags, model_geomeans, zoo_coverage_results, zoo_inject_results,
-    zoo_row_results, zoo_violations, Design, ZooConfig, ZooReport,
+    design_points, frontier_flags, merge_inject, model_geomeans, zoo_coverage_jobs,
+    zoo_inject_jobs, zoo_row_jobs, zoo_violations, Design, ZooConfig, ZooReport,
 };
 
 /// A percentage column.
@@ -78,8 +77,9 @@ pub fn fig4(cx: &mut Ctx) -> Result<Outcome, String> {
         "{:<12} {:<8} {:>12} {:>9} {:>9} {:>9}",
         "workload", "suite", "base cycles", "SBCETS", "HWST128", "_tchk"
     );
-    let results = fig4_results(scale, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = cx.settle(results);
+    let (rows, failed) = cx.settle(workload_jobs("fig4", all(), move |wl| {
+        try_fig4_row(wl, scale, OptLevel::O0)
+    }));
     for r in &rows {
         println!(
             "{:<12} {:<8} {:>12} {} {} {}",
@@ -133,8 +133,9 @@ pub fn fig5(cx: &mut Ctx) -> Result<Outcome, String> {
         "{:<10} {:>7} {:>12} {:>10} {:>9}",
         "workload", "BOGO", "WDL(narrow)", "WDL(wide)", "HWST128"
     );
-    let results = fig5_results(scale, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = cx.settle(results);
+    let (rows, failed) = cx.settle(workload_jobs("fig5", spec_suite(), move |wl| {
+        try_fig5_row(wl, scale)
+    }));
     for r in &rows {
         println!(
             "{:<10} {:>6.2}x {:>11.2}x {:>9.2}x {:>8.2}x",
@@ -154,17 +155,15 @@ pub fn fig5(cx: &mut Ctx) -> Result<Outcome, String> {
 /// Fig. 6: NIST-Juliet-style security coverage of GCC, ASAN, SBCETS and
 /// HWST128. SBCETS/HWST128 detections are measured by executing every
 /// `--stride`th case (default 1, the full 8366-case suite) in chunks on
-/// the pool; `--model` prints the instant modelled report instead.
+/// the pool; a failed chunk's cases are left out of `total_cases`.
 pub fn fig6(cx: &mut Ctx) -> Result<Outcome, String> {
-    if cx.args.model {
-        let report = model_coverage();
-        println!("Fig. 6 — security coverage (modelled)");
-        println!("{report}");
-        return Ok(Outcome::new(fig6_sim(&report), Vec::new()));
-    }
     let stride = cx.args.stride.unwrap_or(1);
     println!("Fig. 6 — security coverage (SBCETS/HWST128 measured, stride {stride})");
-    let (report, failed) = fig6_results(stride, &cx.pool, cx.sink.as_mut());
+    let (batches, failed) = cx.settle(fig6_jobs(stride));
+    let mut report = CoverageReport::default();
+    for d in batches.iter().flatten() {
+        report.absorb(d);
+    }
     println!("{report}");
     print_failed(&failed);
     println!();
@@ -222,8 +221,7 @@ pub fn ablation_keybuffer(cx: &mut Ctx) -> Result<Outcome, String> {
         print!("{s:>12}");
     }
     println!();
-    let scale = cx.scale();
-    let (rows, failed) = keybuffer_results(&names, &sizes, scale, &cx.pool, cx.sink.as_mut());
+    let (rows, failed) = cx.settle(keybuffer_jobs(&names, &sizes, cx.scale())?);
     let mut sim_rows = Vec::new();
     for row in &rows {
         print!("{:<10}", row.name);
@@ -503,8 +501,7 @@ pub fn ablation_dcache(cx: &mut Ctx) -> Result<Outcome, String> {
             })
         })
         .collect();
-    let results = run(jobs, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = cx.settle(results);
+    let (rows, failed) = cx.settle(jobs);
     for (label, o) in &rows {
         println!("{:<26} {:>8.1}% {:>8.1}% {:>8.1}%", label, o[0], o[1], o[2]);
     }
@@ -728,8 +725,7 @@ pub fn binval(cx: &mut Ctx) -> Result<Outcome, String> {
         },
         BINVAL_MASTER_SEED
     );
-    let results = binval_results(scale, seeds_per_scheme, opt, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = cx.settle(results);
+    let (rows, failed) = cx.settle(binval_jobs(scale, seeds_per_scheme, opt));
     println!(
         "{:<10} {:<12} {:>7} {:>6} {:>9} {:>9} {:>7}",
         "workload", "scheme", "checked", "rce-", "inbounds", "redundant", "mutants"
@@ -850,7 +846,8 @@ pub fn resilience(cx: &mut Ctx) -> Result<Outcome, String> {
         "seeds/target: {}  master seed: {:#x}",
         rc.seeds_per_target, rc.master_seed
     );
-    let (rows, failed) = resilience_results(&rc, scale, &cx.pool, cx.sink.as_mut())?;
+    let (cells, failed) = cx.settle(resilience_jobs(&rc, scale)?);
+    let rows = resilience_rows(cells);
     let hdr = "  det  mask silent mfault  n/a     avf";
     println!("{:<17}|{:^39}|{:^39}", "fault class", "workloads", "juliet");
     println!("{:<17}|{hdr} |{hdr}", "");
@@ -997,17 +994,9 @@ pub fn ablation_boundscheck(cx: &mut Ctx) -> Result<Outcome, String> {
         .map(|(_, wl)| wl)
         .collect();
     let total_workloads = workloads.len();
-    let jobs: Vec<Job<BoundsRow>> = workloads
-        .into_iter()
-        .map(|wl| {
-            let seeds = campaign_seeds.clone();
-            Job::new(format!("a10/{}", wl.name), move || {
-                bounds_row(&wl, scale, &seeds)
-            })
-        })
-        .collect();
-    let results = run(jobs, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = cx.settle(results);
+    let (rows, failed) = cx.settle(workload_jobs("a10", workloads, move |wl| {
+        bounds_row(wl, scale, &campaign_seeds)
+    }));
 
     let mut improved = 0usize;
     for row in &rows {
@@ -1084,14 +1073,15 @@ pub fn profile(cx: &mut Ctx) -> Result<Outcome, String> {
             exports.push((workload(name)?, prefix, ext));
         }
     }
-    let names = profile_names(smoke);
+    let workloads = profile_workloads(smoke);
     println!(
         "P1 — per-function overhead attribution{} ({} workloads)",
         smoke_tag(smoke),
-        names.len()
+        workloads.len()
     );
-    let results = profile_results(&names, scale, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = cx.settle(results);
+    let (rows, failed) = cx.settle(workload_jobs("profile", workloads, move |wl| {
+        try_profile_row(wl, scale)
+    }));
     println!(
         "{:<10} {:>12} {:>9} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}  hottest",
         "workload", "cycles", "overhead", "base%", "check%", "shad%", "keyb%", "runt%", "attr%",
@@ -1148,15 +1138,16 @@ pub fn exec(cx: &mut Ctx) -> Result<Outcome, String> {
     let smoke = cx.args.smoke;
     let scale = cx.scale();
     let opt = cx.args.opt;
-    let names = profile_names(smoke);
+    let workloads = profile_workloads(smoke);
     println!(
         "X1 — fast-engine speedup [-{}]{} ({} workloads), scale {scale:?}",
         opt.label(),
         smoke_tag(smoke),
-        names.len(),
+        workloads.len(),
     );
-    let results = exec_results(&names, scale, opt, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = cx.settle(results);
+    let (rows, failed) = cx.settle(workload_jobs("exec", workloads, move |wl| {
+        try_exec_row(wl, scale, opt)
+    }));
     println!(
         "{:<10} {:<8} {:>12} {:>7} {:>11} {:>11} {:>8}",
         "workload", "suite", "instret", "blocks", "cycle Mips", "fast Mips", "speedup"
@@ -1175,7 +1166,7 @@ pub fn exec(cx: &mut Ctx) -> Result<Outcome, String> {
     }
     print_failed(&failed);
     let g = exec_geomean(&rows);
-    println!("geomean speedup: {g:.1}x (target >= 10x)");
+    println!("geomean speedup: {g:.1}x");
     let (sim, host) = exec_payloads(opt, &rows, g);
     Ok(Outcome {
         host,
@@ -1189,34 +1180,39 @@ pub fn exec(cx: &mut Ctx) -> Result<Outcome, String> {
 pub fn fig4_o1(cx: &mut Ctx) -> Result<Outcome, String> {
     let scale = cx.scale();
     let smoke = cx.args.smoke;
-    let names = profile_names(smoke);
+    let workloads = profile_workloads(smoke);
     println!(
         "O1 experiment — Fig. 4 at both back-end tiers{}, scale {scale:?}, {} workload(s)",
         smoke_tag(smoke),
-        names.len(),
+        workloads.len(),
     );
     println!(
         "{:<12} {:<8} {:>12} {:>12} {:>8} {:>9} {:>9} {:>9}",
         "workload", "suite", "O0 cycles", "O1 cycles", "speedup", "O1 SBC", "O1 H128", "O1 _tchk"
     );
-    let results = fig4_o1_results(&names, scale, &cx.pool, cx.sink.as_mut());
-    let (rows, failed) = cx.settle(results);
-    for r in &rows {
+    let (pairs, failed) = cx.settle(workload_jobs("fig4_o1", workloads, move |wl| {
+        Ok((
+            try_fig4_row(wl, scale, OptLevel::O0)?,
+            try_fig4_row(wl, scale, OptLevel::O1)?,
+        ))
+    }));
+    let (o0, o1): (Vec<Fig4Row>, Vec<Fig4Row>) = pairs.into_iter().unzip();
+    for (r0, r1) in o0.iter().zip(&o1) {
         println!(
             "{:<12} {:<8} {:>12} {:>12} {:>7.2}x {} {} {}",
-            r.name,
-            r.suite.to_string(),
-            r.o0_baseline_cycles,
-            r.o1_baseline_cycles,
-            r.baseline_speedup(),
-            pct(r.o1_overhead_pct[0]),
-            pct(r.o1_overhead_pct[1]),
-            pct(r.o1_overhead_pct[2]),
+            r0.name,
+            r0.suite.to_string(),
+            r0.baseline_cycles,
+            r1.baseline_cycles,
+            r0.baseline_speedup(r1),
+            pct(r1.overhead_pct[0]),
+            pct(r1.overhead_pct[1]),
+            pct(r1.overhead_pct[2]),
         );
     }
     print_failed(&failed);
-    let g1 = fig4_o1_geomean(&rows);
-    let speedup = fig4_o1_geomean_speedup(&rows);
+    let g1 = fig4_geomean(&o1);
+    let speedup = geomean_baseline_speedup(&o0, &o1);
     println!(
         "{:<12} {:<8} {:>12} {:>12} {:>7.2}x {} {} {}",
         "Geo. mean",
@@ -1228,16 +1224,7 @@ pub fn fig4_o1(cx: &mut Ctx) -> Result<Outcome, String> {
         pct(g1[1]),
         pct(g1[2])
     );
-    let o0_rows: Vec<Fig4Row> = rows
-        .iter()
-        .map(|r| Fig4Row {
-            name: r.name.clone(),
-            suite: r.suite,
-            baseline_cycles: r.o0_baseline_cycles,
-            overhead_pct: r.o0_overhead_pct,
-        })
-        .collect();
-    let g0 = fig4_geomean(&o0_rows);
+    let g0 = fig4_geomean(&o0);
     println!(
         "-O0 geomean: SBCETS {}  HWST128 {}  HWST128_tchk {}",
         pct(g0[0]),
@@ -1248,7 +1235,10 @@ pub fn fig4_o1(cx: &mut Ctx) -> Result<Outcome, String> {
         "baseline speedup target 1.30x: {}",
         if speedup >= 1.3 { "met" } else { "NOT met" }
     );
-    Ok(Outcome::new(fig4_o1_sim(&rows, &g0, &g1, speedup), failed))
+    Ok(Outcome::new(
+        fig4_o1_sim(&o0, &o1, &g0, &g1, speedup),
+        failed,
+    ))
 }
 
 /// Z1/Z2: the comparative detector zoo — coverage × overhead frontier
@@ -1274,16 +1264,15 @@ pub fn zoo(cx: &mut Ctx) -> Result<Outcome, String> {
             .collect(),
     };
     println!("Z1/Z2 — comparative detector zoo{}", smoke_tag(smoke));
-    let sink = cx.sink.as_mut();
-    let (rows, mut failed) = zoo_row_results(&cfg, scale, &cx.pool, sink);
-    let (coverage, cov_failed) = zoo_coverage_results(&cfg, &cx.pool, sink);
+    let (rows, mut failed) = cx.settle(zoo_row_jobs(&cfg, scale));
+    let (coverage, cov_failed) = cx.settle(zoo_coverage_jobs(&cfg));
     failed.extend(cov_failed);
-    let (inject, inj_failed) = zoo_inject_results(&cfg, scale, &cx.pool, sink)?;
+    let (cells, inj_failed) = cx.settle(zoo_inject_jobs(&cfg, scale)?);
     failed.extend(inj_failed);
     let report = ZooReport {
         rows,
         coverage,
-        inject,
+        inject: merge_inject(cells),
     };
 
     let model = model_geomeans(&report.rows);

@@ -21,9 +21,9 @@
 //! * `resilience` (R1), `profile` (P1), `exec` (X1), `fig4_o1` (O1)
 //!   and `zoo` (Z1/Z2) — the extension experiments.
 //!
-//! This library holds what they share: the row computations, the
-//! harness-driven sweeps ([`runs`]) and the builders of the artifacts'
-//! `sim` payloads ([`summary`]).
+//! This library holds what they share: the row computations, the jobs
+//! of the pool-driven sweeps ([`runs`]) and the builders of the
+//! artifacts' `sim` payloads ([`summary`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,19 +52,29 @@ pub struct Fig4Row {
     pub overhead_pct: [f64; 3],
 }
 
-/// Runs one workload under every scheme and computes Eq. 7 overheads.
+impl Fig4Row {
+    /// This row's baseline cycles over `o1`'s, for the same workload
+    /// at `-O1`: how much faster the optimizing back-end makes the
+    /// program the overheads are measured against.
+    pub fn baseline_speedup(&self, o1: &Fig4Row) -> f64 {
+        self.baseline_cycles as f64 / (o1.baseline_cycles as f64).max(1.0)
+    }
+}
+
+/// Runs one workload under every scheme at back-end tier `opt` and
+/// computes Eq. 7 overheads.
 ///
 /// # Errors
 ///
-/// Returns `"<workload> (<scheme>): <trap/compile error>"` for the
-/// first scheme that fails to compile or run clean.
-pub fn try_fig4_row(wl: &Workload, scale: Scale) -> Result<Fig4Row, String> {
+/// Returns `"<workload> (<scheme>@<tier>): <trap/compile error>"` for
+/// the first scheme that fails to compile or run clean.
+pub fn try_fig4_row(wl: &Workload, scale: Scale, opt: OptLevel) -> Result<Fig4Row, String> {
     let module = wl.module(scale);
     let fuel = wl.fuel(scale);
     let mut cycles = [0.0f64; 4];
     for (slot, &s) in cycles.iter_mut().zip(Scheme::ALL.iter()) {
-        *slot = run_scheme(&module, CompileOptions::new(s), fuel)
-            .map_err(|e| format!("{} ({s}): {e}", wl.name))?
+        *slot = run_scheme(&module, CompileOptions::new(s).with_opt(opt), fuel)
+            .map_err(|e| format!("{} ({s}@{}): {e}", wl.name, opt.label()))?
             .stats
             .total_cycles() as f64;
     }
@@ -80,13 +90,13 @@ pub fn try_fig4_row(wl: &Workload, scale: Scale) -> Result<Fig4Row, String> {
     })
 }
 
-/// All Fig. 4 rows in the paper's order, computed serially: the
+/// All `-O0` Fig. 4 rows in the paper's order, computed serially: the
 /// reference the pool-driven sweep is compared against. Panics on the
 /// first broken workload.
 pub fn fig4_rows(scale: Scale) -> Vec<Fig4Row> {
     all()
         .iter()
-        .map(|wl| try_fig4_row(wl, scale).unwrap_or_else(|e| panic!("{e}")))
+        .map(|wl| try_fig4_row(wl, scale, OptLevel::O0).unwrap_or_else(|e| panic!("{e}")))
         .collect()
 }
 
@@ -99,97 +109,24 @@ pub fn fig4_geomean(rows: &[Fig4Row]) -> [f64; 3] {
             .iter()
             .map(|r| (1.0 + r.overhead_pct[i] / 100.0).ln())
             .sum();
-        *o = ((logsum / rows.len() as f64).exp() - 1.0) * 100.0;
-    }
-    out
-}
-
-/// One O1-experiment row: the Fig. 4 matrix measured at both back-end
-/// tiers, answering whether HWST128's relative overhead grows or
-/// shrinks on an optimized baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig4O1Row {
-    /// Workload name.
-    pub name: String,
-    /// Suite label.
-    pub suite: Suite,
-    /// Uninstrumented baseline cycles at `-O0`.
-    pub o0_baseline_cycles: u64,
-    /// Uninstrumented baseline cycles at `-O1`.
-    pub o1_baseline_cycles: u64,
-    /// Eq. 7 overhead % for SBCETS, HWST128, HWST128_tchk at `-O0`.
-    pub o0_overhead_pct: [f64; 3],
-    /// Eq. 7 overhead % for SBCETS, HWST128, HWST128_tchk at `-O1`.
-    pub o1_overhead_pct: [f64; 3],
-}
-
-impl Fig4O1Row {
-    /// `-O0` cycles over `-O1` cycles on the uninstrumented baseline —
-    /// how much faster the optimizing back-end makes the program the
-    /// overheads are measured against.
-    pub fn baseline_speedup(&self) -> f64 {
-        self.o0_baseline_cycles as f64 / (self.o1_baseline_cycles as f64).max(1.0)
-    }
-}
-
-/// Computes one O1-experiment row: all four schemes at both tiers
-/// (eight runs).
-///
-/// # Errors
-///
-/// Returns `"<workload> (<scheme>@<tier>): <trap/compile error>"` for
-/// the first cell that fails to compile or run clean.
-pub fn try_fig4_o1_row(wl: &Workload, scale: Scale) -> Result<Fig4O1Row, String> {
-    let module = wl.module(scale);
-    let fuel = wl.fuel(scale);
-    let mut cycles = [[0.0f64; 4]; 2];
-    for (t, &opt) in [OptLevel::O0, OptLevel::O1].iter().enumerate() {
-        for (slot, &s) in cycles[t].iter_mut().zip(Scheme::ALL.iter()) {
-            *slot = run_scheme(&module, CompileOptions::new(s).with_opt(opt), fuel)
-                .map_err(|e| format!("{} ({s}@{}): {e}", wl.name, opt.label()))?
-                .stats
-                .total_cycles() as f64;
-        }
-    }
-    let over = |c: &[f64; 4]| {
-        [
-            (c[1] / c[0] - 1.0) * 100.0,
-            (c[2] / c[0] - 1.0) * 100.0,
-            (c[3] / c[0] - 1.0) * 100.0,
-        ]
-    };
-    Ok(Fig4O1Row {
-        name: wl.name.to_string(),
-        suite: wl.suite,
-        o0_baseline_cycles: cycles[0][0] as u64,
-        o1_baseline_cycles: cycles[1][0] as u64,
-        o0_overhead_pct: over(&cycles[0]),
-        o1_overhead_pct: over(&cycles[1]),
-    })
-}
-
-/// Geometric mean of the per-row baseline speedups (the ISSUE 9
-/// acceptance number: ≥ 1.3×).
-pub fn fig4_o1_geomean_speedup(rows: &[Fig4O1Row]) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
-    }
-    let logsum: f64 = rows.iter().map(|r| r.baseline_speedup().ln()).sum();
-    (logsum / rows.len() as f64).exp()
-}
-
-/// Geometric mean of each `-O1` overhead column, mirroring
-/// [`fig4_geomean`] for the optimized tier.
-pub fn fig4_o1_geomean(rows: &[Fig4O1Row]) -> [f64; 3] {
-    let mut out = [0.0; 3];
-    for (i, o) in out.iter_mut().enumerate() {
-        let logsum: f64 = rows
-            .iter()
-            .map(|r| (1.0 + r.o1_overhead_pct[i] / 100.0).ln())
-            .sum();
         *o = ((logsum / rows.len().max(1) as f64).exp() - 1.0) * 100.0;
     }
     out
+}
+
+/// Geometric mean of the per-workload baseline speedups of the `-O0`
+/// rows over the `-O1` rows (the O1 experiment's acceptance number:
+/// ≥ 1.3×).
+pub fn geomean_baseline_speedup(o0: &[Fig4Row], o1: &[Fig4Row]) -> f64 {
+    if o0.is_empty() {
+        return 0.0;
+    }
+    let logsum: f64 = o0
+        .iter()
+        .zip(o1)
+        .map(|(a, b)| a.baseline_speedup(b).ln())
+        .sum();
+    (logsum / o0.len() as f64).exp()
 }
 
 /// One Fig. 5 row: Eq. 8 speedups for a SPEC workload.
@@ -270,8 +207,7 @@ pub fn try_cycles_with_keybuffer(
 
 use hwst128::sim::inject::{FaultClass, OutcomeCounts};
 
-/// Campaign parameters for [`runs::resilience_results`] (experiment
-/// R1).
+/// Campaign parameters for [`runs::resilience_jobs`] (experiment R1).
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceConfig {
     /// Faulted runs per (fault class, target) cell.
@@ -351,7 +287,7 @@ mod tests {
     #[test]
     fn fig4_row_computes_eq7() {
         let wl = Workload::by_name("math").unwrap();
-        let r = try_fig4_row(&wl, Scale::Test).unwrap();
+        let r = try_fig4_row(&wl, Scale::Test, OptLevel::O0).unwrap();
         assert!(r.overhead_pct[0] > r.overhead_pct[1]);
         assert!(r.overhead_pct[1] > r.overhead_pct[2]);
         assert!(r.overhead_pct[2] > 0.0);

@@ -6,8 +6,8 @@
 //! returns its payloads — `sim`, every deterministic number, and
 //! `host`, any host timing of its own — its failed jobs and whether its
 //! gates passed. The driver alone handles the rest: it parses the
-//! flags, builds the worker pool and progress sink, writes the
-//! `--json` artifact envelope (`schema`, `version`, `rev`, `scale`,
+//! flags, sizes the worker pool, runs every sweep's jobs on it, writes
+//! the `--json` artifact envelope (`schema`, `version`, `rev`, `scale`,
 //! `flags`, `sim`, `host`), prints the wall/worker line to stderr and
 //! maps the result to the exit code — `0` every gate passed, `1` a gate
 //! or job failed, `2` a usage error, an I/O error or a hard error that
@@ -20,16 +20,11 @@ mod experiments;
 
 use hwst128::compiler::{OptLevel, Scheme};
 use hwst128::workloads::Scale;
-use hwst_harness::{
-    collect_ok, ConsoleSink, FailedJob, JobResult, Json, NullSink, PoolConfig, Sink,
-};
+use hwst_harness::{collect_ok, run, FailedJob, Job, Json};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 use std::time::{Duration, Instant};
-
-/// The flags that size and report on the worker pool; `POOL` in an
-/// experiment's flag list stands for all of them.
-const POOL: [&str; 4] = ["--jobs", "--timeout-secs", "--progress", "--quiet"];
 
 /// The artifact envelope's `version`.
 const VERSION: i64 = 2;
@@ -37,8 +32,9 @@ const VERSION: i64 = 2;
 /// One entry of the experiment index.
 struct Experiment {
     name: &'static str,
-    /// The flags it takes, as `help` prints them: `POOL` stands for
-    /// [`POOL`], a bracketed word for positional arguments.
+    /// The flags it takes, as `help` prints them: a bracketed word
+    /// stands for positional arguments. An experiment that takes
+    /// `--jobs` runs its sweeps on the worker pool.
     flags: &'static str,
     about: &'static str,
     run: fn(&mut Ctx) -> Result<Outcome, String>,
@@ -47,11 +43,7 @@ struct Experiment {
 impl Experiment {
     /// Every experiment takes `--json PATH`.
     fn takes(&self, flag: &str) -> bool {
-        flag == "--json"
-            || self
-                .flags
-                .split_whitespace()
-                .any(|t| t == flag || (t == "POOL" && POOL.contains(&flag)))
+        flag == "--json" || self.flags.split_whitespace().any(|t| t == flag)
     }
 
     fn takes_positional(&self) -> bool {
@@ -64,20 +56,20 @@ impl Experiment {
 const EXPERIMENTS: [Experiment; 19] = [
     Experiment {
         name: "fig4",
-        flags: "POOL --bench-scale",
+        flags: "--jobs N --bench-scale",
         about: "Fig. 4: Eq. 7 overhead of SBCETS, HWST128, HWST128_tchk",
         run: experiments::fig4,
     },
     Experiment {
         name: "fig5",
-        flags: "POOL --bench-scale",
+        flags: "--jobs N --bench-scale",
         about: "Fig. 5: speedup over SBCETS of BOGO, WDL and HWST128",
         run: experiments::fig5,
     },
     Experiment {
         name: "fig6",
-        flags: "POOL --stride N --model",
-        about: "Fig. 6: Juliet coverage, measured (or --model: modelled)",
+        flags: "--jobs N --stride N",
+        about: "Fig. 6: Juliet coverage, measured",
         run: experiments::fig6,
     },
     Experiment {
@@ -88,7 +80,7 @@ const EXPERIMENTS: [Experiment; 19] = [
     },
     Experiment {
         name: "ablation_keybuffer",
-        flags: "POOL --bench-scale",
+        flags: "--jobs N --bench-scale",
         about: "A1: keybuffer size sweep",
         run: experiments::ablation_keybuffer,
     },
@@ -106,7 +98,7 @@ const EXPERIMENTS: [Experiment; 19] = [
     },
     Experiment {
         name: "ablation_dcache",
-        flags: "POOL",
+        flags: "--jobs N",
         about: "A4: D-cache size and miss-penalty sensitivity",
         run: experiments::ablation_dcache,
     },
@@ -130,7 +122,7 @@ const EXPERIMENTS: [Experiment; 19] = [
     },
     Experiment {
         name: "binval",
-        flags: "POOL --bench-scale --smoke --opt O0|O1",
+        flags: "--jobs N --bench-scale --smoke --opt O0|O1",
         about: "A9: binary translation validation + mutation campaign",
         run: experiments::binval,
     },
@@ -142,37 +134,37 @@ const EXPERIMENTS: [Experiment; 19] = [
     },
     Experiment {
         name: "resilience",
-        flags: "POOL --bench-scale --smoke",
+        flags: "--jobs N --bench-scale --smoke",
         about: "R1: metadata-path fault injection",
         run: experiments::resilience,
     },
     Experiment {
         name: "ablation_boundscheck",
-        flags: "POOL --bench-scale --smoke",
+        flags: "--jobs N --bench-scale --smoke",
         about: "A8/A10: RCE and static bounds-proof check elimination",
         run: experiments::ablation_boundscheck,
     },
     Experiment {
         name: "profile",
-        flags: "POOL --bench-scale --smoke --trace WL --collapse WL",
+        flags: "--jobs N --bench-scale --smoke --trace WL --collapse WL",
         about: "P1: per-function overhead attribution, trace export",
         run: experiments::profile,
     },
     Experiment {
         name: "exec",
-        flags: "POOL --bench-scale --smoke --opt O0|O1",
+        flags: "--jobs N --bench-scale --smoke --opt O0|O1",
         about: "X1: fast engine vs reference interpreter, differential",
         run: experiments::exec,
     },
     Experiment {
         name: "fig4_o1",
-        flags: "POOL --bench-scale --smoke",
+        flags: "--jobs N --bench-scale --smoke",
         about: "O1: Fig. 4 at -O0 and -O1",
         run: experiments::fig4_o1,
     },
     Experiment {
         name: "zoo",
-        flags: "POOL --bench-scale --smoke --scheme LIST",
+        flags: "--jobs N --bench-scale --smoke --scheme LIST",
         about: "Z1/Z2: detector zoo frontier + fault campaign",
         run: experiments::zoo,
     },
@@ -182,13 +174,9 @@ const EXPERIMENTS: [Experiment; 19] = [
 #[derive(Debug, Default)]
 struct Args {
     jobs: Option<usize>,
-    timeout_secs: Option<u64>,
-    progress: bool,
-    quiet: bool,
     json: Option<PathBuf>,
     bench_scale: bool,
     smoke: bool,
-    model: bool,
     opt: OptLevel,
     stride: Option<usize>,
     /// `--scheme A,B,...` (repeatable), deduplicated in first-seen
@@ -198,7 +186,7 @@ struct Args {
     collapse: Option<String>,
     positional: Vec<String>,
     /// The words that can change `sim`: every one but `--json PATH`
-    /// and the POOL flags, as given.
+    /// and `--jobs N`, as given.
     flags: Vec<String>,
 }
 
@@ -220,7 +208,7 @@ impl Args {
             if !exp.takes(word) {
                 return Err(format!("unknown flag `{word}`"));
             }
-            let sim_flag = word != "--json" && !POOL.contains(&word.as_str());
+            let sim_flag = word != "--json" && word != "--jobs";
             if sim_flag {
                 args.flags.push(word.clone());
             }
@@ -236,7 +224,6 @@ impl Args {
             };
             match word.as_str() {
                 "--jobs" => args.jobs = Some(positive(word, value()?)?),
-                "--timeout-secs" => args.timeout_secs = Some(positive(word, value()?)? as u64),
                 "--stride" => args.stride = Some(positive(word, value()?)?),
                 "--json" => args.json = Some(PathBuf::from(value()?)),
                 "--trace" => args.trace = Some(value()?.to_string()),
@@ -259,11 +246,8 @@ impl Args {
                         }
                     }
                 }
-                "--progress" => args.progress = true,
-                "--quiet" => args.quiet = true,
                 "--bench-scale" => args.bench_scale = true,
                 "--smoke" => args.smoke = true,
-                "--model" => args.model = true,
                 _ => return Err(format!("unknown flag `{word}`")),
             }
         }
@@ -282,8 +266,8 @@ fn positive(flag: &str, raw: &str) -> Result<usize, String> {
 /// What the driver hands an experiment.
 struct Ctx {
     args: Args,
-    pool: PoolConfig,
-    sink: Box<dyn Sink>,
+    /// Worker threads of the pool.
+    workers: usize,
     /// Summed per-job wall time of the sweeps settled so far.
     serial_wall: Option<Duration>,
 }
@@ -298,10 +282,11 @@ impl Ctx {
         }
     }
 
-    /// Splits a sweep's results into rows and failed jobs, adding the
-    /// jobs' wall times to `host.serial_wall_ms` (what the sweep would
-    /// have cost serially).
-    fn settle<T>(&mut self, results: Vec<JobResult<T>>) -> (Vec<T>, Vec<FailedJob>) {
+    /// Runs a sweep's jobs on the pool and splits the results into rows
+    /// (in job order) and failed jobs, adding the jobs' wall times to
+    /// `host.serial_wall_ms` (what the sweep would have cost serially).
+    fn settle<T: Send + 'static>(&mut self, jobs: Vec<Job<T>>) -> (Vec<T>, Vec<FailedJob>) {
+        let results = run(jobs, self.workers);
         let wall: Duration = results.iter().map(|r| r.wall).sum();
         *self.serial_wall.get_or_insert(Duration::ZERO) += wall;
         collect_ok(results)
@@ -315,8 +300,7 @@ struct Outcome {
     /// Host timings of its own (X1's), merged into the envelope's
     /// `host` after the driver's.
     host: Json,
-    /// Jobs that returned an error, panicked or timed out; any one
-    /// fails the run.
+    /// Jobs that returned an error or panicked; any one fails the run.
     failed: Vec<FailedJob>,
     /// Whether the experiment's own gates passed.
     passed: bool,
@@ -343,7 +327,7 @@ fn envelope(exp: &Experiment, cx: &Ctx, outcome: Outcome, wall: Duration) -> Jso
     });
     let mut host = Json::obj();
     if exp.takes("--jobs") {
-        host = host.set("workers", cx.pool.workers);
+        host = host.set("workers", cx.workers);
     }
     host = host.set("wall_ms", wall.as_secs_f64() * 1e3);
     if let Some(serial) = cx.serial_wall {
@@ -464,7 +448,7 @@ fn help() -> String {
             text += &format!("  {:<21}   {}\n", "", exp.flags);
         }
     }
-    text += "\nPOOL = --jobs N --timeout-secs N --progress --quiet\n\
+    text += "\n--jobs N: worker threads (default: the available parallelism)\n\
              every experiment takes --json PATH: write its artifact envelope\n\
              diff: compare two artifacts on everything but rev and host\n\
              exit codes: 0 every gate passed (diff: equal); 1 a gate or job\n\
@@ -493,24 +477,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut pool = args
+    let workers = args
         .jobs
-        .map_or_else(PoolConfig::from_env, PoolConfig::parallel);
-    if let Some(secs) = args.timeout_secs {
-        pool = pool.with_timeout(Duration::from_secs(secs));
-    }
-    let sink: Box<dyn Sink> = if args.quiet {
-        Box::new(NullSink)
-    } else {
-        Box::new(ConsoleSink {
-            verbose: args.progress,
-        })
-    };
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
     let json = args.json.clone();
     let mut cx = Ctx {
         args,
-        pool,
-        sink,
+        workers,
         serial_wall: None,
     };
     let start = Instant::now();
@@ -518,7 +491,7 @@ fn main() -> ExitCode {
     let wall = start.elapsed();
     let wall_ms = wall.as_secs_f64() * 1e3;
     if exp.takes("--jobs") {
-        eprintln!("wall {wall_ms:.1} ms on {} worker(s)", cx.pool.workers);
+        eprintln!("wall {wall_ms:.1} ms on {} worker(s)", cx.workers);
     } else {
         eprintln!("wall {wall_ms:.1} ms");
     }
@@ -561,20 +534,10 @@ mod tests {
     fn parses_the_flags_an_experiment_takes() {
         let a = parse(
             "binval",
-            &[
-                "--jobs",
-                "4",
-                "--json",
-                "out.json",
-                "--timeout-secs",
-                "9",
-                "--opt",
-                "O1",
-            ],
+            &["--jobs", "4", "--json", "out.json", "--opt", "O1"],
         )
         .unwrap();
         assert_eq!(a.jobs, Some(4));
-        assert_eq!(a.timeout_secs, Some(9));
         assert_eq!(a.json, Some(PathBuf::from("out.json")));
         assert_eq!(a.opt, OptLevel::O1);
         assert!(!a.smoke && !a.bench_scale);

@@ -1,5 +1,6 @@
-//! Harness-driven sweeps: every figure/ablation matrix expressed as
-//! [`hwst_harness::Job`] vectors and executed on the worker pool.
+//! The jobs of the pool-driven sweeps: every figure/ablation matrix
+//! expressed as a [`hwst_harness::Job`] vector, which `hwst-bench` runs
+//! on its worker pool.
 //!
 //! Determinism contract: each function enumerates its jobs in the same
 //! nested order the historical serial loops used, and the harness
@@ -8,105 +9,45 @@
 //! `--jobs 1` (see `tests/harness_e2e.rs` and `crates/harness`'s own
 //! determinism test).
 
-use crate::exec::{try_exec_row, ExecRow};
-use crate::profile::{try_profile_row, ProfileRow};
-use crate::{
-    try_cycles_with_keybuffer, try_fig4_o1_row, try_fig4_row, try_fig5_row, Fig4O1Row, Fig4Row,
-    Fig5Row, ResilienceConfig, ResilienceRow,
-};
+use crate::{try_cycles_with_keybuffer, ResilienceConfig, ResilienceRow};
 use hwst128::compiler::binval;
 use hwst128::compiler::{compile, CompileOptions, OptLevel, Scheme};
 use hwst128::isa::Program;
-use hwst128::juliet::{measure_case, CoverageReport};
+use hwst128::juliet::{measure_case, CaseDetections};
 use hwst128::sim::inject::{campaign, FaultClass, OutcomeCounts};
 use hwst128::sim::Machine;
-use hwst128::workloads::{all, spec_suite, Scale, Workload};
-use hwst_harness::{collect_ok, run, FailedJob, Job, JobResult, PoolConfig, Sink};
+use hwst128::workloads::{all, Scale, Workload};
+use hwst_harness::Job;
 
-/// A job computing one row for workload `name`; an unknown name
-/// becomes a failing job (a structured failure, not a panic).
-fn workload_job<T: Send + 'static>(
-    label: String,
-    name: &str,
-    row: impl FnOnce(&Workload) -> Result<T, String> + Send + 'static,
-) -> Job<T> {
-    let wl = Workload::by_name(name).ok_or_else(|| format!("unknown workload `{name}`"));
-    Job::new(label, move || row(&wl?))
-}
-
-/// Runs the Fig. 4 sweep on the pool, one job per workload; results in
-/// the paper's row order.
-pub fn fig4_results(
-    scale: Scale,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<Fig4Row>> {
-    let jobs = all()
+/// One job per workload, labelled `<prefix>/<name>`, computing
+/// `row(&workload)`; the pool returns the rows in `workloads` order.
+pub fn workload_jobs<T: Send + 'static>(
+    prefix: &str,
+    workloads: Vec<Workload>,
+    row: impl Fn(&Workload) -> Result<T, String> + Clone + Send + 'static,
+) -> Vec<Job<T>> {
+    workloads
         .into_iter()
         .map(|wl| {
-            Job::new(format!("fig4/{}", wl.name), move || {
-                try_fig4_row(&wl, scale)
-            })
+            let row = row.clone();
+            Job::new(format!("{prefix}/{}", wl.name), move || row(&wl))
         })
-        .collect();
-    run(jobs, cfg, sink)
-}
-
-/// Runs the O1 experiment on the pool, one job per workload; results
-/// in `names` order.
-pub fn fig4_o1_results(
-    names: &[&str],
-    scale: Scale,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<Fig4O1Row>> {
-    let jobs = names
-        .iter()
-        .map(|name| {
-            workload_job(format!("fig4_o1/{name}"), name, move |wl| {
-                try_fig4_o1_row(wl, scale)
-            })
-        })
-        .collect();
-    run(jobs, cfg, sink)
-}
-
-/// Runs the Fig. 5 sweep on the pool, one job per SPEC workload;
-/// results in the paper's row order.
-pub fn fig5_results(
-    scale: Scale,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<Fig5Row>> {
-    let jobs = spec_suite()
-        .into_iter()
-        .map(|wl| {
-            Job::new(format!("fig5/{}", wl.name), move || {
-                try_fig5_row(&wl, scale)
-            })
-        })
-        .collect();
-    run(jobs, cfg, sink)
+        .collect()
 }
 
 /// Cases per Fig. 6 job: small enough to spread the 8366-case suite
 /// over any worker count, large enough to amortise job overhead.
 pub const FIG6_CHUNK: usize = 64;
 
-/// Runs the measured Fig. 6 Juliet sweep (`1/stride` of the suite) on
-/// the pool. Per-case verdicts are folded into the report in job-ID
-/// (i.e. suite) order; a failed chunk surfaces as [`FailedJob`]s and
-/// its cases are excluded from `total_cases`.
-pub fn fig6_results(
-    stride: usize,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> (CoverageReport, Vec<FailedJob>) {
+/// The measured Fig. 6 Juliet sweep over `1/stride` of the suite, in
+/// chunks of [`FIG6_CHUNK`] cases; folding the per-case verdicts in job
+/// order gives the report in suite order.
+pub fn fig6_jobs(stride: usize) -> Vec<Job<Vec<CaseDetections>>> {
     let cases: Vec<_> = hwst128::juliet::suite()
         .into_iter()
         .step_by(stride.max(1))
         .collect();
-    let jobs: Vec<Job<Vec<hwst128::juliet::CaseDetections>>> = cases
+    cases
         .chunks(FIG6_CHUNK)
         .enumerate()
         .map(|(i, chunk)| {
@@ -115,15 +56,7 @@ pub fn fig6_results(
                 Ok(chunk.iter().map(measure_case).collect())
             })
         })
-        .collect();
-    let (batches, failed) = collect_ok(run(jobs, cfg, sink));
-    let mut report = CoverageReport::default();
-    for batch in batches {
-        for d in &batch {
-            report.absorb(d);
-        }
-    }
-    (report, failed)
+        .collect()
 }
 
 /// One A1 keybuffer-ablation row: cycles per swept size, in `sizes`
@@ -136,73 +69,54 @@ pub struct KeybufferRow {
     pub cycles: Vec<u64>,
 }
 
-/// Runs the A1 keybuffer grid (one job per `(workload, size)` cell) on
-/// the pool. Rows are only assembled when every cell of the workload
-/// succeeded; failed cells are reported individually.
-pub fn keybuffer_results(
+/// The A1 keybuffer sweep: one job per workload in `names`, labelled
+/// `a1/<name>`, running it at every keybuffer size in `sizes`.
+///
+/// # Errors
+///
+/// Returns `Err` for an unknown workload name — nothing has run at that
+/// point.
+pub fn keybuffer_jobs(
     names: &[&str],
     sizes: &[usize],
     scale: Scale,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> (Vec<KeybufferRow>, Vec<FailedJob>) {
-    // One job per cell, unknown workloads included, keeps the grid
-    // aligned for the chunked row assembly below.
-    let mut jobs = Vec::new();
-    for name in names {
-        for &entries in sizes {
-            jobs.push(workload_job(
-                format!("a1/{name}/{entries}"),
-                name,
-                move |wl| try_cycles_with_keybuffer(wl, scale, entries),
-            ));
-        }
-    }
-    let results = run(jobs, cfg, sink);
-    let per_row = sizes.len().max(1);
-    let mut rows = Vec::new();
-    let mut failed = Vec::new();
-    for (name, chunk) in names.iter().zip(results.chunks(per_row)) {
-        let mut cycles = Vec::with_capacity(per_row);
-        for r in chunk {
-            match r.outcome.clone().into_result() {
-                Ok(c) => cycles.push(c),
-                Err(error) => failed.push(FailedJob {
-                    id: r.id,
-                    label: r.label.clone(),
-                    error,
-                }),
-            }
-        }
-        if cycles.len() == per_row {
-            rows.push(KeybufferRow {
-                name: name.to_string(),
-                cycles,
-            });
-        }
-    }
-    (rows, failed)
+) -> Result<Vec<Job<KeybufferRow>>, String> {
+    let workloads = names
+        .iter()
+        .map(|name| Workload::by_name(name).ok_or_else(|| format!("unknown workload `{name}`")))
+        .collect::<Result<_, _>>()?;
+    let sizes = sizes.to_vec();
+    Ok(workload_jobs("a1", workloads, move |wl| {
+        let cycles = sizes
+            .iter()
+            .map(|&entries| try_cycles_with_keybuffer(wl, scale, entries))
+            .collect::<Result<_, _>>()?;
+        Ok(KeybufferRow {
+            name: wl.name.to_string(),
+            cycles,
+        })
+    }))
 }
 
-/// Runs the R1 fault-injection campaign on the pool: one job per
-/// `(fault class, target)` cell, merged into per-class rows in job-ID
-/// order (identical to the historical serial nesting).
+/// One R1 campaign cell's counts: `(fault class index, target group,
+/// counts)`, group 0 being the Fig. 4 workloads and 1 the Juliet cases.
+pub type ResilienceCell = (usize, usize, OutcomeCounts);
+
+/// The R1 fault-injection campaign: one job per `(fault class, target)`
+/// cell, in the historical serial nesting; [`resilience_rows`] merges
+/// them into per-class rows.
 ///
 /// # Errors
 ///
 /// Returns `Err` when a target fails to *compile* — nothing has run at
-/// that point. Per-cell campaign failures come back as [`FailedJob`]s
-/// next to the (partial) rows.
-#[allow(clippy::type_complexity)]
-pub fn resilience_results(
+/// that point.
+pub fn resilience_jobs(
     rc: &ResilienceConfig,
     scale: Scale,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Result<(Vec<ResilienceRow>, Vec<FailedJob>), String> {
+) -> Result<Vec<Job<ResilienceCell>>, String> {
     let safety = hwst128::config_for(Scheme::Hwst128Tchk);
     // Targets are compiled once, serially, and shared (cloned) into
-    // every campaign cell; group 0 = Fig. 4 workloads, 1 = Juliet.
+    // every campaign cell.
     let mut targets: Vec<(usize, String, Program, u64)> = Vec::new();
     for name in rc.workloads {
         let wl = Workload::by_name(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
@@ -237,7 +151,12 @@ pub fn resilience_results(
             }));
         }
     }
-    let (cells, failed) = collect_ok(run(jobs, cfg, sink));
+    Ok(jobs)
+}
+
+/// Merges R1 campaign cells into one row per fault class, in
+/// [`FaultClass::ALL`] order.
+pub fn resilience_rows(cells: Vec<ResilienceCell>) -> Vec<ResilienceRow> {
     let mut rows: Vec<ResilienceRow> = FaultClass::ALL
         .iter()
         .map(|&class| ResilienceRow {
@@ -253,7 +172,7 @@ pub fn resilience_results(
             rows[ci].juliet.merge(counts);
         }
     }
-    Ok((rows, failed))
+    rows
 }
 
 /// The schemes the binary validator gates, in report order.
@@ -406,16 +325,10 @@ pub fn try_binval_row(
     })
 }
 
-/// Runs the binval gate on the pool at back-end tier `opt`: one job per
-/// (workload × scheme) cell, workloads outermost, each with
-/// `seeds_per_scheme` mutation seeds; results in job order.
-pub fn binval_results(
-    scale: Scale,
-    seeds_per_scheme: u64,
-    opt: OptLevel,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<BinvalRow>> {
+/// The binval gate at back-end tier `opt`: one job per (workload ×
+/// scheme) cell, workloads outermost, each with `seeds_per_scheme`
+/// mutation seeds.
+pub fn binval_jobs(scale: Scale, seeds_per_scheme: u64, opt: OptLevel) -> Vec<Job<BinvalRow>> {
     let seeds: Vec<u64> = (0..seeds_per_scheme)
         .map(|i| BINVAL_MASTER_SEED + i)
         .collect();
@@ -429,61 +342,21 @@ pub fn binval_results(
             ));
         }
     }
-    run(jobs, cfg, sink)
+    jobs
 }
 
-/// The P1 smoke subset: one workload per suite flavour (string-heavy,
-/// arithmetic, pointer-chasing, temporal-heavy) — the CI configuration.
+/// The P1 smoke subset, in Fig. 4 order: one workload per suite flavour
+/// (string-heavy, arithmetic, pointer-chasing, temporal-heavy) — the CI
+/// configuration.
 pub const PROFILE_SMOKE_WORKLOADS: [&str; 4] = ["string", "math", "treeadd", "bzip2"];
 
-/// Workload names of the P1 sweep: the smoke subset, or every Fig. 4
-/// workload in the paper's row order.
-pub fn profile_names(smoke: bool) -> Vec<&'static str> {
-    if smoke {
-        PROFILE_SMOKE_WORKLOADS.to_vec()
-    } else {
-        all().iter().map(|wl| wl.name).collect()
-    }
-}
-
-/// Runs the P1 sweep on the pool, one job per workload; results in
-/// `names` order.
-pub fn profile_results(
-    names: &[&str],
-    scale: Scale,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<ProfileRow>> {
-    let jobs = names
-        .iter()
-        .map(|name| {
-            workload_job(format!("profile/{name}"), name, move |wl| {
-                try_profile_row(wl, scale)
-            })
-        })
-        .collect();
-    run(jobs, cfg, sink)
-}
-
-/// Runs the X1 sweep on the pool with the images built at back-end tier
-/// `opt`, one job per workload (both engines timed, the results
-/// differentially compared); results in `names` order.
-pub fn exec_results(
-    names: &[&str],
-    scale: Scale,
-    opt: OptLevel,
-    cfg: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Vec<JobResult<ExecRow>> {
-    let jobs = names
-        .iter()
-        .map(|name| {
-            workload_job(format!("exec/{name}"), name, move |wl| {
-                try_exec_row(wl, scale, opt)
-            })
-        })
-        .collect();
-    run(jobs, cfg, sink)
+/// The workloads of the P1, X1 and O1 sweeps: the smoke subset, or
+/// every Fig. 4 workload, in the paper's row order.
+pub fn profile_workloads(smoke: bool) -> Vec<Workload> {
+    all()
+        .into_iter()
+        .filter(|wl| !smoke || PROFILE_SMOKE_WORKLOADS.contains(&wl.name))
+        .collect()
 }
 
 /// One build configuration of the A10 bounds ablation: a workload
@@ -536,38 +409,35 @@ impl BoundsRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwst_harness::NullSink;
+    use crate::try_fig4_row;
+    use hwst_harness::{collect_ok, run};
 
-    /// The parallel fig4 path produces rows identical to the direct
-    /// serial computation, regardless of worker count.
+    /// Per-workload jobs carry `<prefix>/<name>` labels and come back
+    /// in input order with the rows of the direct serial computation,
+    /// regardless of worker count.
     #[test]
-    fn fig4_parallel_matches_serial_rows() {
-        let wl = Workload::by_name("math").unwrap();
-        let serial = try_fig4_row(&wl, Scale::Test).unwrap();
-        let jobs = vec![Job::new("fig4/math", move || {
-            try_fig4_row(&wl, Scale::Test)
-        })];
-        let results = run(jobs, &PoolConfig::parallel(4), &mut NullSink);
-        let row = results[0].outcome.ok().expect("row computed");
-        assert_eq!(row.name, serial.name);
-        assert_eq!(row.baseline_cycles, serial.baseline_cycles);
-        assert_eq!(row.overhead_pct, serial.overhead_pct);
+    fn workload_jobs_match_serial_rows() {
+        let workloads = profile_workloads(true);
+        let row = |wl: &Workload| try_fig4_row(wl, Scale::Test, OptLevel::O0);
+        let labels: Vec<String> = workload_jobs("fig4", workloads.clone(), row)
+            .iter()
+            .map(|j| j.label().to_string())
+            .collect();
+        assert_eq!(labels, PROFILE_SMOKE_WORKLOADS.map(|n| format!("fig4/{n}")));
+        let serial: Vec<_> = workloads.iter().map(|wl| row(wl).unwrap()).collect();
+        let (rows, failed) = collect_ok(run(workload_jobs("fig4", workloads, row), 4));
+        assert!(failed.is_empty(), "{failed:?}");
+        assert_eq!(rows, serial);
     }
 
-    /// The A1 grid assembles rows in name × size order and matches the
-    /// direct per-cell computation.
+    /// The A1 sweep's rows match the direct per-cell computation.
     #[test]
     fn keybuffer_grid_matches_direct_cells() {
-        let sizes = [0usize, 1];
-        let (rows, failed) = keybuffer_results(
-            &["bzip2"],
-            &sizes,
-            Scale::Test,
-            &PoolConfig::parallel(2),
-            &mut NullSink,
-        );
+        let jobs = keybuffer_jobs(&["bzip2"], &[0, 1], Scale::Test).unwrap();
+        let (rows, failed) = collect_ok(run(jobs, 2));
         assert!(failed.is_empty(), "{failed:?}");
         let wl = Workload::by_name("bzip2").unwrap();
+        assert_eq!(rows[0].name, "bzip2");
         assert_eq!(
             rows[0].cycles[0],
             try_cycles_with_keybuffer(&wl, Scale::Test, 0).unwrap()
@@ -578,19 +448,13 @@ mod tests {
         );
     }
 
-    /// An unknown workload in the A1 grid is a structured failure, not
+    /// An unknown workload in the A1 sweep is a structured error, not
     /// a panic.
     #[test]
     fn keybuffer_grid_reports_unknown_workload() {
-        let (rows, failed) = keybuffer_results(
-            &["no-such-workload"],
-            &[0],
-            Scale::Test,
-            &PoolConfig::serial(),
-            &mut NullSink,
-        );
-        assert!(rows.is_empty());
-        assert_eq!(failed.len(), 1);
-        assert!(failed[0].error.contains("unknown workload"));
+        let err = keybuffer_jobs(&["no-such-workload"], &[0], Scale::Test)
+            .err()
+            .expect("an unknown workload is an error");
+        assert!(err.contains("unknown workload"), "{err}");
     }
 }

@@ -3,9 +3,10 @@
 //! an unknown flag or a malformed value exits 2 before anything runs; a
 //! `--json` write failure exits 2; `diff` exits 0/1/2 for
 //! equal/different/unreadable artifacts; the print-only experiments
-//! write the artifact envelope and their committed artifacts regenerate
-//! identically; and a pool-driven table is byte-identical at any worker
-//! count.
+//! and A1 write the artifact envelope and their committed artifacts
+//! regenerate identically; a pool-driven table is byte-identical at any worker
+//! count; and every pool experiment records its workers, wall time and
+//! summed job time.
 
 use hwst_harness::Json;
 use std::path::{Path, PathBuf};
@@ -14,7 +15,6 @@ use std::process::{Command, Output};
 fn hwst_bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hwst-bench"))
         .args(args)
-        .env_remove("HWST_JOBS")
         .output()
         .expect("hwst-bench runs")
 }
@@ -93,6 +93,14 @@ fn unknown_flag_exits_2() {
         "unknown flag `--jobs`",
     );
     assert_usage_error(&["fig5", "extra"], "unexpected argument `extra`");
+    // `--jobs N` is the only pool flag.
+    for args in [
+        &["fig4", "--progress"][..],
+        &["fig4", "--quiet"],
+        &["fig4", "--timeout-secs", "5"],
+    ] {
+        assert_usage_error(args, &format!("unknown flag `{}`", args[1]));
+    }
 }
 
 #[test]
@@ -155,6 +163,38 @@ fn pool_table_is_identical_at_any_worker_count() {
     assert_eq!(serial, run("2"));
 }
 
+/// Pool experiments settle every sweep through the driver, so each
+/// envelope's `host` carries the worker count, the wall time and the
+/// jobs' summed wall time.
+#[test]
+fn pool_experiments_record_serial_wall() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    for (name, extra) in [
+        ("ablation_keybuffer", &[][..]),
+        ("fig6", &["--stride", "500"][..]),
+    ] {
+        let path = dir.join(format!("driver-{name}.json"));
+        let mut args = vec![name, "--jobs", "2", "--json", arg(&path)];
+        args.extend(extra);
+        let out = hwst_bench(&args);
+        assert_eq!(out.status.code(), Some(0), "{name}");
+        let doc = Json::parse(&std::fs::read_to_string(&path).expect(name)).expect(name);
+        let host = doc.get("host").expect("host payload");
+        assert_eq!(
+            host.get("workers").and_then(Json::as_i64),
+            Some(2),
+            "{name}"
+        );
+        for key in ["wall_ms", "serial_wall_ms"] {
+            let ms = host.get(key).and_then(Json::as_f64);
+            assert!(
+                ms.is_some_and(|ms| ms >= 0.0),
+                "{name}: host.{key} = {ms:?}"
+            );
+        }
+    }
+}
+
 fn repo_file(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -204,9 +244,9 @@ fn diff_compares_everything_but_rev_and_host() {
     assert_usage_error(&["diff", arg(&committed)], "usage: hwst-bench diff");
 }
 
-/// The print-only experiments write the artifact envelope, and their
-/// committed artifacts regenerate from the recorded `flags` with an
-/// identical `sim`.
+/// The print-only experiments and A1 write the artifact envelope, and
+/// their committed artifacts regenerate from the recorded `flags` with
+/// an identical `sim`.
 #[test]
 fn committed_artifacts_regenerate_identically() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
@@ -215,6 +255,7 @@ fn committed_artifacts_regenerate_identically() {
         "BENCH_compression.json",
         "BENCH_codesize.json",
         "BENCH_lint.json",
+        "BENCH_keybuffer.json",
     ] {
         let committed = repo_file(file);
         let doc = Json::parse(&std::fs::read_to_string(&committed).expect(file)).expect(file);

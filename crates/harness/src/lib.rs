@@ -6,7 +6,7 @@
 //! Every figure, ablation and campaign in the reproduction is a
 //! *matrix*: workloads × schemes, cases × detectors, fault classes ×
 //! targets. This crate turns each matrix cell into a [`Job`] and runs
-//! the whole table on a worker pool ([`run`]) with three guarantees the
+//! the whole table on a worker pool ([`run`]) with two guarantees the
 //! naive `for` loop lacks:
 //!
 //! 1. **Determinism** — results are collected by [`JobId`] (the index
@@ -17,25 +17,20 @@
 //!    [`std::panic::catch_unwind`]; one diverging workload yields a
 //!    structured [`JobOutcome::Panicked`] row instead of aborting the
 //!    whole sweep.
-//! 3. **Bounded wall-clock** — an optional per-job watchdog turns a
-//!    runaway job into [`JobOutcome::TimedOut`] while its siblings
-//!    finish normally.
 //!
-//! Progress is streamed through a [`Sink`] on the collector thread,
-//! and results serialise to schema-stable JSON via the dependency-free
+//! Results serialise to schema-stable JSON via the dependency-free
 //! [`Json`] value type (crates.io is unreachable in this environment,
 //! so the crate is pure `std`).
 //!
 //! ## Example
 //!
 //! ```
-//! use hwst_harness::{collect_ok, run, Job, NullSink, PoolConfig};
+//! use hwst_harness::{collect_ok, run, Job};
 //!
 //! let jobs: Vec<Job<u64>> = (0..8u64)
 //!     .map(|i| Job::new(format!("square/{i}"), move || Ok(i * i)))
 //!     .collect();
-//! let results = run(jobs, &PoolConfig::parallel(4), &mut NullSink);
-//! let (squares, failed) = collect_ok(results);
+//! let (squares, failed) = collect_ok(run(jobs, 4));
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! assert!(failed.is_empty());
 //! ```
@@ -45,10 +40,6 @@
 
 mod json;
 mod pool;
-mod sink;
 
 pub use json::Json;
-pub use pool::{
-    collect_ok, run, FailedJob, Job, JobId, JobOutcome, JobResult, OutcomeKind, PoolConfig,
-};
-pub use sink::{ConsoleSink, Event, NullSink, Sink};
+pub use pool::{collect_ok, run, FailedJob, Job, JobId, JobOutcome, JobResult};

@@ -1,10 +1,6 @@
-//! The three harness guarantees: determinism, panic isolation, and the
-//! watchdog.
+//! The two harness guarantees: determinism and panic isolation.
 
-use hwst_harness::{
-    collect_ok, run, Event, Job, JobOutcome, NullSink, OutcomeKind, PoolConfig, Sink,
-};
-use std::time::Duration;
+use hwst_harness::{collect_ok, run, Job, JobOutcome};
 
 fn mixed_jobs() -> Vec<Job<String>> {
     (0..24u64)
@@ -24,17 +20,17 @@ fn mixed_jobs() -> Vec<Job<String>> {
 /// ordering) to the 1-worker reference run.
 #[test]
 fn parallel_results_match_serial_byte_for_byte() {
-    let render = |cfg: &PoolConfig| -> String {
-        run(mixed_jobs(), cfg, &mut NullSink)
+    let render = |workers: usize| -> String {
+        run(mixed_jobs(), workers)
             .iter()
             .map(|r| format!("{:?} {} {:?}\n", r.id, r.label, r.outcome))
             .collect()
     };
-    let serial = render(&PoolConfig::serial());
+    let serial = render(1);
     for workers in [2, 4, 16] {
         assert_eq!(
             serial,
-            render(&PoolConfig::parallel(workers)),
+            render(workers),
             "{workers}-worker run diverged from serial"
         );
     }
@@ -53,7 +49,7 @@ fn panicking_job_is_isolated() {
             panic!("deliberate test panic")
         }),
     );
-    let results = run(jobs, &PoolConfig::parallel(4), &mut NullSink);
+    let results = run(jobs, 4);
     assert_eq!(results.len(), 9);
     assert_eq!(
         results[3].outcome,
@@ -70,74 +66,12 @@ fn panicking_job_is_isolated() {
     );
 }
 
-/// A runaway job hits the watchdog and is reported `TimedOut` while
-/// fast siblings complete normally.
-#[test]
-fn watchdog_times_out_runaway_job() {
-    let jobs: Vec<Job<&'static str>> = vec![
-        Job::new("fast/a", || Ok("a")),
-        Job::new("slow/hangs", || {
-            std::thread::sleep(Duration::from_secs(30));
-            Ok("never")
-        }),
-        Job::new("fast/b", || Ok("b")),
-    ];
-    let cfg = PoolConfig::parallel(3).with_timeout(Duration::from_millis(100));
-    let results = run(jobs, &cfg, &mut NullSink);
-    assert_eq!(results[0].outcome, JobOutcome::Ok("a"));
-    assert_eq!(
-        results[1].outcome,
-        JobOutcome::TimedOut(Duration::from_millis(100))
-    );
-    assert_eq!(results[2].outcome, JobOutcome::Ok("b"));
-}
-
-/// The sink sees one Started and one Finished per job, with a final
-/// completion count equal to the table size.
-#[test]
-fn sink_observes_every_job() {
-    struct Counter {
-        started: usize,
-        finished: usize,
-        last_done: usize,
-    }
-    impl Sink for Counter {
-        fn event(&mut self, event: Event<'_>) {
-            match event {
-                Event::Started { .. } => self.started += 1,
-                Event::Finished { done, kind, .. } => {
-                    self.finished += 1;
-                    self.last_done = done;
-                    assert!(matches!(kind, OutcomeKind::Ok | OutcomeKind::Failed));
-                }
-            }
-        }
-    }
-    let mut sink = Counter {
-        started: 0,
-        finished: 0,
-        last_done: 0,
-    };
-    let results = run(mixed_jobs(), &PoolConfig::parallel(4), &mut sink);
-    assert_eq!(sink.started, 24);
-    assert_eq!(sink.finished, 24);
-    assert_eq!(sink.last_done, 24);
-    assert_eq!(results.len(), 24);
-}
-
 /// An empty job vector is a no-op, and worker counts are clamped.
 #[test]
 fn degenerate_configurations() {
     let empty: Vec<Job<u8>> = Vec::new();
-    assert!(run(empty, &PoolConfig::parallel(8), &mut NullSink).is_empty());
+    assert!(run(empty, 8).is_empty());
     let one = vec![Job::infallible("only", || 42u8)];
-    let results = run(
-        one,
-        &PoolConfig {
-            workers: 0,
-            timeout: None,
-        },
-        &mut NullSink,
-    );
+    let results = run(one, 0);
     assert_eq!(results[0].outcome, JobOutcome::Ok(42));
 }

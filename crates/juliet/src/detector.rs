@@ -72,8 +72,8 @@ impl std::fmt::Display for Detector {
     }
 }
 
-/// Cases (per CWE) the *modelled* detectors catch. The tables encode
-/// the published detection profiles:
+/// Cases per CWE the two *modelled* detectors catch, as `(GCC, ASAN)`.
+/// The table encodes the published detection profiles:
 ///
 /// * **GCC**: the stack canary only trips on contiguous stack overflows
 ///   that reach the guard; glibc aborts on heap-chunk corruption, some
@@ -83,63 +83,31 @@ impl std::fmt::Display for Detector {
 ///   temporal bugs; blind to far out-of-bounds jumps past the redzone,
 ///   intra-object overflows — and **all of CWE690** ("ASAN cannot detect
 ///   any of the cases in this category", §5.2). Totals 4859 = 58.08%.
-const fn model_count(det: Detector, cwe: Cwe) -> u32 {
-    match det {
-        Detector::Gcc => match cwe {
-            Cwe::Cwe121 => 600,
-            Cwe::Cwe122 => 180,
-            Cwe::Cwe124 => 40,
-            Cwe::Cwe415 => 100,
-            Cwe::Cwe761 => 17,
-            _ => 0,
-        },
-        Detector::Asan => match cwe {
-            Cwe::Cwe121 => 1300,
-            Cwe::Cwe122 => 1350,
-            Cwe::Cwe124 => 620,
-            Cwe::Cwe126 => 420,
-            Cwe::Cwe127 => 460,
-            Cwe::Cwe415 => 180,
-            Cwe::Cwe416 => 400,
-            Cwe::Cwe476 => 80,
-            Cwe::Cwe690 => 0,
-            Cwe::Cwe761 => 49,
-        },
-        // The pointer-based schemes are *measured*, not modelled; these
-        // values are the expected outcome of executing the suite
-        // (reachable cases, minus the sub-granule slice for HWST128)
-        // and serve as the cross-check oracle.
-        Detector::Sbcets => cwe.reachable_count(),
-        Detector::Hwst128 => cwe.reachable_count() - cwe.sub_granule_count(),
-        // Zoo designs (DESIGN.md §4l). RV-CURE mirrors the hardware
-        // envelope; L4 Pointer the byte-exact software one; HeapSafe
-        // drops the stack category entirely; CryptSan keeps the
-        // temporal CWEs deterministic, never sees the unsigned NULL
-        // derefs (476/690), and catches the fixed 1-in-8
-        // pointer-clobber slice of the reachable spatial cases.
-        Detector::RvCure => cwe.reachable_count() - cwe.sub_granule_count(),
-        Detector::L4Pointer => cwe.reachable_count(),
-        Detector::HeapSafe => match cwe {
-            Cwe::Cwe121 => 0,
-            _ => cwe.reachable_count() - cwe.sub_granule_count(),
-        },
-        Detector::CryptSan => match cwe {
-            Cwe::Cwe415 | Cwe::Cwe416 | Cwe::Cwe761 => cwe.reachable_count(),
-            Cwe::Cwe476 | Cwe::Cwe690 => 0,
-            _ => cwe.reachable_count().div_ceil(8),
-        },
+const fn model_counts(cwe: Cwe) -> (u32, u32) {
+    match cwe {
+        Cwe::Cwe121 => (600, 1300),
+        Cwe::Cwe122 => (180, 1350),
+        Cwe::Cwe124 => (40, 620),
+        Cwe::Cwe126 => (0, 420),
+        Cwe::Cwe127 => (0, 460),
+        Cwe::Cwe415 => (100, 180),
+        Cwe::Cwe416 => (0, 400),
+        Cwe::Cwe476 => (0, 80),
+        Cwe::Cwe690 => (0, 0),
+        Cwe::Cwe761 => (17, 49),
     }
 }
 
 /// Whether the modelled detector catches this case.
 ///
-/// Detectable cases are assigned deterministically: the first
-/// `model_count` indices of each category, spread across the
-/// reachable/laundered split in proportion (external detectors do not
-/// care about pointer-provenance laundering).
+/// The pointer-based schemes and the zoo designs are decided by the
+/// case's own attributes (the expected outcome of executing it). GCC
+/// and ASAN catch the first `model_counts` cases of each category,
+/// striped over its indices.
 pub fn model_detects(det: Detector, case: &Case) -> bool {
-    let n = model_count(det, case.cwe);
     match det {
+        Detector::Gcc => striped(case, model_counts(case.cwe).0),
+        Detector::Asan => striped(case, model_counts(case.cwe).1),
         Detector::Sbcets => !case.laundered,
         Detector::Hwst128 => !case.laundered && !case.sub_granule,
         Detector::RvCure => !case.laundered && !case.sub_granule,
@@ -153,14 +121,17 @@ pub fn model_detects(det: Detector, case: &Case) -> bool {
             // `reachable_count`, so the stride count is exact).
             _ => !case.laundered && case.index.is_multiple_of(8),
         },
-        _ => {
-            // Stripe the detectable cases uniformly over the category so
-            // per-index attributes do not correlate with detection.
-            let total = case.cwe.case_count() as u64;
-            let hit = (case.index as u64 * n as u64) % total;
-            hit < n as u64 && n > 0
-        }
     }
+}
+
+/// Whether `case` is one of the `n` detected cases of its category,
+/// striped uniformly over the category so per-index attributes do not
+/// correlate with detection (external detectors do not care about
+/// pointer-provenance laundering).
+fn striped(case: &Case, n: u32) -> bool {
+    let total = case.cwe.case_count() as u64;
+    let hit = (case.index as u64 * n as u64) % total;
+    hit < n as u64 && n > 0
 }
 
 #[cfg(test)]
@@ -191,27 +162,6 @@ mod tests {
             .filter(|c| model_detects(Detector::Asan, c))
             .count();
         assert_eq!(hits, 0, "paper §5.2: ASAN misses all of CWE690");
-    }
-
-    #[test]
-    fn zoo_model_counts_agree_with_striping() {
-        // The per-CWE tables and the per-case verdicts are two views of
-        // the same model; they must agree exactly for every zoo design.
-        let cases = suite();
-        for det in Detector::ZOO {
-            for cwe in Cwe::ALL {
-                let detected = cases
-                    .iter()
-                    .filter(|c| c.cwe == cwe)
-                    .filter(|c| model_detects(det, c))
-                    .count() as u32;
-                assert_eq!(
-                    detected,
-                    model_count(det, cwe),
-                    "{det} disagrees with its table on {cwe}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use hwst128::sim::inject::{campaign, FaultClass, OutcomeCounts};
 use hwst128::sim::Machine;
 use hwst128::workloads::{all, Scale, Suite, Workload};
 use hwst_baselines::{try_profile_workload, ZooCost};
-use hwst_harness::{collect_ok, run, FailedJob, Job, PoolConfig, Sink};
+use hwst_harness::Job;
 
 /// One design of the Z1 frontier: the published four plus the zoo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -347,54 +347,40 @@ pub fn design_coverage(design: Design, per_cwe: u32) -> DesignCoverage {
     }
 }
 
-/// Runs the Z1 workload sweep on the pool; rows in Fig. 4 order.
-pub fn zoo_row_results(
-    cfg: &ZooConfig,
-    scale: Scale,
-    pool: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> (Vec<ZooRow>, Vec<FailedJob>) {
-    let jobs: Vec<Job<ZooRow>> = cfg
-        .workload_list()
+/// The Z1 workload sweep: one job per workload, in Fig. 4 order.
+pub fn zoo_row_jobs(cfg: &ZooConfig, scale: Scale) -> Vec<Job<ZooRow>> {
+    cfg.workload_list()
         .into_iter()
         .map(|wl| Job::new(format!("zoo/{}", wl.name), move || try_zoo_row(&wl, scale)))
-        .collect();
-    collect_ok(run(jobs, pool, sink))
+        .collect()
 }
 
-/// Runs the per-design coverage measurement on the pool; results in
+/// The per-design coverage measurement: one job per design, in
 /// [`Design::ALL`] order.
-pub fn zoo_coverage_results(
-    cfg: &ZooConfig,
-    pool: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> (Vec<DesignCoverage>, Vec<FailedJob>) {
+pub fn zoo_coverage_jobs(cfg: &ZooConfig) -> Vec<Job<DesignCoverage>> {
     let per_cwe = cfg.juliet_per_cwe;
-    let jobs: Vec<Job<DesignCoverage>> = Design::ALL
+    Design::ALL
         .iter()
         .map(|&design| {
             Job::new(format!("zoo-coverage/{design}"), move || {
                 Ok(design_coverage(design, per_cwe))
             })
         })
-        .collect();
-    collect_ok(run(jobs, pool, sink))
+        .collect()
 }
 
-/// Runs the Z2 fault campaign on the pool: one job per
-/// (design, target) cell covering every fault class, merged into one
-/// outcome counter per design in job-ID order.
+/// The Z2 fault campaign: one job per (design, target) cell covering
+/// every fault class, each yielding its design's index in
+/// [`Design::ALL`] and its counts; [`merge_inject`] folds them.
 ///
 /// # Errors
 ///
 /// Returns `Err` when a target fails to compile for some design —
 /// nothing has run at that point.
-pub fn zoo_inject_results(
+pub fn zoo_inject_jobs(
     cfg: &ZooConfig,
     scale: Scale,
-    pool: &PoolConfig,
-    sink: &mut dyn Sink,
-) -> Result<(Vec<OutcomeCounts>, Vec<FailedJob>), String> {
+) -> Result<Vec<Job<(usize, OutcomeCounts)>>, String> {
     let seeds = cfg.seeds();
     let mut jobs = Vec::new();
     for (di, &design) in Design::ALL.iter().enumerate() {
@@ -419,12 +405,17 @@ pub fn zoo_inject_results(
             }));
         }
     }
-    let (cells, failed) = collect_ok(run(jobs, pool, sink));
+    Ok(jobs)
+}
+
+/// Merges Z2 campaign cells, in job order, into one outcome counter per
+/// design ([`Design::ALL`] order).
+pub fn merge_inject(cells: Vec<(usize, OutcomeCounts)>) -> Vec<OutcomeCounts> {
     let mut merged = vec![OutcomeCounts::default(); Design::ALL.len()];
     for (di, counts) in cells {
         merged[di].merge(counts);
     }
-    Ok((merged, failed))
+    merged
 }
 
 /// Suite-geomean measured overhead per instrumented design
@@ -715,21 +706,20 @@ mod tests {
 
     #[test]
     fn smoke_sweep_passes_all_gates() {
-        use hwst_harness::NullSink;
+        use hwst_harness::{collect_ok, run};
         let cfg = ZooConfig::smoke();
-        let pool = PoolConfig::parallel(2);
-        let (rows, failed) = zoo_row_results(&cfg, Scale::Test, &pool, &mut NullSink);
+        let (rows, failed) = collect_ok(run(zoo_row_jobs(&cfg, Scale::Test), 2));
         assert!(failed.is_empty(), "{failed:?}");
         assert_eq!(rows.len(), 4);
-        let (coverage, failed) = zoo_coverage_results(&cfg, &pool, &mut NullSink);
+        let (coverage, failed) = collect_ok(run(zoo_coverage_jobs(&cfg), 2));
         assert!(failed.is_empty(), "{failed:?}");
-        let (inject, failed) = zoo_inject_results(&cfg, Scale::Test, &pool, &mut NullSink)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let jobs = zoo_inject_jobs(&cfg, Scale::Test).unwrap_or_else(|e| panic!("{e}"));
+        let (cells, failed) = collect_ok(run(jobs, 2));
         assert!(failed.is_empty(), "{failed:?}");
         let report = ZooReport {
             rows,
             coverage,
-            inject,
+            inject: merge_inject(cells),
         };
         // The calibration bands target the full-suite geomean; on the
         // 4-workload smoke subset only the structural gates must hold.
@@ -742,13 +732,13 @@ mod tests {
 
     #[test]
     fn zoo_rows_are_jobs_deterministic() {
-        use hwst_harness::NullSink;
+        use hwst_harness::{collect_ok, run};
         let cfg = ZooConfig {
             workloads: Some(&["math", "treeadd"]),
             ..ZooConfig::smoke()
         };
-        let serial = zoo_row_results(&cfg, Scale::Test, &PoolConfig::serial(), &mut NullSink);
-        let parallel = zoo_row_results(&cfg, Scale::Test, &PoolConfig::parallel(4), &mut NullSink);
+        let serial = collect_ok(run(zoo_row_jobs(&cfg, Scale::Test), 1));
+        let parallel = collect_ok(run(zoo_row_jobs(&cfg, Scale::Test), 4));
         assert_eq!(serial.0, parallel.0);
         assert!(serial.1.is_empty() && parallel.1.is_empty());
     }

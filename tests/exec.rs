@@ -28,9 +28,9 @@ fn fast_engine_bit_identical_on_full_suite() {
 }
 
 /// The committed `BENCH_exec.json` artifact (the full-scale X1 run) must
-/// parse, be schema-stable, and report the 10× target honestly:
-/// `host.meets_target` must equal the recorded geomean actually
-/// clearing `host.target_speedup`. Host timings vary, so no speedup
+/// parse, be schema-stable, and be self-consistent: `host.geomean_speedup`
+/// must equal the geometric mean of `host.rows[].speedup`, recomputed
+/// the way the driver computes it. Host timings vary, so no speedup
 /// floor is asserted — only structure and self-consistency.
 #[test]
 fn emitted_bench_exec_artifact_is_valid() {
@@ -74,13 +74,14 @@ fn emitted_bench_exec_artifact_is_valid() {
         .get("geomean_speedup")
         .and_then(Json::as_f64)
         .expect("geomean_speedup");
-    let target = host
-        .get("target_speedup")
-        .and_then(Json::as_f64)
-        .expect("target_speedup");
+    let logsum: f64 = host_rows
+        .iter()
+        .filter_map(|row| row.get("speedup").and_then(Json::as_f64))
+        .map(f64::ln)
+        .sum();
     assert_eq!(
-        host.get("meets_target"),
-        Some(&Json::Bool(geomean >= target)),
-        "meets_target must report the geomean honestly"
+        geomean,
+        (logsum / host_rows.len() as f64).exp(),
+        "geomean_speedup must be the geometric mean of the row speedups"
     );
 }

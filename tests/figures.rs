@@ -3,6 +3,7 @@
 //! the crossovers fall (absolute cycle counts are substrate-specific;
 //! see EXPERIMENTS.md for the recorded values).
 
+use hwst128::compiler::OptLevel;
 use hwst128::hwcost::hwst128_report;
 use hwst128::juliet::model_coverage;
 use hwst128::workloads::{Scale, Workload};
@@ -17,7 +18,7 @@ fn fig4_shape_holds() {
     ];
     let rows: Vec<_> = names
         .iter()
-        .map(|n| try_fig4_row(&Workload::by_name(n).unwrap(), Scale::Test).unwrap())
+        .map(|n| try_fig4_row(&Workload::by_name(n).unwrap(), Scale::Test, OptLevel::O0).unwrap())
         .collect();
     for r in &rows {
         assert!(
@@ -136,8 +137,8 @@ fn hwcost_matches_paper() {
 fn fig4_overheads_are_scale_stable() {
     for name in ["sha", "treeadd", "bzip2"] {
         let wl = Workload::by_name(name).unwrap();
-        let small = try_fig4_row(&wl, Scale::Test).unwrap();
-        let big = try_fig4_row(&wl, Scale::Bench).unwrap();
+        let small = try_fig4_row(&wl, Scale::Test, OptLevel::O0).unwrap();
+        let big = try_fig4_row(&wl, Scale::Bench, OptLevel::O0).unwrap();
         for k in 0..3 {
             let a = 1.0 + small.overhead_pct[k] / 100.0;
             let b = 1.0 + big.overhead_pct[k] / 100.0;

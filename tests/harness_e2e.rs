@@ -4,11 +4,12 @@
 //! structured, and the committed `BENCH_fig4.json` must parse and carry
 //! the exact serial geomean.
 
-use hwst128::workloads::{Scale, Workload};
-use hwst_bench::runs::fig4_results;
+use hwst128::compiler::OptLevel;
+use hwst128::workloads::{all, Scale, Workload};
+use hwst_bench::runs::workload_jobs;
 use hwst_bench::summary::fig4_sim;
 use hwst_bench::{fig4_geomean, try_fig4_row, Fig4Row};
-use hwst_harness::{collect_ok, Job, JobOutcome, Json, NullSink, PoolConfig};
+use hwst_harness::{collect_ok, run, Job, JobOutcome, Json};
 
 fn assert_rows_identical(serial: &[Fig4Row], parallel: &[Fig4Row]) {
     assert_eq!(serial.len(), parallel.len());
@@ -31,16 +32,18 @@ fn fig4_subset_parallel_identical_to_serial() {
     let names = ["string", "math", "treeadd", "health", "bzip2", "lbm"];
     let serial: Vec<Fig4Row> = names
         .iter()
-        .map(|n| try_fig4_row(&Workload::by_name(n).unwrap(), Scale::Test).unwrap())
+        .map(|n| try_fig4_row(&Workload::by_name(n).unwrap(), Scale::Test, OptLevel::O0).unwrap())
         .collect();
     let jobs: Vec<Job<Fig4Row>> = names
         .iter()
         .map(|n| {
             let wl = Workload::by_name(n).unwrap();
-            Job::new(format!("fig4/{n}"), move || try_fig4_row(&wl, Scale::Test))
+            Job::new(format!("fig4/{n}"), move || {
+                try_fig4_row(&wl, Scale::Test, OptLevel::O0)
+            })
         })
         .collect();
-    let results = hwst_harness::run(jobs, &PoolConfig::parallel(4), &mut NullSink);
+    let results = run(jobs, 4);
     let (rows, failed) = collect_ok(results);
     assert!(failed.is_empty(), "{failed:?}");
     assert_rows_identical(&serial, &rows);
@@ -50,13 +53,15 @@ fn fig4_subset_parallel_identical_to_serial() {
 /// The full 23-workload Fig. 4 sweep (ISSUE 3 acceptance): `--jobs 4`
 /// produces results identical to the serial run. Formerly an
 /// `--ignored` heavy gate; the decoded-block fast engine (which
-/// `run_scheme` uses under `fig4_rows`/`fig4_results`) makes the full
-/// sweep cheap enough to run in tier-1.
+/// `run_scheme` uses under `try_fig4_row`) makes the full sweep cheap
+/// enough to run in tier-1.
 #[test]
 fn fig4_full_sweep_parallel_identical_to_serial() {
     let serial = hwst_bench::fig4_rows(Scale::Test);
-    let results = fig4_results(Scale::Test, &PoolConfig::parallel(4), &mut NullSink);
-    let (rows, failed) = collect_ok(results);
+    let jobs = workload_jobs("fig4", all(), |wl| {
+        try_fig4_row(wl, Scale::Test, OptLevel::O0)
+    });
+    let (rows, failed) = collect_ok(run(jobs, 4));
     assert!(failed.is_empty(), "{failed:?}");
     assert_rows_identical(&serial, &rows);
     assert_eq!(fig4_geomean(&serial), fig4_geomean(&rows));
@@ -69,12 +74,16 @@ fn fig4_full_sweep_parallel_identical_to_serial() {
 fn sweep_survives_panicking_and_failing_jobs() {
     let good = Workload::by_name("math").unwrap();
     let jobs: Vec<Job<Fig4Row>> = vec![
-        Job::new("fig4/math", move || try_fig4_row(&good, Scale::Test)),
+        Job::new("fig4/math", move || {
+            try_fig4_row(&good, Scale::Test, OptLevel::O0)
+        }),
         Job::new("fig4/poisoned", || panic!("injected panic")),
         Job::new("fig4/broken", || Err("injected failure".to_string())),
-        Job::new("fig4/math-again", move || try_fig4_row(&good, Scale::Test)),
+        Job::new("fig4/math-again", move || {
+            try_fig4_row(&good, Scale::Test, OptLevel::O0)
+        }),
     ];
-    let results = hwst_harness::run(jobs, &PoolConfig::parallel(4), &mut NullSink);
+    let results = run(jobs, 4);
     assert_eq!(results.len(), 4);
     assert!(matches!(results[0].outcome, JobOutcome::Ok(_)));
     assert_eq!(
@@ -100,10 +109,12 @@ fn fig4_json_summary_round_trips() {
         .iter()
         .map(|n| {
             let wl = Workload::by_name(n).unwrap();
-            Job::new(format!("fig4/{n}"), move || try_fig4_row(&wl, Scale::Test))
+            Job::new(format!("fig4/{n}"), move || {
+                try_fig4_row(&wl, Scale::Test, OptLevel::O0)
+            })
         })
         .collect();
-    let results = hwst_harness::run(jobs, &PoolConfig::parallel(2), &mut NullSink);
+    let results = run(jobs, 2);
     let (rows, _) = collect_ok(results);
     let g = fig4_geomean(&rows);
     let parsed = Json::parse(&fig4_sim(&rows, &[], &g).to_string()).expect("payload parses");

@@ -6,11 +6,12 @@
 
 use hwst128::workloads::{Scale, Workload};
 use hwst_bench::profile::{
-    check_profile_parity, profile_mean_fractions, profile_row, try_profile_trace, ProfileRow,
+    check_profile_parity, profile_mean_fractions, profile_row, try_profile_row, try_profile_trace,
+    ProfileRow,
 };
-use hwst_bench::runs::{profile_results, PROFILE_SMOKE_WORKLOADS};
+use hwst_bench::runs::{profile_workloads, workload_jobs, PROFILE_SMOKE_WORKLOADS};
 use hwst_bench::summary::profile_sim;
-use hwst_harness::{collect_ok, Json, NullSink, PoolConfig};
+use hwst_harness::{collect_ok, run, Json};
 
 fn assert_rows_identical(serial: &[ProfileRow], parallel: &[ProfileRow]) {
     assert_eq!(serial.len(), parallel.len());
@@ -29,13 +30,10 @@ fn profile_sweep_identical_on_any_worker_count() {
         .collect();
     let mut rows_subtrees = Vec::new();
     for workers in [1usize, 2, 8] {
-        let results = profile_results(
-            &PROFILE_SMOKE_WORKLOADS,
-            Scale::Test,
-            &PoolConfig::parallel(workers),
-            &mut NullSink,
-        );
-        let (rows, failed) = collect_ok(results);
+        let jobs = workload_jobs("profile", profile_workloads(true), |wl| {
+            try_profile_row(wl, Scale::Test)
+        });
+        let (rows, failed) = collect_ok(run(jobs, workers));
         assert!(failed.is_empty(), "{failed:?}");
         let doc = profile_sim(&rows, &profile_mean_fractions(&rows));
         let parsed = Json::parse(&doc.to_string()).expect("payload parses");
