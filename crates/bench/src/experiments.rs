@@ -1023,8 +1023,8 @@ pub fn ablation_boundscheck(cx: &mut Ctx) -> Result<Outcome, String> {
     print_failed(&failed);
 
     // Sampled Juliet detection gate: the bounds pass must cost zero
-    // true positives (the full gate is the hwst-juliet `bounds_gate`
-    // test; this keeps the bench honest on every run).
+    // true positives (the root cell matrix checks the same under every
+    // scheme and tier; this keeps the bench honest on every run).
     let juliet_cases = sample_reachable(if smoke { 2 } else { 5 });
     let mut juliet_detected = 0usize;
     let mut juliet_lost = 0usize;

@@ -3,18 +3,19 @@
 //! Each workload is compiled for `HWST128_tchk` with the lowering plan
 //! kept alongside, run under [`hwst128::sim::Machine::run_profiled`]
 //! (the reference interpreter),
-//! and the per-PC profile is folded through the plan's symbol ranges
-//! into a hot-function table. The row carries the whole-run cycle split
+//! and the per-PC profile is folded through the plan's function ranges
+//! (`LowerPlan::func_at_pc`) into a hot-function table. The row
+//! carries the whole-run cycle split
 //! (base / check / shadow / keybuffer / runtime), the uninstrumented
 //! baseline for overhead context, and the hottest functions.
 //!
 //! Everything here is deterministic: same workload + scale ⇒ the same
 //! row, bit for bit, on any worker count.
 
-use hwst128::compiler::{compile, compile_with_options, CompileOptions, LowerPlan, Scheme};
+use hwst128::compiler::{compile, compile_with_options, CompileOptions, Scheme};
 use hwst128::sim::Machine;
 use hwst128::telemetry::{
-    attribute, chrome_trace, collapsed_stacks, Breakdown, FnTable, Profiler, Symbol, SymbolTable,
+    attribute, chrome_trace, collapsed_stacks, Breakdown, FnRow, FnTable, Profiler,
 };
 use hwst128::workloads::{Scale, Workload};
 use hwst128::{config_for, run_scheme};
@@ -27,15 +28,6 @@ pub const HOT_FNS: usize = 5;
 
 /// Ring-recorder capacity used for trace export.
 pub const TRACE_RING: usize = 1 << 16;
-
-/// One hot function of a profile row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HotFn {
-    /// Function name.
-    pub name: String,
-    /// Its cycles per category.
-    pub cycles: Breakdown,
-}
 
 /// One P1 row: a workload's cycle-attribution summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +42,7 @@ pub struct ProfileRow {
     /// cycles are the only unattributed ones).
     pub attributed_fraction: f64,
     /// The [`HOT_FNS`] hottest functions, hottest first.
-    pub hot: Vec<HotFn>,
+    pub hot: Vec<FnRow>,
 }
 
 impl ProfileRow {
@@ -58,21 +50,6 @@ impl ProfileRow {
     pub fn overhead_pct(&self) -> f64 {
         (self.total.total() as f64 / self.baseline_cycles as f64 - 1.0) * 100.0
     }
-}
-
-/// Converts a lowering plan's function ranges into a telemetry symbol
-/// table.
-pub fn symbol_table(plan: &LowerPlan) -> SymbolTable {
-    SymbolTable::new(
-        plan.symbols()
-            .into_iter()
-            .map(|(name, start_pc, end_pc)| Symbol {
-                name,
-                start_pc,
-                end_pc,
-            })
-            .collect(),
-    )
 }
 
 fn profiled_table(
@@ -86,7 +63,9 @@ fn profiled_table(
     let exit = Machine::new(c.program, config_for(Scheme::Hwst128Tchk))
         .run_profiled(wl.fuel(scale), profiler)
         .map_err(|e| format!("{} (Hwst128Tchk): {e}", wl.name))?;
-    let table = attribute(&profiler.profile, &symbol_table(&c.plan));
+    let table = attribute(&profiler.profile, |pc| {
+        c.plan.func_at_pc(pc).map(|f| f.name.as_str())
+    });
     debug_assert_eq!(table.total().total(), exit.stats.total_cycles());
     Ok((table, exit.stats.total_cycles()))
 }
@@ -118,15 +97,7 @@ pub fn try_profile_row(wl: &Workload, scale: Scale) -> Result<ProfileRow, String
         total: table.total(),
         baseline_cycles,
         attributed_fraction: table.attributed_fraction(),
-        hot: table
-            .rows
-            .iter()
-            .take(HOT_FNS)
-            .map(|r| HotFn {
-                name: r.name.clone(),
-                cycles: r.cycles,
-            })
-            .collect(),
+        hot: table.rows.into_iter().take(HOT_FNS).collect(),
     })
 }
 
@@ -216,54 +187,4 @@ pub fn check_profile_parity(wl: &Workload, scale: Scale) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn profile_row_partitions_every_cycle() {
-        let wl = Workload::by_name("math").unwrap();
-        let r = try_profile_row(&wl, Scale::Test).unwrap();
-        assert!(r.total.check > 0, "instrumented run has check cycles");
-        assert!(r.overhead_pct() > 0.0);
-        assert!(
-            r.attributed_fraction >= 0.95,
-            "only the shim is unattributed: {}",
-            r.attributed_fraction
-        );
-        assert!(!r.hot.is_empty());
-        // Hot-table rows never exceed the whole-run totals.
-        let hot_sum: u64 = r.hot.iter().map(|h| h.cycles.total()).sum();
-        assert!(hot_sum <= r.total.total());
-    }
-
-    #[test]
-    fn profiled_run_has_no_observer_effect() {
-        let wl = Workload::by_name("treeadd").unwrap();
-        check_profile_parity(&wl, Scale::Test).unwrap();
-    }
-
-    #[test]
-    fn trace_export_is_loadable_json() {
-        let wl = Workload::by_name("string").unwrap();
-        let t = try_profile_trace(&wl, Scale::Test).unwrap();
-        let parsed = Json::parse(&t.chrome.to_string()).expect("chrome trace parses");
-        let events = parsed
-            .get("traceEvents")
-            .and_then(Json::as_arr)
-            .expect("traceEvents");
-        assert!(events.len() > 5, "metadata events + payload spans");
-        assert!(t.collapsed.lines().count() > 0);
-    }
-
-    #[test]
-    fn mean_fractions_sum_to_one() {
-        let wl = Workload::by_name("math").unwrap();
-        let rows = vec![try_profile_row(&wl, Scale::Test).unwrap()];
-        let f = profile_mean_fractions(&rows);
-        let sum: f64 = f.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9, "{f:?}");
-    }
 }

@@ -85,15 +85,6 @@ impl LowerPlan {
             .iter()
             .find(|f| (f.start_pc..f.end_pc).contains(&pc))
     }
-
-    /// `(name, start_pc, end_pc)` symbol ranges in emission order — the
-    /// raw material for a telemetry symbol table.
-    pub fn symbols(&self) -> Vec<(String, u64, u64)> {
-        self.funcs
-            .iter()
-            .map(|f| (f.name.clone(), f.start_pc, f.end_pc))
-            .collect()
-    }
 }
 
 /// Per-function lowering side-table.
@@ -1796,8 +1787,5 @@ mod tests {
         assert_eq!(plan.funcs.last().unwrap().end_pc, end);
         // The startup shim precedes every function and has no symbol.
         assert!(plan.func_at_pc(p.base()).is_none());
-        let syms = plan.symbols();
-        assert_eq!(syms.len(), 2);
-        assert!(syms.iter().any(|(n, _, _)| n == "main"));
     }
 }

@@ -69,6 +69,16 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// The `--trace N` step count, 0 without the flag.
+fn parse_trace(args: &[String]) -> Result<usize, String> {
+    if !args.iter().any(|a| a == "--trace") {
+        return Ok(0);
+    }
+    let raw = flag_value(args, "--trace").ok_or("--trace needs a step count")?;
+    raw.parse()
+        .map_err(|_| format!("--trace takes a step count, got {raw:?}"))
+}
+
 fn parse_scheme(args: &[String]) -> Result<Scheme, String> {
     let raw = flag_value(args, "--scheme").unwrap_or("tchk");
     Scheme::by_label(raw).ok_or_else(|| format!("unknown scheme {raw:?}"))
@@ -113,9 +123,7 @@ fn cmd_asm(args: &[String]) -> CliResult {
     let base = hwst128::mem::MemoryLayout::default().text_base;
     let prog = assemble(base, &src)?;
     if args.iter().any(|a| a == "--run") {
-        let trace = flag_value(args, "--trace")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
+        let trace = parse_trace(args)?;
         run_machine(Machine::new(prog, SafetyConfig::default()), trace)
     } else {
         print!("{prog}");
@@ -131,9 +139,7 @@ fn lookup_workload(name: Option<&String>) -> Result<Workload, String> {
 fn cmd_run(args: &[String]) -> CliResult {
     let wl = lookup_workload(args.first())?;
     let scheme = parse_scheme(args)?;
-    let trace = flag_value(args, "--trace")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let trace = parse_trace(args)?;
     println!("{} [{}] under {}", wl.name, wl.suite, scheme.label());
     let prog = compile(&wl.module(Scale::Test), scheme)?;
     println!("code size : {} instructions", prog.len());

@@ -283,7 +283,7 @@ pub fn execute_detects(case: &Case, opts: CompileOptions) -> bool {
 mod tests {
     use super::*;
     use crate::case::make_case;
-    use hwst_compiler::{compile, Scheme};
+    use hwst_compiler::Scheme;
 
     fn detects(case: &Case, scheme: Scheme) -> bool {
         execute_detects(case, CompileOptions::new(scheme))
@@ -334,105 +334,6 @@ mod tests {
                 !detects(&c, Scheme::Hwst128Tchk),
                 "{cwe}: laundered case must evade HWST128"
             );
-        }
-    }
-
-    #[test]
-    fn benign_twins_never_false_positive() {
-        for cwe in Cwe::ALL {
-            let module = build_benign_program(cwe);
-            for scheme in [Scheme::Sbcets, Scheme::Hwst128, Scheme::Hwst128Tchk] {
-                let prog = compile(&module, scheme).unwrap_or_else(|e| panic!("{cwe}: {e}"));
-                let cfg = config_for(scheme);
-                let r = Machine::new(prog, cfg).run(5_000_000);
-                assert!(
-                    r.is_ok(),
-                    "{cwe} benign twin false-positived under {scheme}: {:?}",
-                    r.err()
-                );
-            }
-        }
-    }
-
-    /// A representative slice per category: the three flow shapes of
-    /// the reachable zone, the sub-granule edge (CWE122), and a
-    /// laundered case.
-    fn differential_sample(cwe: Cwe) -> Vec<Case> {
-        let mut v: Vec<Case> = (0..cwe.reachable_count())
-            .map(|i| make_case(cwe, i))
-            .scan((false, false, false), |(s, b, x), c| {
-                use crate::Flow;
-                let pick = match c.flow {
-                    Flow::Straight if !*s => {
-                        *s = true;
-                        true
-                    }
-                    Flow::Branched if !*b => {
-                        *b = true;
-                        true
-                    }
-                    Flow::CrossFunction if !*x => {
-                        *x = true;
-                        true
-                    }
-                    _ => false,
-                };
-                Some((c, pick))
-            })
-            .filter_map(|(c, pick)| pick.then_some(c))
-            .collect();
-        if cwe.sub_granule_count() > 0 {
-            v.push(make_case(cwe, 0));
-        }
-        v.push(laundered(cwe));
-        v
-    }
-
-    #[test]
-    fn rce_never_loses_a_detection() {
-        // Differential gate: for every sampled case and scheme, the
-        // RCE-compiled binary detects exactly what the plain one does
-        // (and the completeness verifier accepts the RCE output, since
-        // the verifier is armed for both builds).
-        for cwe in Cwe::ALL {
-            for case in differential_sample(cwe) {
-                for scheme in Scheme::ALL {
-                    let opts = CompileOptions::new(scheme).with_verify();
-                    let plain = execute_detects(&case, opts);
-                    let rce = execute_detects(&case, opts.with_rce());
-                    assert_eq!(
-                        plain, rce,
-                        "{cwe} case {} under {scheme}: detection changed with RCE",
-                        case.index
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rce_keeps_benign_outputs_bit_identical() {
-        for cwe in Cwe::ALL {
-            let module = build_benign_program(cwe);
-            for scheme in Scheme::ALL {
-                let cfg = config_for(scheme);
-                let run = |rce: bool| {
-                    let opts = if rce {
-                        CompileOptions::new(scheme).with_rce().with_verify()
-                    } else {
-                        CompileOptions::new(scheme).with_verify()
-                    };
-                    let c = compile_with_options(&module, opts)
-                        .unwrap_or_else(|e| panic!("{cwe} {scheme}: {e}"));
-                    Machine::new(c.program, cfg)
-                        .run(5_000_000)
-                        .unwrap_or_else(|t| panic!("{cwe} {scheme} trapped: {t:?}"))
-                };
-                let plain = run(false);
-                let opt = run(true);
-                assert_eq!(plain.code, opt.code, "{cwe} {scheme}: exit code changed");
-                assert_eq!(plain.output, opt.output, "{cwe} {scheme}: output changed");
-            }
         }
     }
 

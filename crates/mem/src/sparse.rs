@@ -306,16 +306,21 @@ impl SparseMemory {
             .copied()
             .filter(|&p| {
                 let base = p << PAGE_BITS;
-                base < hi && base.wrapping_add(PAGE_SIZE) > lo
+                base < hi && base + (PAGE_SIZE - 1) >= lo
             })
             .collect();
         pages.sort_unstable();
         let mut out = Vec::new();
         for page in pages {
+            // Scan the frame directly: one lookup per page, not eight
+            // per word.
+            let Some(frame) = self.frame(page) else {
+                continue;
+            };
             let base = page << PAGE_BITS;
-            for off in (0..PAGE_SIZE).step_by(8) {
-                let a = base + off;
-                if a >= lo && a < hi && self.read_u64(a) != 0 {
+            for (i, word) in frame.chunks_exact(8).enumerate() {
+                let a = base + 8 * i as u64;
+                if a >= lo && a < hi && word != [0; 8] {
                     out.push(a);
                 }
             }
@@ -503,5 +508,13 @@ mod tests {
         );
         assert_eq!(m.nonzero_word_addrs_in(0x1001, 0x9_0000), vec![0x2000]);
         assert!(m.nonzero_word_addrs_in(0x10_0000, u64::MAX).is_empty());
+        // A nonzero byte anywhere in a word reports the word, and the
+        // last page of the address space scans without overflow.
+        m.write_u8(0x2017, 1);
+        m.write_u8(u64::MAX - 8, 3);
+        assert_eq!(
+            m.nonzero_word_addrs_in(0x1001, u64::MAX),
+            vec![0x2000, 0x2010, 0x9_0000, u64::MAX - 15]
+        );
     }
 }

@@ -17,9 +17,9 @@
 //!   simulator folds per-step `CycleStats` deltas into a PC-indexed
 //!   profile, split into base/check/shadow/keybuffer/runtime
 //!   categories that sum exactly to `total_cycles`.
-//! * [`SymbolTable`] / [`attribute`] — maps PCs onto the per-function
-//!   symbol ranges published by `hwst_compiler::lower` and folds the
-//!   profile into a hot-function table ([`FnTable`]).
+//! * [`attribute`] — folds the profile into a hot-function table
+//!   ([`FnTable`]), naming each PC's function through a resolver such
+//!   as `hwst_compiler`'s `LowerPlan::func_at_pc`.
 //! * [`chrome_trace`] / [`collapsed_stacks`] — exporters: Chrome
 //!   trace-event JSON (loadable in Perfetto / `chrome://tracing`) and
 //!   collapsed-stack text for flamegraph tooling.
@@ -44,4 +44,4 @@ mod profile;
 
 pub use event::{Event, RingRecorder, Track};
 pub use export::{chrome_trace, collapsed_stacks};
-pub use profile::{attribute, Breakdown, FnRow, FnTable, PcProfile, Profiler, Symbol, SymbolTable};
+pub use profile::{attribute, Breakdown, FnRow, FnTable, PcProfile, Profiler};

@@ -100,45 +100,6 @@ impl PcProfile {
     }
 }
 
-/// A named PC range — one function of the lowered image, as published
-/// by `hwst_compiler::lower` (`FnPlan::start_pc`/`end_pc`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Symbol {
-    /// Function name.
-    pub name: String,
-    /// First PC of the function (inclusive).
-    pub start_pc: u64,
-    /// One past the last PC of the function (exclusive).
-    pub end_pc: u64,
-}
-
-/// A sorted, binary-searchable symbol table.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SymbolTable {
-    syms: Vec<Symbol>,
-}
-
-impl SymbolTable {
-    /// Builds a table from symbols in any order (they are sorted by
-    /// start PC internally).
-    pub fn new(mut syms: Vec<Symbol>) -> Self {
-        syms.sort_by_key(|s| s.start_pc);
-        SymbolTable { syms }
-    }
-
-    /// Resolves a PC to the symbol containing it.
-    pub fn resolve(&self, pc: u64) -> Option<&Symbol> {
-        let i = self.syms.partition_point(|s| s.start_pc <= pc);
-        let s = self.syms.get(i.checked_sub(1)?)?;
-        (pc < s.end_pc).then_some(s)
-    }
-
-    /// The symbols, sorted by start PC.
-    pub fn symbols(&self) -> &[Symbol] {
-        &self.syms
-    }
-}
-
 /// One row of the hot-function table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnRow {
@@ -148,8 +109,7 @@ pub struct FnRow {
     pub cycles: Breakdown,
 }
 
-/// The hot-function table: a [`PcProfile`] folded through a
-/// [`SymbolTable`].
+/// The hot-function table: a [`PcProfile`] folded by function.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnTable {
     /// Per-function rows, hottest first (ties broken by name).
@@ -181,16 +141,18 @@ impl FnTable {
     }
 }
 
-/// Folds a profile through a symbol table into the hot-function table.
-/// Functions that never retired an instruction are omitted.
-pub fn attribute(profile: &PcProfile, syms: &SymbolTable) -> FnTable {
+/// Folds a profile into the hot-function table. `resolve` names the
+/// function containing a PC, or `None` outside every function (the
+/// startup shim); the compiler's `LowerPlan::func_at_pc` is the one
+/// resolver. Functions that never retired an instruction are omitted.
+pub fn attribute<'a>(profile: &PcProfile, resolve: impl Fn(u64) -> Option<&'a str>) -> FnTable {
     let mut per_fn: BTreeMap<&str, Breakdown> = BTreeMap::new();
     let mut attributed = Breakdown::default();
     let mut unattributed = Breakdown::default();
     for (pc, bd) in profile.iter() {
-        match syms.resolve(pc) {
-            Some(s) => {
-                *per_fn.entry(s.name.as_str()).or_default() += *bd;
+        match resolve(pc) {
+            Some(name) => {
+                *per_fn.entry(name).or_default() += *bd;
                 attributed += *bd;
             }
             None => unattributed += *bd,
@@ -288,11 +250,12 @@ impl Profiler {
 mod tests {
     use super::*;
 
-    fn sym(name: &str, start: u64, end: u64) -> Symbol {
-        Symbol {
-            name: name.into(),
-            start_pc: start,
-            end_pc: end,
+    /// A resolver over `(name, start, end)` PC ranges.
+    fn ranges<'a>(syms: &'a [(&'a str, u64, u64)]) -> impl Fn(u64) -> Option<&'a str> {
+        move |pc| {
+            syms.iter()
+                .find(|&&(_, lo, hi)| (lo..hi).contains(&pc))
+                .map(|&(name, _, _)| name)
         }
     }
 
@@ -310,18 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn symbol_resolution_honours_ranges() {
-        let t = SymbolTable::new(vec![sym("b", 0x40, 0x80), sym("a", 0x10, 0x40)]);
-        assert_eq!(t.resolve(0x10).map(|s| s.name.as_str()), Some("a"));
-        assert_eq!(t.resolve(0x3c).map(|s| s.name.as_str()), Some("a"));
-        assert_eq!(t.resolve(0x40).map(|s| s.name.as_str()), Some("b"));
-        assert!(t.resolve(0x80).is_none());
-        assert!(t.resolve(0x0).is_none());
-    }
-
-    #[test]
     fn attribution_partitions_cycles() {
-        let t = SymbolTable::new(vec![sym("main", 0x100, 0x200)]);
+        let t = ranges(&[("main", 0x100, 0x200)]);
         let mut p = PcProfile::new();
         p.record(
             0x100,
@@ -357,11 +310,7 @@ mod tests {
 
     #[test]
     fn hot_table_sorts_descending_with_name_ties() {
-        let t = SymbolTable::new(vec![
-            sym("a", 0x0, 0x10),
-            sym("z", 0x10, 0x20),
-            sym("m", 0x20, 0x30),
-        ]);
+        let t = ranges(&[("a", 0x0, 0x10), ("z", 0x10, 0x20), ("m", 0x20, 0x30)]);
         let mut p = PcProfile::new();
         for (pc, cycles) in [(0x0u64, 5u64), (0x10, 9), (0x20, 9)] {
             p.record(

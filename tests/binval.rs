@@ -1,8 +1,10 @@
 //! Tier-1 gate for the binary-level translation validator: every
-//! correctly-lowered workload must validate cleanly under every scheme,
-//! IR-level and binary-level verdicts must agree, and the deterministic
-//! mutation suite must be killed completely. The ignored sweep at the end
-//! widens both to every cell and every candidate mutant.
+//! correctly-lowered workload must validate cleanly under the four
+//! kernel schemes, IR-level and binary-level verdicts must agree, the
+//! deterministic mutation suite must be killed completely, and the
+//! validator must discharge checks beyond RCE. The ignored sweep at the
+//! end widens both to every cell and every candidate mutant; the
+//! every-cell check in `common` also validates each image it runs.
 
 use hwst_compiler::binval::{self, Mutation, RegMutation};
 use hwst_compiler::{compile_with_options, CompileOptions, OptLevel, Scheme};

@@ -1,29 +1,27 @@
-//! Generated programs through every cell. One deterministic splitmix64
-//! generator builds well-formed, pointer-rich IR from a `u64` seed (or
-//! from a hand-written `&[Act]`). Every program goes through every
-//! *cell* — one (tier, scheme, pass set) of {O0, O1} × `Scheme::EVERY`
-//! × {plain, rce+verify, rce+bounds+verify} — where [`verdict`] must
-//! give its baseline-at-O0 verdict (instrumentation is transparent on
-//! benign programs) with both engines agreeing, the image must pass
-//! `binval::translation_validate`, and every bounds witness must be
-//! arithmetically valid. A plain build *is* the dynamic re-check of a
-//! bounds build: every check the pass deleted still executes there.
+//! Every program through every cell. Four sources feed the one check
+//! in `common` ([`check_program`] over [`cells`]): programs from one
+//! deterministic splitmix64 generator of well-formed, pointer-rich IR
+//! (a `u64` seed or a hand-written `&[Act]`), the 23 kernels, a Juliet
+//! sample (reachable and laundered cases per CWE) and the ten benign
+//! twins. In every cell both engines agree, the image passes
+//! translation validation, and the verdict equals its scheme's `-O0`
+//! plain verdict: the baseline's exit for a benign program.
 //!
-//! The kernels and Juliet go through the same [`verdict`] in `exec.rs`
-//! and `optdiff.rs`.
-//!
-//! Tier-1 runs a fixed-seed smoke; the deep sweep is `#[ignore]`d and
-//! rides the heavy gate (`cargo test --release --workspace --
-//! --ignored`).
+//! Tier-1 runs every cell on a fixed subset of each source, one test
+//! per source so they run in parallel; the tier-1 kernels' `-O0` and
+//! `-O1` cells run in `exec.rs` and `optdiff.rs`. The `#[ignore]`d
+//! tests run each source in full and ride the heavy gate (`cargo test
+//! --release --workspace -- --ignored`).
 
 mod common;
 
-use common::{cell, verdict, Verdict, FUEL};
-use hwst128::compiler::binval::translation_validate;
+use common::{cells, check_kernels, check_program, Verdict, FUEL};
 use hwst128::compiler::ir::{BinOp, Module, VarId, Width};
 use hwst128::compiler::{
-    bounds, compile_with_options, CompileOptions, FuncBuilder, ModuleBuilder, OptLevel, Scheme,
+    bounds, compile_with_options, CompileOptions, FuncBuilder, ModuleBuilder, Scheme,
 };
+use hwst128::juliet::{build_benign_program, build_program, sample_reachable, suite, Case, Cwe};
+use hwst128::workloads::all;
 use hwst128::workloads::util::for_range;
 
 /// Seeds of the tier-1 generated smoke.
@@ -254,76 +252,91 @@ fn build(acts: &[Act]) -> (Module, Vec<Act>) {
 }
 
 // ---------------------------------------------------------------------------
-// The cells
+// The sources
 // ---------------------------------------------------------------------------
 
-/// Every cell: {O0, O1} × `Scheme::EVERY` × {plain, rce+verify,
-/// rce+bounds+verify}.
-fn cells() -> impl Iterator<Item = CompileOptions> {
-    [OptLevel::O0, OptLevel::O1].into_iter().flat_map(|opt| {
-        Scheme::EVERY.into_iter().flat_map(move |scheme| {
-            let plain = CompileOptions::new(scheme).with_opt(opt);
-            let rce = plain.with_rce().with_verify();
-            [plain, rce, rce.with_bounds()]
-        })
-    })
-}
-
 /// Runs the program of `acts` (named `name` in failure messages)
-/// through `cells`: in each, the baseline-at-O0 verdict and translation
-/// validation; and every bounds witness must be arithmetically valid.
-/// Returns the actions that took effect and the number of sites the
-/// bounds pass proved.
-fn check_program(
+/// through `cells` as a benign program. Returns the actions that took
+/// effect and the number of sites the bounds pass proved.
+fn check_acts(
     name: &str,
     acts: &[Act],
     cells: impl Iterator<Item = CompileOptions>,
 ) -> (Vec<Act>, usize) {
     let (module, emitted) = build(acts);
-    let fail = |e: String| -> ! { panic!("{name}: {e}\nacts: {acts:?}") };
-    let want =
-        verdict(&module, CompileOptions::new(Scheme::None), FUEL).unwrap_or_else(|e| fail(e));
-    if !matches!(want, Verdict::Exit { .. }) {
-        fail(format!("the baseline trapped: {want:?}"));
-    }
-    for opts in cells {
-        let got = verdict(&module, opts, FUEL).unwrap_or_else(|e| fail(e));
-        if got != want {
-            fail(format!(
-                "{}: {got:?}, baseline@O0 gave {want:?}",
-                cell(opts)
-            ));
-        }
-        let tv = translation_validate(&module, opts)
-            .unwrap_or_else(|e| fail(format!("{}: translation validation: {e}", cell(opts))));
-        if !tv.ok() {
-            let findings: Vec<String> = tv.report.findings.iter().map(|f| f.to_string()).collect();
-            fail(format!(
-                "{}: translation validation failed (IR verifier: {:?})\n{}",
-                cell(opts),
-                tv.ir_error,
-                findings.join("\n")
-            ));
+    let checked = check_program(&module, FUEL, true, cells)
+        .unwrap_or_else(|e| panic!("{name}: {e}\nacts: {acts:?}"));
+    (emitted, checked.proven)
+}
+
+/// The Juliet sample: `per_cwe` reachable cases of every CWE
+/// (`sample_reachable`) and its first laundered case, plus its last
+/// one when `both_ends`.
+fn juliet_sample(per_cwe: u32, both_ends: bool) -> Vec<Case> {
+    let suite = suite();
+    let mut cases = sample_reachable(per_cwe);
+    for cwe in Cwe::ALL {
+        let mut laundered = suite.iter().filter(|c| c.cwe == cwe && c.laundered);
+        cases.extend(laundered.next());
+        if both_ends {
+            cases.extend(laundered.next_back());
         }
     }
-    let outcome = bounds::analyze(&module);
-    for w in &outcome.witnesses {
-        if !w.arithmetic_ok() {
-            fail(format!(
-                "witness {} b{}/i{} claims [{}, {}) of a {}-byte object",
-                w.func, w.block, w.inst, w.lo, w.hi, w.size
-            ));
+    cases
+}
+
+/// Runs every case of `cases` through every cell. The check is vacuous
+/// without true positives, so more than half of the reachable cases'
+/// (case, scheme) references must end in a spatial or temporal trap;
+/// prints how many do.
+fn check_juliet(cases: &[Case]) {
+    let (mut refs, mut traps) = (0, 0);
+    for case in cases {
+        let checked = check_program(&build_program(case), FUEL, false, cells())
+            .unwrap_or_else(|e| panic!("juliet {:?}#{}: {e}", case.cwe, case.index));
+        if !case.laundered {
+            refs += checked.refs.len();
+            traps += checked
+                .refs
+                .iter()
+                .filter(|(_, v)| matches!(v, Verdict::Trap("spatial" | "temporal")))
+                .count();
         }
     }
-    (emitted, outcome.stats.proven)
+    eprintln!("{traps} of {refs} reachable (case, scheme) references trap");
+    assert!(
+        2 * traps > refs,
+        "only {traps} of {refs} reachable (case, scheme) references trap"
+    );
+}
+
+/// Runs every CWE's benign twin through every cell.
+fn check_twins() {
+    for cwe in Cwe::ALL {
+        check_program(&build_benign_program(cwe), FUEL, true, cells())
+            .unwrap_or_else(|e| panic!("{cwe} benign twin: {e}"));
+    }
 }
 
 /// Tier-1: a fixed-seed smoke of generated programs through every cell.
 #[test]
 fn generated_programs_agree_in_every_cell() {
     for seed in SMOKE_SEEDS {
-        check_program(&format!("seed {seed}"), &generate(seed), cells());
+        check_acts(&format!("seed {seed}"), &generate(seed), cells());
     }
+}
+
+/// Tier-1: one reachable and one laundered Juliet case per CWE through
+/// every cell.
+#[test]
+fn juliet_cases_agree_in_every_cell() {
+    check_juliet(&juliet_sample(1, false));
+}
+
+/// Tier-1: all ten benign twins through every cell.
+#[test]
+fn benign_twins_agree_in_every_cell() {
+    check_twins();
 }
 
 /// The heavy-gate deep sweep: [`DEEP_SEEDS`] generated programs
@@ -337,7 +350,7 @@ fn generated_programs_agree_in_every_cell_deep() {
     let mut traffic = std::collections::BTreeMap::<String, (usize, usize)>::new();
     let (mut proven, mut looping) = (0, 0);
     for seed in DEEP_SEEDS {
-        let (emitted, sites) = check_program(&format!("seed {seed}"), &generate(seed), cells());
+        let (emitted, sites) = check_acts(&format!("seed {seed}"), &generate(seed), cells());
         let mut kinds = std::collections::BTreeMap::<String, usize>::new();
         for act in &emitted {
             let name = format!("{act:?}");
@@ -360,6 +373,24 @@ fn generated_programs_agree_in_every_cell_deep() {
     assert_eq!(traffic.len(), 11, "every action kind takes effect");
 }
 
+/// The heavy gate: all 23 kernels through every cell.
+#[test]
+#[ignore = "full sweep; run via the CI heavy gates"]
+fn kernels_agree_in_every_cell_full() {
+    check_kernels(all(), |_| true);
+}
+
+/// The heavy gate: eleven reachable cases and the first and last
+/// laundered case of every CWE, and the ten benign twins, through
+/// every cell. Eleven is the smallest even-stride sample that draws
+/// all three flow shapes of every CWE.
+#[test]
+#[ignore = "full sweep; run via the CI heavy gates"]
+fn juliet_cases_and_twins_agree_in_every_cell_full() {
+    check_juliet(&juliet_sample(11, true));
+    check_twins();
+}
+
 /// The reduced program both validator disagreements shared: a stack
 /// buffer, a heap buffer, and a counted loop summing the stack buffer.
 const STACK_LOOP: [Act; 3] = [Act::Stack(0), Act::Alloc(0), Act::LoopSum { buf: 1 }];
@@ -371,7 +402,7 @@ const STACK_LOOP: [Act; 3] = [Act::Stack(0), Act::Alloc(0), Act::LoopSum { buf: 
 #[test]
 fn heapsafe_stack_pointers_carry_written_metadata() {
     let heapsafe = cells().filter(|o| o.scheme == Scheme::HeapSafe);
-    check_program("heapsafe stack loop", &STACK_LOOP, heapsafe);
+    check_acts("heapsafe stack loop", &STACK_LOOP, heapsafe);
 }
 
 /// SBCETS, L4 Pointer and CryptSan skip the loop's proven stack
@@ -382,7 +413,7 @@ fn heapsafe_stack_pointers_carry_written_metadata() {
 fn software_scheme_stack_witnesses_validate() {
     let software = [Scheme::Sbcets, Scheme::L4Pointer, Scheme::CryptSan];
     let bounded = cells().filter(|o| o.bounds && software.contains(&o.scheme));
-    check_program("software stack witnesses", &STACK_LOOP, bounded);
+    check_acts("software stack witnesses", &STACK_LOOP, bounded);
 }
 
 /// The generator must actually exercise the bounds pass: on a module

@@ -1,30 +1,21 @@
-//! The fast-vs-reference gate over the kernels, and the committed X1
-//! artifact (`BENCH_exec.json`). Every kernel × scheme at `-O0` goes
-//! through [`common::verdict`], which requires the decoded-block fast
-//! engine to be bit-identical to the reference interpreter — the same
-//! run result (code, output, full `CycleStats`, or trap) and the same
-//! final `Observation` — and must give the baseline's verdict.
-//!
-//! The cross-suite smoke subset runs in tier-1; the full 23-kernel ×
-//! `Scheme::EVERY` sweep rides the `--ignored` CI heavy gate.
+//! The fast-vs-reference gate over the tier-1 kernels at `-O0`, and
+//! the committed X1 artifact (`BENCH_exec.json`). Every `-O0` cell of
+//! each kernel goes through the one check in `common`: the fast engine
+//! must be bit-identical to the reference interpreter (the same run
+//! result, full `CycleStats` included, and the same final
+//! `Observation`), the image must validate, and the verdict must be
+//! the baseline's. The `-O1` cells run in `optdiff.rs`; all 23 kernels
+//! run through every cell in `differential.rs`'s heavy gate.
 
 mod common;
 
-use common::{kernels_match_baseline, smoke_kernels, SCHEMES};
-use hwst128::compiler::{OptLevel, Scheme};
+use common::{check_kernels, tier1_kernels};
+use hwst128::compiler::OptLevel;
 
-/// Tier-1: the cross-suite subset × the five kernel schemes.
+/// Tier-1: every `-O0` cell of the tier-1 kernels.
 #[test]
 fn fast_engine_bit_identical_on_smoke_subset() {
-    kernels_match_baseline(&smoke_kernels(), &SCHEMES, OptLevel::O0);
-}
-
-/// Full acceptance: all 23 kernels × every scheme. Rides the CI heavy
-/// gate.
-#[test]
-#[ignore = "full sweep; run via the CI heavy gates"]
-fn fast_engine_bit_identical_on_full_suite() {
-    kernels_match_baseline(&hwst128::workloads::all(), &Scheme::EVERY, OptLevel::O0);
+    check_kernels(tier1_kernels(), |o| o.opt == OptLevel::O0);
 }
 
 /// The committed `BENCH_exec.json` artifact (the full-scale X1 run) must

@@ -6,19 +6,17 @@
 use hwst128::compiler::OptLevel;
 use hwst128::hwcost::hwst128_report;
 use hwst128::juliet::model_coverage;
-use hwst128::workloads::{Scale, Workload};
+use hwst128::workloads::{all, Scale, Workload};
 use hwst_bench::{fig4_geomean, fig5_geomean, fig5_rows, try_fig4_row};
 
-/// Fig. 4 (E1): the three-scheme overhead ordering and rough magnitudes
-/// on a representative cross-suite subset.
+/// Fig. 4 (E1): the three-scheme overhead ordering on every kernel
+/// (so each instrumented run costs more cycles than the baseline), and
+/// rough magnitudes.
 #[test]
 fn fig4_shape_holds() {
-    let names = [
-        "string", "math", "FFT", "treeadd", "health", "bzip2", "hmmer", "lbm",
-    ];
-    let rows: Vec<_> = names
+    let rows: Vec<_> = all()
         .iter()
-        .map(|n| try_fig4_row(&Workload::by_name(n).unwrap(), Scale::Test, OptLevel::O0).unwrap())
+        .map(|wl| try_fig4_row(wl, Scale::Test, OptLevel::O0).unwrap())
         .collect();
     for r in &rows {
         assert!(
