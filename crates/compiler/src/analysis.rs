@@ -8,6 +8,7 @@
 //! address operand must be provably a pointer — so instrumentation can
 //! never miss a site.
 
+use crate::dataflow::inst_defs;
 use crate::ir::{Function, Inst, Module, Terminator, VarId};
 use crate::CompileError;
 use std::collections::{HashMap, HashSet};
@@ -61,6 +62,8 @@ impl PointerInfo {
 /// * [`CompileError::UnknownCallee`] — call to an undefined function,
 /// * [`CompileError::TooManyArgs`] — more than 8 arguments,
 /// * [`CompileError::BadBlockTarget`] — dangling control flow,
+/// * [`CompileError::VarOutOfRange`] — a variable at or past its
+///   function's `num_vars`,
 /// * [`CompileError::NotAPointer`] — an address operand without pointer
 ///   provenance.
 pub fn analyze(module: &Module) -> Result<PointerInfo, CompileError> {
@@ -169,6 +172,19 @@ fn local_pointers(f: &Function, returns_ptr: &HashMap<&str, bool>) -> HashSet<Va
 }
 
 fn validate(f: &Function, module: &Module, ptrs: &HashSet<VarId>) -> Result<(), CompileError> {
+    // Every variable must have a frame slot: lowering and the dense
+    // per-variable tables of the analyses index by `VarId`.
+    let require_in_range = |v: VarId| {
+        if v.0 < f.num_vars {
+            Ok(())
+        } else {
+            Err(CompileError::VarOutOfRange {
+                func: f.name.clone(),
+                var: v,
+            })
+        }
+    };
+    f.params.iter().try_for_each(|&p| require_in_range(p))?;
     let require_ptr = |v: VarId, at: &'static str| {
         if ptrs.contains(&v) {
             Ok(())
@@ -182,6 +198,9 @@ fn validate(f: &Function, module: &Module, ptrs: &HashSet<VarId>) -> Result<(), 
     };
     for b in &f.blocks {
         for i in &b.insts {
+            inst_defs(i)
+                .chain(i.uses())
+                .try_for_each(require_in_range)?;
             match i {
                 Inst::Load { addr, .. } => require_ptr(*addr, "load")?,
                 Inst::Store { addr, .. } => require_ptr(*addr, "store")?,
@@ -221,12 +240,13 @@ fn validate(f: &Function, module: &Module, ptrs: &HashSet<VarId>) -> Result<(), 
             }
         };
         match b.term {
-            Terminator::Br { then_, else_, .. } => {
+            Terminator::Br { cond, then_, else_ } => {
+                require_in_range(cond)?;
                 check_target(then_)?;
                 check_target(else_)?;
             }
             Terminator::Jmp(t) => check_target(t)?,
-            Terminator::Ret { .. } => {}
+            Terminator::Ret { value } => value.into_iter().try_for_each(require_in_range)?,
         }
     }
     Ok(())
@@ -395,6 +415,59 @@ mod tests {
             analyze(&m),
             Err(CompileError::BadBlockTarget { .. })
         ));
+    }
+
+    #[test]
+    fn variables_past_num_vars_are_refused() {
+        // Each `main` has the two variables v0 and v1 and names v2 once:
+        // as a def, a use, a branch condition, a returned value and a
+        // parameter.
+        let konst = |dst| Inst::Const {
+            dst: VarId(dst),
+            value: 7,
+        };
+        let ret = |value: Option<u32>| Terminator::Ret {
+            value: value.map(VarId),
+        };
+        let add = Inst::Bin {
+            op: BinOp::Add,
+            dst: VarId(1),
+            lhs: VarId(0),
+            rhs: VarId(2),
+        };
+        let br = Terminator::Br {
+            cond: VarId(2),
+            then_: BlockId(0),
+            else_: BlockId(0),
+        };
+        let mut param = f("main", vec![], ret(None));
+        param.params = vec![VarId(2)];
+        param.param_is_ptr = vec![false];
+        let module = |main: Function| Module {
+            funcs: vec![Function {
+                num_vars: 2,
+                ..main
+            }],
+            globals: vec![],
+        };
+        for main in [
+            f("main", vec![konst(2)], ret(None)),
+            f("main", vec![konst(0), add], ret(None)),
+            f("main", vec![], br),
+            f("main", vec![konst(0)], ret(Some(2))),
+            param,
+        ] {
+            let m = module(main);
+            assert!(
+                matches!(
+                    analyze(&m),
+                    Err(CompileError::VarOutOfRange { var: VarId(2), .. })
+                ),
+                "{m:?}"
+            );
+        }
+        // The last in-range id is fine.
+        assert!(analyze(&module(f("main", vec![konst(1)], ret(Some(1))))).is_ok());
     }
 
     #[test]

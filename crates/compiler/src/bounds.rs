@@ -327,7 +327,7 @@ struct ObjTable {
     derived: HashMap<VarId, usize>,
 }
 
-fn build_objs(module: &Module, f: &Function, defs: &DefMap) -> ObjTable {
+fn build_objs(module: &Module, f: &Function, defs: &DefMap<'_>) -> ObjTable {
     let mut by_var = HashMap::new();
     let mut objs = Vec::new();
     for (bi, b) in f.blocks.iter().enumerate() {
@@ -426,7 +426,7 @@ struct Fact {
 }
 
 struct Ranges<'a> {
-    defs: &'a DefMap,
+    defs: &'a DefMap<'a>,
     objs: &'a ObjTable,
     /// `LocalGet` destinations whose local is not re-`LocalSet` later
     /// in the same block — the value the block's terminator still sees.
@@ -438,7 +438,7 @@ struct Ranges<'a> {
 }
 
 impl<'a> Ranges<'a> {
-    fn new(f: &'a Function, defs: &'a DefMap, objs: &'a ObjTable) -> Self {
+    fn new(f: &'a Function, defs: &'a DefMap<'a>, objs: &'a ObjTable) -> Self {
         let mut stable_gets = HashMap::new();
         for (bi, b) in f.blocks.iter().enumerate() {
             for (ii, inst) in b.insts.iter().enumerate() {

@@ -16,7 +16,6 @@
 //! no facts: every consumer must treat "no fact" as "don't touch".
 
 use crate::ir::{BinOp, Function, Inst, Terminator, VarId};
-use std::collections::HashMap;
 
 /// Successors of a terminator, in evaluation order.
 pub fn successors(term: &Terminator) -> Vec<usize> {
@@ -331,56 +330,64 @@ pub fn solve_forward<A: ForwardAnalysis>(
     input
 }
 
-/// Every variable an instruction writes. [`Inst::def`] reports the
-/// primary destination only; `MallocMeta` and `FrameLock` additionally
-/// write their key/lock receivers.
-pub fn inst_defs(i: &Inst) -> Vec<VarId> {
-    match *i {
-        Inst::MallocMeta { dst, key, lock, .. } => vec![dst, key, lock],
-        Inst::FrameLock { key, lock } => vec![key, lock],
-        _ => i.def().into_iter().collect(),
-    }
+/// Every variable an instruction writes, without allocating.
+/// [`Inst::def`] reports the primary destination only; `MallocMeta` and
+/// `FrameLock` additionally write their key/lock receivers.
+pub fn inst_defs(i: &Inst) -> impl Iterator<Item = VarId> {
+    let fixed = match *i {
+        Inst::MallocMeta { dst, key, lock, .. } => [Some(dst), Some(key), Some(lock)],
+        Inst::FrameLock { key, lock } => [Some(key), Some(lock), None],
+        _ => [i.def(), None, None],
+    };
+    fixed.into_iter().flatten()
 }
 
 /// A single-assignment def map with constant/offset resolution — the
-/// value-tracking substrate shared by the check eliminator, the linter
-/// and the completeness verifier.
+/// value-tracking substrate shared by the check eliminator, the linter,
+/// the bounds-proof pass and the completeness verifier.
 ///
+/// The map is dense and borrowed: one slot per variable below
+/// [`Function::num_vars`], holding a reference to its defining
+/// instruction, so building it copies and hashes nothing.
 /// [`DefMap::build`] returns `None` when any variable is written more
-/// than once (hand-built IR may reuse registers); every consumer treats
-/// that as "cannot reason about this function" and leaves it alone.
-/// Builder- and instrumentation-produced IR always uses fresh variables,
-/// so the bail-out never triggers on the compiler's own output.
+/// than once (hand-built IR may reuse registers) or when a parameter or
+/// def lies at or past `num_vars`; every consumer treats that as "cannot
+/// reason about this function" and leaves it alone. Builder- and
+/// instrumentation-produced IR always uses fresh variables below
+/// `num_vars`, so the bail-out never triggers on the compiler's own
+/// output.
 #[derive(Debug)]
-pub struct DefMap {
-    def: HashMap<VarId, Inst>,
+pub struct DefMap<'f> {
+    def: Vec<Option<&'f Inst>>,
 }
 
-impl DefMap {
-    /// Builds the map, or `None` if `f` is not single-assignment.
-    pub fn build(f: &Function) -> Option<DefMap> {
-        let mut def: HashMap<VarId, Inst> = HashMap::new();
-        let mut written: HashMap<VarId, u32> = HashMap::new();
-        for &p in &f.params {
-            *written.entry(p).or_insert(0) += 1;
-        }
-        for b in &f.blocks {
-            for i in &b.insts {
-                for d in inst_defs(i) {
-                    *written.entry(d).or_insert(0) += 1;
-                    def.insert(d, i.clone());
+impl<'f> DefMap<'f> {
+    /// Builds the map, or `None` if `f` is not single-assignment or
+    /// names a variable at or past its `num_vars`.
+    pub fn build(f: &'f Function) -> Option<DefMap<'f>> {
+        let mut def: Vec<Option<&'f Inst>> = vec![None; f.num_vars as usize];
+        for i in f.blocks.iter().flat_map(|b| &b.insts) {
+            for d in inst_defs(i) {
+                if def.get_mut(d.0 as usize)?.replace(i).is_some() {
+                    return None;
                 }
             }
         }
-        if written.values().any(|&c| c > 1) {
-            return None;
+        // Parameters are written on entry but have no defining
+        // instruction: each must be in range, listed once and never
+        // redefined.
+        for (k, p) in f.params.iter().enumerate() {
+            if def.get(p.0 as usize)?.is_some() || f.params[..k].contains(p) {
+                return None;
+            }
         }
         Some(DefMap { def })
     }
 
-    /// The defining instruction of `v`, if any (parameters have none).
-    pub fn def(&self, v: VarId) -> Option<&Inst> {
-        self.def.get(&v)
+    /// The defining instruction of `v`, if any (parameters and ids past
+    /// the function's `num_vars` have none).
+    pub fn def(&self, v: VarId) -> Option<&'f Inst> {
+        self.def.get(v.0 as usize).copied().flatten()
     }
 
     /// Follows value-preserving copies (`x = y + 0`).
@@ -390,7 +397,7 @@ impl DefMap {
             lhs,
             imm: 0,
             ..
-        }) = self.def.get(&v)
+        }) = self.def(v)
         {
             v = *lhs;
         }
@@ -403,7 +410,7 @@ impl DefMap {
     /// every pointer with the same root.
     pub fn temporal_root(&self, mut v: VarId) -> VarId {
         loop {
-            match self.def.get(&v) {
+            match self.def(v) {
                 Some(Inst::Gep { base, .. }) | Some(Inst::GepImm { base, .. }) => v = *base,
                 Some(Inst::BinImm {
                     op: BinOp::Add,
@@ -422,7 +429,7 @@ impl DefMap {
     pub fn spatial_anchor(&self, mut v: VarId) -> (VarId, i64) {
         let mut delta = 0i64;
         loop {
-            match self.def.get(&v) {
+            match self.def(v) {
                 Some(Inst::GepImm { base, imm, .. }) => {
                     delta = delta.wrapping_add(*imm);
                     v = *base;
@@ -450,7 +457,7 @@ impl DefMap {
 
     /// The constant value of `v`, if its (copy-resolved) def is `Const`.
     pub fn const_val(&self, v: VarId) -> Option<i64> {
-        match self.def.get(&self.canon(v)) {
+        match self.def(self.canon(v)) {
             Some(Inst::Const { value, .. }) => Some(*value),
             _ => None,
         }
@@ -661,12 +668,74 @@ mod tests {
         assert_eq!(defs.const_val(VarId(0)), Some(64));
         assert_eq!(defs.const_val(VarId(4)), None);
 
-        // A second write to v2 must fail the build.
-        let mut g = f;
-        g.blocks[0].insts.push(Inst::Const {
-            dst: VarId(2),
-            value: 9,
+        // Neither a parameter nor an id past the end has a def.
+        assert!(defs.def(VarId(1)).is_some());
+        assert_eq!(defs.def(VarId(31)), None);
+        assert_eq!(defs.def(VarId(32)), None);
+        assert_eq!(defs.def(VarId(u32::MAX)), None);
+        let mut with_param = f.clone();
+        with_param.params = vec![VarId(6)];
+        with_param.param_is_ptr = vec![false];
+        let param_defs = DefMap::build(&with_param).expect("single assignment");
+        assert_eq!(param_defs.def(VarId(6)), None);
+
+        // Every way a dense map could miss a second write, or index
+        // past its end, must fail the build.
+        let bail = |edit: &dyn Fn(&mut Function)| {
+            let mut g = f.clone();
+            edit(&mut g);
+            assert!(DefMap::build(&g).is_none(), "{g:?}");
+        };
+        // A second write to v2.
+        bail(&|g| {
+            g.blocks[0].insts.push(Inst::Const {
+                dst: VarId(2),
+                value: 9,
+            })
         });
-        assert!(DefMap::build(&g).is_none());
+        // A parameter listed twice.
+        bail(&|g| {
+            g.params = vec![VarId(6), VarId(6)];
+            g.param_is_ptr = vec![false, false];
+        });
+        // A parameter redefined by an instruction.
+        bail(&|g| {
+            g.params = vec![VarId(0)];
+            g.param_is_ptr = vec![false];
+        });
+        // A `MallocMeta` whose key is its own destination.
+        bail(&|g| {
+            g.blocks[0].insts.push(Inst::MallocMeta {
+                dst: VarId(6),
+                size: VarId(0),
+                key: VarId(6),
+                lock: VarId(7),
+            })
+        });
+        // A `FrameLock` receiver defined again later.
+        bail(&|g| {
+            g.blocks[0].insts.insert(
+                0,
+                Inst::FrameLock {
+                    key: VarId(6),
+                    lock: VarId(7),
+                },
+            );
+            g.blocks[0].insts.push(Inst::Const {
+                dst: VarId(7),
+                value: 0,
+            });
+        });
+        // A def at `num_vars`, and a parameter past it.
+        bail(&|g| {
+            g.blocks[0].insts.push(Inst::Const {
+                dst: VarId(g.num_vars),
+                value: 0,
+            })
+        });
+        bail(&|g| {
+            g.params = vec![VarId(g.num_vars)];
+            g.param_is_ptr = vec![false];
+        });
     }
 }

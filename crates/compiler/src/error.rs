@@ -41,6 +41,14 @@ pub enum CompileError {
         /// The missing block index.
         target: u32,
     },
+    /// A parameter, instruction or terminator names a variable at or
+    /// past the function's `num_vars`.
+    VarOutOfRange {
+        /// The function.
+        func: String,
+        /// The out-of-range variable.
+        var: VarId,
+    },
     /// The metadata-completeness verifier found a dereference the
     /// active scheme's promised checks do not cover (see
     /// [`crate::verify`]).
@@ -92,6 +100,9 @@ impl fmt::Display for CompileError {
             } => write!(f, "{caller} passes {count} arguments to {callee} (max 8)"),
             CompileError::BadBlockTarget { func, target } => {
                 write!(f, "{func}: control flow targets missing block b{target}")
+            }
+            CompileError::VarOutOfRange { func, var } => {
+                write!(f, "{func}: {var} is past the function's num_vars")
             }
             CompileError::UncoveredDeref {
                 func,

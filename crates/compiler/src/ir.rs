@@ -473,45 +473,45 @@ impl Inst {
         }
     }
 
-    /// The variables this instruction reads.
-    pub fn uses(&self) -> Vec<VarId> {
-        match self {
-            Inst::Const { .. } => vec![],
-            Inst::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Inst::BinImm { lhs, .. } => vec![*lhs],
-            Inst::Load { addr, .. } => vec![*addr],
-            Inst::Store { src, addr, .. } => vec![*src, *addr],
-            Inst::LoadPtr { addr, .. } => vec![*addr],
-            Inst::StorePtr { src, addr, .. } => vec![*src, *addr],
-            Inst::AddrOfGlobal { .. } => vec![],
-            Inst::StackAlloc { .. } => vec![],
-            Inst::Malloc { size, .. } => vec![*size],
-            Inst::Free { ptr } => vec![*ptr],
-            Inst::Gep { base, offset, .. } => vec![*base, *offset],
-            Inst::GepImm { base, .. } => vec![*base],
-            Inst::Call { args, .. } => args.clone(),
-            Inst::PutChar { src } | Inst::PrintU64 { src } => vec![*src],
-            Inst::BindSpatial { ptr, base, bound } => {
-                vec![*ptr, *base, *bound]
+    /// The variables this instruction reads, in operand order. Nothing
+    /// is allocated: up to three fixed operands, then a call's argument
+    /// slice.
+    pub fn uses(&self) -> impl Iterator<Item = VarId> + '_ {
+        let one = |a| [Some(a), None, None];
+        let two = |a, b| [Some(a), Some(b), None];
+        let three = |a, b, c| [Some(a), Some(b), Some(c)];
+        let (fixed, args): ([Option<VarId>; 3], &[VarId]) = match *self {
+            Inst::Call { ref args, .. } => ([None; 3], args),
+            Inst::Const { .. }
+            | Inst::AddrOfGlobal { .. }
+            | Inst::StackAlloc { .. }
+            | Inst::FrameLock { .. }
+            | Inst::LocalGet { .. } => ([None; 3], &[]),
+            Inst::Bin { lhs, rhs, .. } => (two(lhs, rhs), &[]),
+            Inst::BinImm { lhs, .. } => (one(lhs), &[]),
+            Inst::Load { addr, .. } | Inst::LoadPtr { addr, .. } => (one(addr), &[]),
+            Inst::Store { src, addr, .. } | Inst::StorePtr { src, addr, .. } => {
+                (two(src, addr), &[])
             }
-            Inst::BindTemporal { ptr, key, lock } => vec![*ptr, *key, *lock],
-            Inst::MetaStore { ptr, container, .. } => vec![*ptr, *container],
-            Inst::MetaLoad { ptr, container, .. } => vec![*ptr, *container],
-            Inst::Tchk { ptr } => vec![*ptr],
-            Inst::AbortSpatial { addr, base, bound } => {
-                vec![*addr, *base, *bound]
+            Inst::Malloc { size, .. } | Inst::MallocMeta { size, .. } => (one(size), &[]),
+            Inst::Free { ptr } | Inst::Tchk { ptr } => (one(ptr), &[]),
+            Inst::Gep { base, offset, .. } => (two(base, offset), &[]),
+            Inst::GepImm { base, .. } => (one(base), &[]),
+            Inst::PutChar { src } | Inst::PrintU64 { src } | Inst::LocalSet { src, .. } => {
+                (one(src), &[])
             }
-            Inst::AbortTemporal { key, lock, stored } => {
-                vec![*key, *lock, *stored]
+            Inst::BindSpatial { ptr, base, bound } => (three(ptr, base, bound), &[]),
+            Inst::BindTemporal { ptr, key, lock } => (three(ptr, key, lock), &[]),
+            Inst::MetaStore { ptr, container, .. } | Inst::MetaLoad { ptr, container, .. } => {
+                (two(ptr, container), &[])
             }
-            Inst::MallocMeta { size, .. } => vec![*size],
-            Inst::FreeMeta { ptr, lock } => vec![*ptr, *lock],
-            Inst::FrameLock { .. } => vec![],
-            Inst::FrameUnlock { lock } => vec![*lock],
-            Inst::MetaLoadField { container, .. } => vec![*container],
-            Inst::LocalGet { .. } => vec![],
-            Inst::LocalSet { src, .. } => vec![*src],
-        }
+            Inst::AbortSpatial { addr, base, bound } => (three(addr, base, bound), &[]),
+            Inst::AbortTemporal { key, lock, stored } => (three(key, lock, stored), &[]),
+            Inst::FreeMeta { ptr, lock } => (two(ptr, lock), &[]),
+            Inst::FrameUnlock { lock } => (one(lock), &[]),
+            Inst::MetaLoadField { container, .. } => (one(container), &[]),
+        };
+        fixed.into_iter().flatten().chain(args.iter().copied())
     }
 }
 
@@ -528,7 +528,7 @@ mod tests {
             rhs: VarId(1),
         };
         assert_eq!(i.def(), Some(VarId(2)));
-        assert_eq!(i.uses(), vec![VarId(0), VarId(1)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![VarId(0), VarId(1)]);
 
         let s = Inst::Store {
             src: VarId(3),
@@ -537,7 +537,7 @@ mod tests {
             width: Width::U64,
         };
         assert_eq!(s.def(), None);
-        assert_eq!(s.uses(), vec![VarId(3), VarId(4)]);
+        assert_eq!(s.uses().collect::<Vec<_>>(), vec![VarId(3), VarId(4)]);
 
         let c = Inst::Call {
             dst: None,
@@ -545,7 +545,7 @@ mod tests {
             args: vec![VarId(1)],
         };
         assert_eq!(c.def(), None);
-        assert_eq!(c.uses(), vec![VarId(1)]);
+        assert_eq!(c.uses().collect::<Vec<_>>(), vec![VarId(1)]);
     }
 
     #[test]

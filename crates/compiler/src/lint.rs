@@ -104,7 +104,7 @@ pub fn lint(module: &Module) -> Vec<Diagnostic> {
 
 /// The "freed on every path" set of region roots.
 struct FreedRoots<'a> {
-    defs: &'a DefMap,
+    defs: &'a DefMap<'a>,
 }
 
 impl ForwardAnalysis for FreedRoots<'_> {

@@ -35,7 +35,10 @@
 //! deleted check `d`, every entry path reaches a generating check after
 //! its last kill, and the *first* such post-kill check on each path is
 //! never deleted (its own fact cannot be available at its entry on that
-//! path), so a kept check always covers `d`.
+//! path), so a kept check always covers `d`. The pass plans every
+//! deletion against that one solution before it applies any: the
+//! solution borrows the function, so it cannot be re-solved or edited
+//! mid-pass.
 //!
 //! The only assumption beyond the IR semantics is that user stores can
 //! never write a lock word: lock words live in the runtime's lock
@@ -46,10 +49,10 @@
 //! Functions that are not single-assignment are skipped wholesale (see
 //! [`DefMap::build`]); the pass is then the identity on them.
 
-use crate::dataflow::{solve_forward, Cfg, DefMap, ForwardAnalysis};
+use crate::dataflow::{inst_defs, solve_forward, Cfg, DefMap, ForwardAnalysis};
 use crate::instrument::{META_LOAD_FN, META_STORE_FN, SPATIAL_CHECK_FN, TEMPORAL_CHECK_FN};
 use crate::ir::{BinOp, BlockId, Function, Inst, Module, Terminator, VarId, Width};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One available check, in canonical form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -96,8 +99,40 @@ impl CheckFact {
     }
 }
 
-/// The must-available set at one program point.
-pub type FactSet = BTreeSet<CheckFact>;
+/// The must-available set at one program point: a sorted vector without
+/// duplicates. The sets are small (a handful of facts) and are cloned
+/// along every CFG edge, so one contiguous allocation beats a tree.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FactSet(Vec<CheckFact>);
+
+impl FactSet {
+    /// The empty set.
+    pub fn new() -> FactSet {
+        FactSet(Vec::new())
+    }
+
+    /// Whether `f` is in the set.
+    pub fn contains(&self, f: &CheckFact) -> bool {
+        self.0.binary_search(f).is_ok()
+    }
+
+    /// Adds `f` unless it is already present.
+    pub fn insert(&mut self, f: CheckFact) {
+        if let Err(at) = self.0.binary_search(&f) {
+            self.0.insert(at, f);
+        }
+    }
+
+    /// Keeps only the facts `keep` accepts.
+    pub fn retain(&mut self, keep: impl FnMut(&CheckFact) -> bool) {
+        self.0.retain(keep);
+    }
+
+    /// The facts in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, CheckFact> {
+        self.0.iter()
+    }
+}
 
 /// A recognised HWST128 inline temporal-check pattern (see
 /// `instrument::sw_temporal_check`) headed at one block.
@@ -214,7 +249,7 @@ pub(crate) fn find_patterns(f: &Function) -> HashMap<usize, SwTemporalPattern> {
 /// queries it — a single constructor keeps the two from drifting apart
 /// (the witness-coverage obligations in `binval` assume a removed check
 /// was redundant against *exactly* the fact an earlier check inserted).
-pub(crate) fn check_fact_of(defs: &DefMap, inst: &Inst) -> Option<CheckFact> {
+pub(crate) fn check_fact_of(defs: &DefMap<'_>, inst: &Inst) -> Option<CheckFact> {
     match inst {
         Inst::Tchk { ptr } => Some(CheckFact::Tchk(defs.temporal_root(*ptr))),
         Inst::Call { func, args, .. } if func == SPATIAL_CHECK_FN && args.len() == 4 => {
@@ -238,9 +273,9 @@ pub(crate) fn check_fact_of(defs: &DefMap, inst: &Inst) -> Option<CheckFact> {
     }
 }
 
-pub(crate) fn transfer_check(defs: &DefMap, inst: &Inst, fact: &mut FactSet) {
+pub(crate) fn transfer_check(defs: &DefMap<'_>, inst: &Inst, fact: &mut FactSet) {
     // Redefinition of any mentioned variable invalidates the fact.
-    for d in crate::dataflow::inst_defs(inst) {
+    for d in inst_defs(inst) {
         fact.retain(|f| !f.mentions(d));
     }
     if let Some(f) = check_fact_of(defs, inst) {
@@ -282,7 +317,7 @@ pub(crate) fn transfer_check(defs: &DefMap, inst: &Inst, fact: &mut FactSet) {
 }
 
 struct AvailableChecks<'a> {
-    defs: &'a DefMap,
+    defs: &'a DefMap<'a>,
     patterns: &'a HashMap<usize, SwTemporalPattern>,
 }
 
@@ -314,18 +349,19 @@ impl ForwardAnalysis for AvailableChecks<'_> {
     }
 }
 
-/// The per-function available-checks solution: the def index, the
-/// recognized inline temporal patterns by header block, and one
-/// entry-fact per block (`None` on unreachable blocks).
-pub(crate) type ChecksSolution = (
-    DefMap,
+/// The per-function available-checks solution: the def index (which
+/// borrows the function), the recognized inline temporal patterns by
+/// header block, and one entry-fact per block (`None` on unreachable
+/// blocks).
+pub(crate) type ChecksSolution<'f> = (
+    DefMap<'f>,
     HashMap<usize, SwTemporalPattern>,
     Vec<Option<FactSet>>,
 );
 
 /// Computes the available-checks solution for one function, or `None`
 /// if the function is not single-assignment.
-pub(crate) fn available_checks(f: &Function) -> Option<ChecksSolution> {
+pub(crate) fn available_checks(f: &Function) -> Option<ChecksSolution<'_>> {
     let defs = DefMap::build(f)?;
     let patterns = find_patterns(f);
     let cfg = Cfg::new(f);
@@ -391,41 +427,47 @@ pub fn eliminate(module: &mut Module) -> RceStats {
     stats
 }
 
-fn redundant(defs: &DefMap, inst: &Inst, fact: &FactSet) -> bool {
+fn redundant(defs: &DefMap<'_>, inst: &Inst, fact: &FactSet) -> bool {
     // A check defines nothing, so it can simply be dropped; a call
     // with a destination is not removable even if its fact is covered.
     let removable = matches!(inst, Inst::Tchk { .. } | Inst::Call { dst: None, .. });
     removable && check_fact_of(defs, inst).is_some_and(|f| fact.contains(&f))
 }
 
-fn eliminate_in(f: &mut Function, stats: &mut RceStats) {
-    let Some((defs, patterns, facts)) = available_checks(f) else {
-        stats.skipped_funcs += 1;
-        return;
-    };
+/// What one elimination pass changes in a function, decided against one
+/// fixed available-checks solution before any instruction moves.
+#[derive(Default)]
+struct Plan {
+    /// Redundant checks to delete, as `(block, instruction)` in program
+    /// order.
+    deletions: Vec<(usize, usize)>,
+    /// Redundant inline patterns: `(header block, continuation block)`.
+    short_circuits: Vec<(usize, usize)>,
+}
 
-    let mut changed = false;
-    for (b, entry_fact) in facts.iter().enumerate() {
-        let Some(mut fact) = entry_fact.clone() else {
+/// Plans every deletion and pattern short-circuit of `f`, or `None` if
+/// `f` is not single-assignment.
+fn plan(f: &Function, stats: &mut RceStats) -> Option<Plan> {
+    let (defs, patterns, facts) = available_checks(f)?;
+    let mut plan = Plan::default();
+    for (b, (block, entry_fact)) in f.blocks.iter().zip(facts).enumerate() {
+        let Some(mut fact) = entry_fact else {
             continue; // unreachable: no fact, don't touch
         };
-        let mut keep = Vec::with_capacity(f.blocks[b].insts.len());
-        for inst in std::mem::take(&mut f.blocks[b].insts) {
-            if redundant(&defs, &inst, &fact) {
-                match &inst {
+        for (idx, inst) in block.insts.iter().enumerate() {
+            if redundant(&defs, inst, &fact) {
+                match inst {
                     Inst::Tchk { .. } => stats.tchk_removed += 1,
                     Inst::Call { func, .. } if func == SPATIAL_CHECK_FN => {
                         stats.spatial_removed += 1
                     }
                     _ => stats.temporal_removed += 1,
                 }
-                changed = true;
+                plan.deletions.push((b, idx));
                 continue; // checks define nothing; just drop
             }
-            transfer_check(&defs, &inst, &mut fact);
-            keep.push(inst);
+            transfer_check(&defs, inst, &mut fact);
         }
-        f.blocks[b].insts = keep;
 
         // Short-circuit a redundant inline temporal pattern: the header
         // branch becomes a jump to the continuation. The pattern's own
@@ -437,15 +479,35 @@ fn eliminate_in(f: &mut Function, stats: &mut RceStats) {
                 lock: defs.canon(p.lock),
             };
             if fact.contains(&have) {
-                f.blocks[b].term = Terminator::Jmp(BlockId(p.cont as u32));
+                plan.short_circuits.push((b, p.cont));
                 stats.patterns_removed += 1;
-                changed = true;
             }
         }
     }
-    if changed {
-        sweep(f);
+    Some(plan)
+}
+
+fn eliminate_in(f: &mut Function, stats: &mut RceStats) {
+    let Some(plan) = plan(f, stats) else {
+        stats.skipped_funcs += 1;
+        return;
+    };
+    if plan.deletions.is_empty() && plan.short_circuits.is_empty() {
+        return;
     }
+    let mut deletions = plan.deletions.into_iter().peekable();
+    for (b, block) in f.blocks.iter_mut().enumerate() {
+        let mut idx = 0;
+        block.insts.retain(|_| {
+            let dropped = deletions.next_if_eq(&(b, idx)).is_some();
+            idx += 1;
+            !dropped
+        });
+    }
+    for (b, cont) in plan.short_circuits {
+        f.blocks[b].term = Terminator::Jmp(BlockId(cont as u32));
+    }
+    sweep(f);
 }
 
 /// Post-elimination cleanup: empty newly unreachable blocks (dead
@@ -468,22 +530,25 @@ fn sweep(f: &mut Function) {
 /// stay: under instrumentation they carry check semantics); returns
 /// whether anything changed.
 pub(crate) fn eliminate_dead(f: &mut Function) -> bool {
-    // Uses across the whole function (incl. terminators).
-    let mut used: HashSet<VarId> = HashSet::new();
+    // Uses across the whole function (incl. terminators), one flag per
+    // variable below `num_vars`.
+    let mut used = vec![false; f.num_vars as usize];
+    let mut mark = |v: VarId| {
+        if let Some(u) = used.get_mut(v.0 as usize) {
+            *u = true;
+        }
+    };
     for b in &f.blocks {
         for i in &b.insts {
-            used.extend(i.uses());
+            i.uses().for_each(&mut mark);
         }
-        match &b.term {
-            Terminator::Ret { value: Some(v) } => {
-                used.insert(*v);
-            }
-            Terminator::Br { cond, .. } => {
-                used.insert(*cond);
-            }
+        match b.term {
+            Terminator::Ret { value: Some(v) } => mark(v),
+            Terminator::Br { cond, .. } => mark(cond),
             _ => {}
         }
     }
+    // A def past `num_vars` has no flag and is kept.
     let removable = |i: &Inst| -> bool {
         match i {
             Inst::Const { dst, .. }
@@ -492,7 +557,7 @@ pub(crate) fn eliminate_dead(f: &mut Function) -> bool {
             | Inst::AddrOfGlobal { dst, .. }
             | Inst::Gep { dst, .. }
             | Inst::GepImm { dst, .. }
-            | Inst::LocalGet { dst, .. } => !used.contains(dst),
+            | Inst::LocalGet { dst, .. } => used.get(dst.0 as usize) == Some(&false),
             _ => false,
         }
     };

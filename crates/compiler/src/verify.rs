@@ -36,6 +36,7 @@
 //! bail-out.
 
 use crate::bounds::Witness;
+use crate::dataflow::DefMap;
 use crate::instrument::{Scheme, SkippedCheck, META_ARGS_GLOBAL, META_TMP_GLOBAL, SCRATCH_GLOBAL};
 use crate::ir::{Function, Inst, Module, VarId};
 use crate::rce::{available_checks, transfer_check, CheckFact, FactSet};
@@ -159,8 +160,8 @@ fn verify_func(
         )
     };
 
-    for (b, block) in f.blocks.iter().enumerate() {
-        let Some(mut fact) = facts[b].clone() else {
+    for (b, (block, entry_fact)) in f.blocks.iter().zip(facts).enumerate() {
+        let Some(mut fact) = entry_fact else {
             continue; // unreachable: never executes
         };
         let in_pattern_check = pattern_check_blocks.contains(&b);
@@ -204,7 +205,7 @@ fn verify_func(
 
 fn covered(
     scheme: Scheme,
-    defs: &crate::dataflow::DefMap,
+    defs: &DefMap<'_>,
     fact: &FactSet,
     addr: VarId,
     offset: i64,

@@ -79,8 +79,12 @@ fn parse_trace(args: &[String]) -> Result<usize, String> {
         .map_err(|_| format!("--trace takes a step count, got {raw:?}"))
 }
 
+/// The `--scheme S` scheme, HWST128_tchk without the flag.
 fn parse_scheme(args: &[String]) -> Result<Scheme, String> {
-    let raw = flag_value(args, "--scheme").unwrap_or("tchk");
+    if !args.iter().any(|a| a == "--scheme") {
+        return Ok(Scheme::Hwst128Tchk);
+    }
+    let raw = flag_value(args, "--scheme").ok_or("--scheme needs a scheme")?;
     Scheme::by_label(raw).ok_or_else(|| format!("unknown scheme {raw:?}"))
 }
 

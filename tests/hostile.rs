@@ -1,11 +1,12 @@
 //! Hostile IR modules at the compiler's own boundary: whatever module
-//! the IR builder can express, `compile_with_options` either refuses it
-//! with a typed, printable [`CompileError`] or emits an image that runs
-//! to an exit or a typed trap under `run_fast` — under every scheme, at
-//! both back-end tiers, with and without the static-analysis passes. A
-//! panic anywhere fails the test.
+//! the IR builder can express, and the modules below that are built by
+//! hand from the public IR types, `compile_with_options` either refuses
+//! with a typed, printable [`CompileError`] or compiles to an image that
+//! runs to an exit or a typed trap under `run_fast` — under every
+//! scheme, at both back-end tiers, with and without the static-analysis
+//! passes. A panic anywhere fails the test.
 
-use hwst128::compiler::ir::Module;
+use hwst128::compiler::ir::{Block, Function, Inst, Module, Terminator, VarId};
 use hwst128::compiler::{
     compile_with_options, CompileError, CompileOptions, ModuleBuilder, OptLevel, Scheme,
 };
@@ -102,6 +103,37 @@ fn call_with_more_than_eight_arguments_is_refused() {
     assert_refused(&mb.finish(), |e| {
         matches!(e, CompileError::TooManyArgs { count: 9, .. })
     });
+}
+
+#[test]
+fn variable_past_num_vars_is_refused() {
+    // Hand-built: the builder numbers variables itself and cannot
+    // express a `main` whose one frame slot is v0 but which writes and
+    // returns v5.
+    let main = Function {
+        name: "main".into(),
+        params: vec![],
+        param_is_ptr: vec![],
+        num_vars: 1,
+        num_locals: 0,
+        blocks: vec![Block {
+            insts: vec![Inst::Const {
+                dst: VarId(5),
+                value: 7,
+            }],
+            term: Terminator::Ret {
+                value: Some(VarId(5)),
+            },
+        }],
+    };
+    let m = Module {
+        funcs: vec![main],
+        globals: vec![],
+    };
+    assert_refused(
+        &m,
+        |e| matches!(e, CompileError::VarOutOfRange { func, var: VarId(5) } if func == "main"),
+    );
 }
 
 #[test]
