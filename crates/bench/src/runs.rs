@@ -12,9 +12,10 @@
 use crate::{try_cycles_with_keybuffer, ResilienceConfig, ResilienceRow};
 use hwst128::compiler::binval;
 use hwst128::compiler::{compile, CompileOptions, OptLevel, Scheme};
+use hwst128::exec::inject::campaign;
 use hwst128::isa::Program;
 use hwst128::juliet::{measure_case, CaseDetections};
-use hwst128::sim::inject::{campaign, FaultClass, OutcomeCounts};
+use hwst128::sim::inject::{FaultClass, OutcomeCounts};
 use hwst128::sim::Machine;
 use hwst128::workloads::{all, Scale, Workload};
 use hwst_harness::Job;
@@ -143,11 +144,8 @@ pub fn resilience_jobs(
             let prog = prog.clone();
             let seeds = seeds.clone();
             jobs.push(Job::new(format!("r1/{}/{name}", class.name()), move || {
-                Ok((
-                    ci,
-                    group,
-                    campaign(|| Machine::new(prog.clone(), safety), fuel, class, &seeds),
-                ))
+                let m = Machine::new(prog, safety);
+                Ok((ci, group, campaign(&m, fuel, class, &seeds)))
             }));
         }
     }

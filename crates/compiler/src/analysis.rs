@@ -64,6 +64,11 @@ impl PointerInfo {
 /// * [`CompileError::BadBlockTarget`] — dangling control flow,
 /// * [`CompileError::VarOutOfRange`] — a variable at or past its
 ///   function's `num_vars`,
+/// * [`CompileError::ParamFlagsMismatch`] — `param_is_ptr` and `params`
+///   of different lengths,
+/// * [`CompileError::LocalOutOfRange`] — a local slot at or past its
+///   function's `num_locals`,
+/// * [`CompileError::EmptyFunction`] — a function with no blocks,
 /// * [`CompileError::NotAPointer`] — an address operand without pointer
 ///   provenance.
 pub fn analyze(module: &Module) -> Result<PointerInfo, CompileError> {
@@ -185,6 +190,18 @@ fn validate(f: &Function, module: &Module, ptrs: &HashSet<VarId>) -> Result<(), 
         }
     };
     f.params.iter().try_for_each(|&p| require_in_range(p))?;
+    if f.param_is_ptr.len() != f.params.len() {
+        return Err(CompileError::ParamFlagsMismatch {
+            func: f.name.clone(),
+            params: f.params.len(),
+            flags: f.param_is_ptr.len(),
+        });
+    }
+    if f.blocks.is_empty() {
+        return Err(CompileError::EmptyFunction {
+            func: f.name.clone(),
+        });
+    }
     let require_ptr = |v: VarId, at: &'static str| {
         if ptrs.contains(&v) {
             Ok(())
@@ -211,6 +228,14 @@ fn validate(f: &Function, module: &Module, ptrs: &HashSet<VarId>) -> Result<(), 
                 }
                 Inst::Gep { base, .. } | Inst::GepImm { base, .. } => require_ptr(*base, "gep")?,
                 Inst::Free { ptr } => require_ptr(*ptr, "free")?,
+                Inst::LocalGet { index, .. } | Inst::LocalSet { index, .. }
+                    if index.0 >= f.num_locals =>
+                {
+                    return Err(CompileError::LocalOutOfRange {
+                        func: f.name.clone(),
+                        local: *index,
+                    });
+                }
                 Inst::Call { func, args, .. } => {
                     if module.func(func).is_none() {
                         return Err(CompileError::UnknownCallee {
@@ -468,6 +493,50 @@ mod tests {
         }
         // The last in-range id is fine.
         assert!(analyze(&module(f("main", vec![konst(1)], ret(Some(1))))).is_ok());
+    }
+
+    #[test]
+    fn malformed_frames_are_refused() {
+        let only = |main: Function| Module {
+            funcs: vec![main],
+            globals: vec![],
+        };
+        // A flag without a parameter.
+        let mut main = f("main", vec![], Terminator::Ret { value: None });
+        main.param_is_ptr = vec![true];
+        assert!(matches!(
+            analyze(&only(main)),
+            Err(CompileError::ParamFlagsMismatch {
+                params: 0,
+                flags: 1,
+                ..
+            })
+        ));
+        // A write to slot 1 of a one-slot frame; slot 0 is fine.
+        let set = |slot| Inst::LocalSet {
+            src: VarId(0),
+            index: LocalId(slot),
+        };
+        let mut main = f(
+            "main",
+            vec![set(0), set(1)],
+            Terminator::Ret { value: None },
+        );
+        main.num_locals = 1;
+        assert!(matches!(
+            analyze(&only(main.clone())),
+            Err(CompileError::LocalOutOfRange {
+                local: LocalId(1),
+                ..
+            })
+        ));
+        main.blocks[0].insts.pop();
+        assert!(analyze(&only(main.clone())).is_ok());
+        main.blocks.clear();
+        assert!(matches!(
+            analyze(&only(main)),
+            Err(CompileError::EmptyFunction { .. })
+        ));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Compilation errors.
 
-use crate::ir::VarId;
+use crate::ir::{LocalId, VarId};
 use std::fmt;
 
 /// Errors raised while analyzing or lowering a module.
@@ -48,6 +48,29 @@ pub enum CompileError {
         func: String,
         /// The out-of-range variable.
         var: VarId,
+    },
+    /// A function's `param_is_ptr` does not have one flag per parameter.
+    ParamFlagsMismatch {
+        /// The function.
+        func: String,
+        /// Number of parameters.
+        params: usize,
+        /// Number of `param_is_ptr` flags.
+        flags: usize,
+    },
+    /// A `LocalGet` or `LocalSet` names a slot at or past the function's
+    /// `num_locals`.
+    LocalOutOfRange {
+        /// The function.
+        func: String,
+        /// The out-of-range slot.
+        local: LocalId,
+    },
+    /// A function has no blocks, so it would lower to no code at all and
+    /// a call to it would run into whatever code follows.
+    EmptyFunction {
+        /// The function.
+        func: String,
     },
     /// The metadata-completeness verifier found a dereference the
     /// active scheme's promised checks do not cover (see
@@ -104,6 +127,22 @@ impl fmt::Display for CompileError {
             CompileError::VarOutOfRange { func, var } => {
                 write!(f, "{func}: {var} is past the function's num_vars")
             }
+            CompileError::ParamFlagsMismatch {
+                func,
+                params,
+                flags,
+            } => write!(
+                f,
+                "{func}: {params} parameters but {flags} param_is_ptr flags"
+            ),
+            CompileError::LocalOutOfRange { func, local } => {
+                write!(
+                    f,
+                    "{func}: local[{}] is past the function's num_locals",
+                    local.0
+                )
+            }
+            CompileError::EmptyFunction { func } => write!(f, "{func}: function has no blocks"),
             CompileError::UncoveredDeref {
                 func,
                 block,

@@ -36,7 +36,8 @@
 //! provably identical between the halves.
 //!
 //! Profiling has no fast path: per-PC attribution runs on
-//! [`Machine::run_profiled`], the reference.
+//! [`Machine::run_profiled`], the reference. Fault campaigns
+//! ([`inject`]) stop a fast run at a trigger, fault it and resume.
 //!
 //! ## Invalidation
 //!
@@ -69,6 +70,7 @@
 #![warn(missing_docs)]
 
 mod block;
+pub mod inject;
 mod run;
 
 pub use block::BlockCache;

@@ -446,8 +446,10 @@ fn exec_one(m: &mut Machine, op: &Op, pc: u64, spatial: bool, temporal: bool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inject::run_with_plan;
     use crate::Engine;
     use hwst_isa::asm::assemble;
+    use hwst_sim::inject::{apply, FaultClass, FaultRecord, InjectionPlan};
     use hwst_sim::SafetyConfig;
 
     const BASE: u64 = 0x1_0000;
@@ -556,6 +558,75 @@ mod tests {
         for fuel in 0..280 {
             assert_same_run(MIXED, SafetyConfig::default(), fuel);
         }
+    }
+
+    /// The oracle split a fault campaign stands for: [`Machine::run`] to
+    /// the trigger, [`apply`], [`Machine::run`] for the rest.
+    fn oracle_split(
+        m: &mut Machine,
+        plan: &InjectionPlan,
+        fuel: u64,
+    ) -> (Result<ExitStatus, Trap>, FaultRecord) {
+        let trigger = plan.trigger.min(fuel);
+        match m.run(trigger) {
+            Err(Trap::OutOfFuel { .. }) => {
+                let record = apply(m, plan);
+                (m.run(fuel - trigger), record)
+            }
+            Ok(exit) => {
+                let why = "program exited before the trigger point";
+                (Ok(exit), FaultRecord::NotApplied { why })
+            }
+            Err(t) => {
+                let why = "trapped before the trigger point";
+                (Err(t), FaultRecord::NotApplied { why })
+            }
+        }
+    }
+
+    /// Every split point k of `MIXED` — some between the halves of a
+    /// fused pair: a fast run stopped after k instructions and resumed,
+    /// bare or after each fault class applied at k, ends exactly like
+    /// the oracle (one uninterrupted run, or [`oracle_split`]) — same
+    /// result, same fault record, same observable state.
+    #[test]
+    fn every_split_point_is_bit_identical() {
+        const FUEL: u64 = 10_000;
+        let fresh = Machine::new(assemble(BASE, MIXED).unwrap(), SafetyConfig::default());
+        let mut whole = fresh.clone();
+        let want = whole.run(FUEL);
+        let end = whole.stats().instret;
+        let mut cache = BlockCache::new();
+        let mut applied = [false; FaultClass::ALL.len()];
+        for k in 0..=end {
+            let mut fast = fresh.clone();
+            let _ = run_fast(&mut fast, k, &mut cache);
+            assert_eq!(
+                want,
+                run_fast(&mut fast, FUEL - k, &mut cache),
+                "split at {k}"
+            );
+            assert_same_state(&whole, &fast);
+            for (ci, class) in FaultClass::ALL.into_iter().enumerate() {
+                let plan = InjectionPlan {
+                    class,
+                    seed: k,
+                    trigger: k,
+                };
+                let mut oracle = fresh.clone();
+                let mut fast = fresh.clone();
+                let got = run_with_plan(&mut fast, &plan, FUEL, &mut cache);
+                assert_eq!(oracle_split(&mut oracle, &plan, FUEL), got, "{plan}");
+                assert_same_state(&oracle, &fast);
+                applied[ci] |= got.1.applied();
+            }
+        }
+        assert_eq!(
+            applied,
+            [true; FaultClass::ALL.len()],
+            "{:?}",
+            FaultClass::ALL
+        );
     }
 
     #[test]

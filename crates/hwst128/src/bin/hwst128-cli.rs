@@ -88,8 +88,10 @@ fn parse_scheme(args: &[String]) -> Result<Scheme, String> {
     Scheme::by_label(raw).ok_or_else(|| format!("unknown scheme {raw:?}"))
 }
 
+/// Runs `m` to an exit or a trap: the `--trace` prefix on the reference
+/// interpreter (structured: shows the register effects too), the rest
+/// on the fast engine.
 fn run_machine(mut m: Machine, trace: usize) -> CliResult {
-    // Traced prefix (structured: shows the register effects too).
     if trace > 0 {
         let (events, trap) = m.trace(trace);
         for e in &events {
@@ -101,7 +103,7 @@ fn run_machine(mut m: Machine, trace: usize) -> CliResult {
             return Ok(());
         }
     }
-    match m.run(2_000_000_000) {
+    match run_fast(&mut m, 2_000_000_000, &mut BlockCache::new()) {
         Ok(exit) => {
             if !exit.output.is_empty() {
                 print!("{}", exit.output_string());

@@ -1,13 +1,14 @@
-//! Deterministic metadata-path fault injection — the resilience
-//! subsystem (DESIGN.md §4d, experiment R1).
+//! The metadata-path fault model — the resilience subsystem
+//! (DESIGN.md §4d, experiments R1 and Z2).
 //!
 //! The paper's threat model assumes the metadata path itself (SRF cells,
 //! LMSM shadow words, keybuffer entries, compressed records, lock words)
 //! is trustworthy. This module stress-tests that assumption in the style
 //! of architectural-vulnerability-factor studies: an [`InjectionPlan`]
-//! names a fault class, a seed and a trigger instruction count; the
-//! campaign driver runs the same program with and without the fault and
-//! classifies the divergence as an [`Outcome`].
+//! names a fault class, a seed and a trigger instruction count; [`apply`]
+//! mutates the machine as the plan says, and [`classify`] compares the
+//! faulted run with a fault-free one as an [`Outcome`]. The campaign
+//! driver is `hwst_exec::inject`.
 //!
 //! Everything is deterministic: targets are chosen by a seeded SplitMix64
 //! generator over *sorted* candidate lists (memory pages, live lock
@@ -18,7 +19,7 @@
 //!
 //! ```
 //! use hwst_isa::{AluImmOp, Instr, Program, Reg};
-//! use hwst_sim::inject::{classify, run_with_plan, FaultClass, InjectionPlan, Outcome};
+//! use hwst_sim::inject::{apply, classify, FaultClass, InjectionPlan, Outcome};
 //! use hwst_sim::{Machine, SafetyConfig};
 //!
 //! let prog = Program::from_instrs(0x1_0000, vec![
@@ -26,13 +27,12 @@
 //!     Instr::AluImm { op: AluImmOp::Addi, rd: Reg::A7, rs1: Reg::Zero, imm: 93 },
 //!     Instr::Ecall,
 //! ]);
-//! let reference = Machine::new(prog.clone(), SafetyConfig::default()).run(100);
-//! let plan = InjectionPlan::from_seed(FaultClass::ShadowWordFlip, 7, 3);
 //! let mut m = Machine::new(prog, SafetyConfig::default());
-//! let (faulted, record) = run_with_plan(&mut m, &plan, 100);
+//! let reference = m.clone().run(100);
+//! let plan = InjectionPlan::from_seed(FaultClass::ShadowWordFlip, 7, 3);
 //! // No metadata was ever written, so there is nothing to corrupt.
-//! assert!(!record.applied());
-//! assert_eq!(classify(&reference, &faulted), Outcome::Masked);
+//! assert!(!apply(&mut m, &plan).applied());
+//! assert_eq!(classify(&reference, &m.run(100)), Outcome::Masked);
 //! ```
 
 use crate::machine::{ExitStatus, Machine};
@@ -325,70 +325,14 @@ pub fn classify(
     }
 }
 
-/// Steps the machine to the plan's trigger point, applies the fault, and
-/// runs the remaining fuel. Returns the run result plus what was
-/// actually mutated.
-///
-/// Never panics: every outcome is a classified [`Trap`] or
-/// [`ExitStatus`] — the graceful-degradation property the `inject`
-/// property tests pin down.
-pub fn run_with_plan(
-    m: &mut Machine,
-    plan: &InjectionPlan,
-    fuel: u64,
-) -> (Result<ExitStatus, Trap>, FaultRecord) {
-    let mut executed = 0u64;
-    let trigger = plan.trigger.min(fuel);
-    while executed < trigger {
-        if m.exit_code().is_some() {
-            break;
-        }
-        if let Err(t) = m.step() {
-            return (
-                Err(t),
-                FaultRecord::NotApplied {
-                    why: "trapped before the trigger point",
-                },
-            );
-        }
-        executed += 1;
-    }
-    let record = if m.exit_code().is_some() {
-        FaultRecord::NotApplied {
-            why: "program exited before the trigger point",
-        }
-    } else {
-        apply_fault(m, plan.class, &mut SplitMix64::new(plan.seed))
-    };
-    (m.run(fuel.saturating_sub(executed)), record)
-}
-
-/// Runs one fault class against one machine factory: a fault-free
-/// reference first (whose instruction count bounds the trigger points),
-/// then one faulted run per seed.
-pub fn campaign<F>(mk: F, fuel: u64, class: FaultClass, seeds: &[u64]) -> OutcomeCounts
-where
-    F: Fn() -> Machine,
-{
-    let mut reference_machine = mk();
-    let reference = reference_machine.run(fuel);
-    let horizon = reference_machine.stats().instret.max(1);
-    let mut counts = OutcomeCounts::default();
-    for &seed in seeds {
-        let plan = InjectionPlan::from_seed(class, seed, horizon);
-        let mut m = mk();
-        let (faulted, record) = run_with_plan(&mut m, &plan, fuel);
-        counts.record(classify(&reference, &faulted), record.applied());
-    }
-    counts
-}
-
-/// Applies one fault of the given class to the machine's current state.
-/// Target selection is deterministic: candidates come from sorted
+/// Applies the plan's fault to `m`'s current state and returns what it
+/// mutated; running `m` to the plan's trigger first is the caller's job.
+/// Targets are deterministic: the plan's seed indexes sorted candidate
 /// enumerations (`nonzero_word_addrs_in`, `live_lock_addrs`, ascending
-/// register index), indexed by the seeded generator.
-fn apply_fault(m: &mut Machine, class: FaultClass, rng: &mut SplitMix64) -> FaultRecord {
-    match class {
+/// register index).
+pub fn apply(m: &mut Machine, plan: &InjectionPlan) -> FaultRecord {
+    let rng = &mut SplitMix64::new(plan.seed);
+    match plan.class {
         FaultClass::SrfBitFlip => {
             let regs = valid_srf_regs(m);
             let Some(reg) = pick(&regs, rng) else {
@@ -506,103 +450,6 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{syscall, SafetyConfig};
-    use hwst_isa::{AluImmOp, Instr, Program};
-
-    fn addi(rd: Reg, rs1: Reg, imm: i64) -> Instr {
-        Instr::AluImm {
-            op: AluImmOp::Addi,
-            rd,
-            rs1,
-            imm,
-        }
-    }
-
-    /// malloc + bndrs/bndrt + a tchk loop, then exit 0.
-    fn temporal_prog() -> Program {
-        let mut body = vec![
-            addi(Reg::A0, Reg::Zero, 64),
-            addi(Reg::A7, Reg::Zero, syscall::MALLOC as i64),
-            Instr::Ecall,
-            addi(Reg::T0, Reg::A0, 64),
-            Instr::Bndrs {
-                rd: Reg::A0,
-                rs1: Reg::A0,
-                rs2: Reg::T0,
-            },
-            Instr::Bndrt {
-                rd: Reg::A0,
-                rs1: Reg::A1,
-                rs2: Reg::A2,
-            },
-        ];
-        for _ in 0..8 {
-            body.push(Instr::Tchk { rs1: Reg::A0 });
-        }
-        body.extend([
-            addi(Reg::A7, Reg::Zero, syscall::EXIT as i64),
-            addi(Reg::A0, Reg::Zero, 0),
-            Instr::Ecall,
-        ]);
-        Program::from_instrs(0x1_0000, body)
-    }
-
-    fn mk() -> Machine {
-        Machine::new(temporal_prog(), SafetyConfig::default())
-    }
-
-    #[test]
-    fn plans_are_deterministic() {
-        for class in FaultClass::ALL {
-            let plan = InjectionPlan::from_seed(class, 42, 10);
-            assert_eq!(plan, InjectionPlan::from_seed(class, 42, 10));
-            let (r1, f1) = run_with_plan(&mut mk(), &plan, 10_000);
-            let (r2, f2) = run_with_plan(&mut mk(), &plan, 10_000);
-            assert_eq!(f1, f2, "{class}: fault record must be reproducible");
-            assert_eq!(r1, r2, "{class}: run result must be reproducible");
-        }
-    }
-
-    #[test]
-    fn lock_overwrite_after_binding_is_detected() {
-        // Apply right after the bndrt (instruction 6): every later tchk
-        // checks the overwritten word and must trap.
-        let plan = InjectionPlan {
-            class: FaultClass::LockWordOverwrite,
-            seed: 1,
-            trigger: 6,
-        };
-        let (res, record) = run_with_plan(&mut mk(), &plan, 10_000);
-        assert!(record.applied(), "a live lock exists at the trigger");
-        assert!(
-            matches!(res, Err(Trap::TemporalViolation { .. })),
-            "overwritten lock word must be detected, got {res:?}"
-        );
-    }
-
-    #[test]
-    fn keybuffer_poison_is_always_masked() {
-        let reference = mk().run(10_000);
-        for seed in 0..16 {
-            let plan = InjectionPlan::from_seed(FaultClass::KeybufferPoison, seed, 17);
-            let (res, _) = run_with_plan(&mut mk(), &plan, 10_000);
-            assert_eq!(
-                classify(&reference, &res),
-                Outcome::Masked,
-                "keybuffer is timing-only: poison may never change semantics"
-            );
-        }
-    }
-
-    #[test]
-    fn campaign_counts_balance() {
-        let seeds: Vec<u64> = (0..8).collect();
-        for class in FaultClass::ALL {
-            let counts = campaign(mk, 10_000, class, &seeds);
-            assert_eq!(counts.total(), 8, "{class}");
-            assert!(counts.not_applied <= counts.total());
-        }
-    }
 
     #[test]
     fn classify_matrix() {

@@ -13,13 +13,13 @@
 //! * [`ExitStatus`] — exit code, captured output and cycle statistics.
 //! * [`SafetyConfig`] — which checks are armed (spatial/temporal/
 //!   keybuffer) and the compression/pipeline parameters.
-//! * [`inject`] — deterministic metadata-path fault injection and the
-//!   AVF-style outcome classification (experiment R1).
+//! * [`inject`] — the deterministic metadata-path fault model and the
+//!   AVF-style outcome classification (experiments R1 and Z2).
 //! * [`Machine::step`] — the reference semantics: one `match` over the
 //!   instruction, each access charging its dynamic share to the
 //!   pipeline where it happens, then one `retire` of the static share
-//!   (`hwst_pipeline::RetireInfo::of`). [`Machine::run`] drives it; the
-//!   `hwst-exec` fast engine is checked against it.
+//!   (`hwst_pipeline::RetireInfo::of`). [`Machine::run`] drives it as
+//!   the oracle the `hwst-exec` fast engine is checked against.
 //! * [`Observation`] ([`Machine::observe`]) — the observable state,
 //!   defined once for every differential check between engines.
 //! * [`Machine::run_profiled`] — per-PC cycle attribution into an

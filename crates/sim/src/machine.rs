@@ -427,9 +427,9 @@ impl Machine {
         self.run_steps(fuel, Self::step)
     }
 
-    /// The fuel/exit loop shared by [`Self::run`] and
-    /// [`Self::run_profiled`]: the exit latch is checked before each
-    /// fueled `step`, and once more when the fuel runs out.
+    /// The fuel/exit loop of [`Self::run`], [`Self::run_profiled`] and
+    /// [`Self::trace`]: the exit latch is checked before each fueled
+    /// `step`, and once more when the fuel runs out.
     pub(crate) fn run_steps(
         &mut self,
         fuel: u64,

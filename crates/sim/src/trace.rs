@@ -64,14 +64,16 @@ impl Machine {
     /// or trap (the trap, if any, is returned alongside the prefix).
     pub fn trace(&mut self, max_steps: usize) -> (Vec<TraceEvent>, Option<Trap>) {
         let mut events = Vec::new();
-        for _ in 0..max_steps {
-            match self.step_traced() {
-                Ok(Some(e)) => events.push(e),
-                Ok(None) => break,
-                Err(t) => return (events, Some(t)),
-            }
-        }
-        (events, None)
+        let run = self.run_steps(max_steps as u64, |m| {
+            // `None` before an exit: the PC left the program, `step` traps.
+            let Some(e) = m.step_traced()? else {
+                return m.step();
+            };
+            events.push(e);
+            Ok(())
+        });
+        let trap = run.err().filter(|t| !matches!(t, Trap::OutOfFuel { .. }));
+        (events, trap)
     }
 }
 
@@ -131,6 +133,16 @@ mod tests {
         let (events, trap) = m.trace(10);
         assert!(events.is_empty());
         assert!(matches!(trap, Some(Trap::Breakpoint { .. })));
+    }
+
+    #[test]
+    fn trace_reports_a_fetch_past_the_program() {
+        // No exit: the second step fetches past the end, as `run` would.
+        let p = Program::from_instrs(0x1_0000, vec![Instr::Fence]);
+        let mut m = Machine::new(p, SafetyConfig::default());
+        let (events, trap) = m.trace(10);
+        assert_eq!(events.len(), 1);
+        assert_eq!(trap, Some(Trap::BadFetch { pc: 0x1_0004 }));
     }
 
     #[test]

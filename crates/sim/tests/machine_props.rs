@@ -3,10 +3,11 @@
 //! register values, arbitrary CSR writes. Traps are fine; panics are
 //! bugs.
 
+use hwst_exec::inject::run_with_plan;
 use hwst_exec::{run_fast, BlockCache};
 use hwst_isa::{decode, Instr, Program, Reg};
 use hwst_metadata::CompressionConfig;
-use hwst_sim::inject::{run_with_plan, FaultClass, InjectionPlan};
+use hwst_sim::inject::{FaultClass, InjectionPlan};
 use hwst_sim::{syscall, Machine, SafetyConfig};
 use proptest::prelude::*;
 
@@ -244,7 +245,7 @@ proptest! {
             trigger,
         };
         let mut m = Machine::new(churn_prog(), SafetyConfig::default());
-        let (result, record) = run_with_plan(&mut m, &plan, 10_000);
+        let (result, record) = run_with_plan(&mut m, &plan, 10_000, &mut BlockCache::new());
         // Any classified outcome is legal; only a panic would fail this.
         let _ = (result, record.applied());
     }

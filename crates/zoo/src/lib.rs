@@ -15,8 +15,9 @@
 //! agreement contract is violated.
 
 use hwst128::compiler::{CompileOptions, Scheme};
+use hwst128::exec::inject::campaign;
 use hwst128::juliet::{execute_detects, model_detects, sample_reachable, suite, Detector};
-use hwst128::sim::inject::{campaign, FaultClass, OutcomeCounts};
+use hwst128::sim::inject::{FaultClass, OutcomeCounts};
 use hwst128::sim::Machine;
 use hwst128::workloads::{all, Scale, Suite, Workload};
 use hwst_baselines::{try_profile_workload, ZooCost};
@@ -392,14 +393,10 @@ pub fn zoo_inject_jobs(
             let safety = hwst128::config_for(design.scheme());
             let seeds = seeds.clone();
             jobs.push(Job::new(format!("zoo-inject/{design}/{name}"), move || {
+                let m = Machine::new(prog, safety);
                 let mut counts = OutcomeCounts::default();
                 for class in FaultClass::ALL {
-                    counts.merge(campaign(
-                        || Machine::new(prog.clone(), safety),
-                        fuel,
-                        class,
-                        &seeds,
-                    ));
+                    counts.merge(campaign(&m, fuel, class, &seeds));
                 }
                 Ok((di, counts))
             }));

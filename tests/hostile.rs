@@ -6,7 +6,7 @@
 //! scheme, at both back-end tiers, with and without the static-analysis
 //! passes. A panic anywhere fails the test.
 
-use hwst128::compiler::ir::{Block, Function, Inst, Module, Terminator, VarId};
+use hwst128::compiler::ir::{Block, Function, Inst, LocalId, Module, Terminator, VarId};
 use hwst128::compiler::{
     compile_with_options, CompileError, CompileOptions, ModuleBuilder, OptLevel, Scheme,
 };
@@ -133,6 +133,109 @@ fn variable_past_num_vars_is_refused() {
     assert_refused(
         &m,
         |e| matches!(e, CompileError::VarOutOfRange { func, var: VarId(5) } if func == "main"),
+    );
+}
+
+#[test]
+fn param_flags_shorter_than_params_are_refused() {
+    // Hand-built: the builder records one flag per `param` call. Here
+    // `g` takes v0 but flags no parameter as pointer or scalar.
+    let g = Function {
+        name: "g".into(),
+        params: vec![VarId(0)],
+        param_is_ptr: vec![],
+        num_vars: 1,
+        num_locals: 0,
+        blocks: vec![Block {
+            insts: vec![],
+            term: Terminator::Ret {
+                value: Some(VarId(0)),
+            },
+        }],
+    };
+    let main = Function {
+        name: "main".into(),
+        params: vec![],
+        param_is_ptr: vec![],
+        num_vars: 2,
+        num_locals: 0,
+        blocks: vec![Block {
+            insts: vec![
+                Inst::Const {
+                    dst: VarId(0),
+                    value: 7,
+                },
+                Inst::Call {
+                    dst: Some(VarId(1)),
+                    func: "g".into(),
+                    args: vec![VarId(0)],
+                },
+            ],
+            term: Terminator::Ret {
+                value: Some(VarId(1)),
+            },
+        }],
+    };
+    let m = Module {
+        funcs: vec![g, main],
+        globals: vec![],
+    };
+    assert_refused(
+        &m,
+        |e| matches!(e, CompileError::ParamFlagsMismatch { func, params: 1, flags: 0 } if func == "g"),
+    );
+}
+
+#[test]
+fn local_past_num_locals_is_refused() {
+    // Hand-built: the builder numbers local slots itself. This `main`
+    // has no local slots but reads slot 3.
+    let main = Function {
+        name: "main".into(),
+        params: vec![],
+        param_is_ptr: vec![],
+        num_vars: 1,
+        num_locals: 0,
+        blocks: vec![Block {
+            insts: vec![Inst::LocalGet {
+                dst: VarId(0),
+                index: LocalId(3),
+            }],
+            term: Terminator::Ret {
+                value: Some(VarId(0)),
+            },
+        }],
+    };
+    let m = Module {
+        funcs: vec![main],
+        globals: vec![],
+    };
+    assert_refused(
+        &m,
+        |e| matches!(e, CompileError::LocalOutOfRange { func, local: LocalId(3) } if func == "main"),
+    );
+}
+
+#[test]
+fn blockless_function_is_refused() {
+    // Hand-built: the builder always opens an entry block. A `main`
+    // without one lowers to no code, so entering it runs whatever
+    // code the image places next.
+    let main = Function {
+        name: "main".into(),
+        params: vec![],
+        param_is_ptr: vec![],
+        num_vars: 0,
+        num_locals: 0,
+        blocks: vec![],
+    };
+    let m = Module {
+        funcs: vec![main],
+        globals: vec![],
+    };
+    assert_refused(
+        &m,
+        |e| matches!(e, CompileError::EmptyFunction { func } if func == "main"),
     );
 }
 

@@ -5,24 +5,16 @@
 
 use hwst128::compiler::{compile, Scheme};
 use hwst128::config_for;
-use hwst128::sim::inject::{campaign, FaultClass};
+use hwst128::exec::inject::campaign;
+use hwst128::sim::inject::{FaultClass, OutcomeCounts};
 use hwst128::sim::Machine;
 use hwst128::workloads::{Scale, Workload};
 
-fn campaign_on(
-    name: &str,
-    class: FaultClass,
-    seeds: &[u64],
-) -> hwst128::sim::inject::OutcomeCounts {
+fn campaign_on(name: &str, class: FaultClass, seeds: &[u64]) -> OutcomeCounts {
     let wl = Workload::by_name(name).expect("known workload");
     let prog = compile(&wl.module(Scale::Test), Scheme::Hwst128Tchk).expect("compiles");
-    let cfg = config_for(Scheme::Hwst128Tchk);
-    campaign(
-        || Machine::new(prog.clone(), cfg),
-        wl.fuel(Scale::Test),
-        class,
-        seeds,
-    )
+    let m = Machine::new(prog, config_for(Scheme::Hwst128Tchk));
+    campaign(&m, wl.fuel(Scale::Test), class, seeds)
 }
 
 #[test]
