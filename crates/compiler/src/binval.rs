@@ -400,6 +400,17 @@ impl AbsState {
             done: VecSet::new(),
         }
     }
+
+    /// Overwrites `self` with `other`, reusing the slot maps' buffers.
+    fn assign(&mut self, other: &AbsState) {
+        self.regs = other.regs;
+        self.srf_l = other.srf_l;
+        self.srf_u = other.srf_u;
+        self.vals.0.clone_from(&other.vals.0);
+        self.shadow_l.0.clone_from(&other.shadow_l.0);
+        self.shadow_u.0.clone_from(&other.shadow_u.0);
+        self.done.0.clone_from(&other.done.0);
+    }
 }
 
 fn join_num(a: Num, b: Num) -> Num {
@@ -469,7 +480,7 @@ fn join_into(prev: &mut AbsState, st: &AbsState) -> bool {
 
 /// Block visits the fixpoint may make per recovered block, with four
 /// blocks' worth of slack, before it gives up and fails closed. The
-/// kernels converge in about four visits per block.
+/// kernels converge in about two visits per block.
 const FUEL_PER_BLOCK: usize = 64;
 
 /// Where a shadow access lands.
@@ -1515,6 +1526,11 @@ impl<'a> FnInterp<'a> {
     /// `None` when `fuel_per_block · (blocks + 4)` block visits did not
     /// reach the fixpoint: the in-states reached so far still hold
     /// facts a later join would drop, so none of them is trusted.
+    ///
+    /// The worklist takes the lowest-numbered pending block first.
+    /// Blocks are numbered in address order and the lowerer lays a loop
+    /// body before its exit, so a body settles before its exit is
+    /// walked.
     fn fixpoint(
         &mut self,
         g: &cfg::MachineCfg,
@@ -1526,32 +1542,39 @@ impl<'a> FnInterp<'a> {
             return Some(inputs);
         }
         inputs[0] = Some(Box::new(AbsState::entry()));
-        let mut work = vec![0usize];
+        // `queued[b]`: b is pending. No pending block lies below `next`.
+        let mut queued = vec![false; n];
+        queued[0] = true;
+        let mut next = 0;
+        let mut st = AbsState::entry();
+        let mut pairs = HashMap::new();
         let mut fuel = fuel_per_block.saturating_mul(n.saturating_add(4));
-        while let Some(b) = work.pop() {
+        while let Some(b) = (next..n).find(|&b| queued[b]) {
             if fuel == 0 {
                 return None;
             }
             fuel -= 1;
+            queued[b] = false;
+            next = b + 1;
             let Some(input) = &inputs[b] else {
                 continue;
             };
-            let mut st = AbsState::clone(input);
-            let mut pairs = HashMap::new();
+            st.assign(input);
+            pairs.clear();
             for at in g.blocks[b].start..g.blocks[b].end {
                 self.transfer(&mut st, at, &mut pairs);
             }
             for &s in &g.blocks[b].succs {
-                match &mut inputs[s] {
-                    Some(prev) => {
-                        if join_into(prev, &st) {
-                            work.push(s);
-                        }
-                    }
+                let changed = match &mut inputs[s] {
+                    Some(prev) => join_into(prev, &st),
                     unreached @ None => {
                         *unreached = Some(Box::new(st.clone()));
-                        work.push(s);
+                        true
                     }
+                };
+                if changed {
+                    queued[s] = true;
+                    next = next.min(s);
                 }
             }
         }
@@ -1583,10 +1606,12 @@ impl<'a> FnInterp<'a> {
         // Findings pass: each reachable block exactly once, from its
         // fixed in-state.
         self.emit = true;
+        let mut st = AbsState::entry();
+        let mut pairs = HashMap::new();
         for (b, input) in inputs.iter().enumerate() {
             let Some(start_state) = input else { continue };
-            let mut st = AbsState::clone(start_state);
-            let mut pairs = HashMap::new();
+            st.assign(start_state);
+            pairs.clear();
             // `-O1` carries live pointer values across block boundaries
             // in cache registers, so the per-block source tracking is
             // seeded from the fixed in-state's provenance facts rather
@@ -1698,10 +1723,12 @@ impl<'a> FnInterp<'a> {
                 }
             }
         }
+        let mut st = AbsState::entry();
+        let mut pairs = HashMap::new();
         for (b, input) in inputs.iter().enumerate() {
             let Some(start_state) = input else { continue };
-            let mut st = AbsState::clone(start_state);
-            let mut pairs = HashMap::new();
+            st.assign(start_state);
+            pairs.clear();
             let end = g.blocks[b].end;
             for at in g.blocks[b].start..end {
                 let ins = self.instrs[at];
@@ -3476,6 +3503,58 @@ mod tests {
         }
         eprintln!("{changed_pairs} of {pairs} joins changed the state");
         assert!(changed_pairs > 0 && changed_pairs < pairs);
+    }
+
+    /// Every function of the three test modules under every scheme and
+    /// tier, with its image, plan and recovered CFG.
+    fn each_function(mut f: impl FnMut(&Program, &LowerPlan, &FnPlan, &cfg::MachineCfg)) {
+        for m in [sample_module(), bounds_module(), loop_module()] {
+            for scheme in Scheme::EVERY {
+                for opt in [OptLevel::O0, OptLevel::O1] {
+                    let (program, plan) = campaign_image(&m, scheme, opt).unwrap();
+                    for fp in &plan.funcs {
+                        let g = cfg::recover(program.instrs(), fp.start..fp.start + fp.len);
+                        f(&program, &plan, fp, &g);
+                    }
+                }
+            }
+        }
+    }
+
+    /// What any worklist order must establish: re-running a reachable
+    /// block from its final in-state and joining the result into each
+    /// successor changes nothing, and every such successor has an
+    /// in-state.
+    #[test]
+    fn fixpoint_in_states_are_stable() {
+        each_function(|program, plan, fp, g| {
+            let mut it = interp(program, plan, fp);
+            let inputs = it.fixpoint(g, FUEL_PER_BLOCK).expect("converges");
+            for (b, input) in inputs.iter().enumerate() {
+                let Some(input) = input else { continue };
+                let mut st = AbsState::clone(input);
+                let mut pairs = HashMap::new();
+                for at in g.blocks[b].start..g.blocks[b].end {
+                    it.transfer(&mut st, at, &mut pairs);
+                }
+                for &s in &g.blocks[b].succs {
+                    let where_ = format!("{:?} {}: block {b} → {s}", plan.scheme, fp.name);
+                    let mut prev = AbsState::clone(inputs[s].as_ref().expect(&where_));
+                    assert!(!join_into(&mut prev, &st), "{where_}: in-state not stable");
+                }
+            }
+        });
+    }
+
+    /// Lowest-first converges within two visits per block (plus the
+    /// budget's slack) on every test function; a LIFO worklist needs
+    /// three on `bounds_module`.
+    #[test]
+    fn fixpoint_converges_within_two_visits_per_block() {
+        each_function(|program, plan, fp, g| {
+            let converged = interp(program, plan, fp).fixpoint(g, 2).is_some();
+            assert!(converged, "{:?} {}", plan.scheme, fp.name);
+        });
     }
 
     #[test]

@@ -30,22 +30,33 @@ pub fn run_with_plan(
     (result, FaultRecord::NotApplied { why })
 }
 
-/// Runs one fault class against one loaded machine: a fault-free
-/// reference run (whose instruction count bounds the trigger points),
-/// then one faulted run per seed, each on a clone of `m`. Clones keep
-/// the program id, so one block cache serves the whole campaign.
-pub fn campaign(m: &Machine, fuel: u64, class: FaultClass, seeds: &[u64]) -> OutcomeCounts {
+/// Runs every fault class of `classes` against one loaded machine: one
+/// fault-free reference run (whose instruction count bounds the trigger
+/// points), then one faulted run per class and seed, each on a clone of
+/// `m`. Clones keep the program id, so one block cache serves the whole
+/// campaign. Returns one [`OutcomeCounts`] per class, in order.
+pub fn campaign(
+    m: &Machine,
+    fuel: u64,
+    classes: &[FaultClass],
+    seeds: &[u64],
+) -> Vec<OutcomeCounts> {
     let mut cache = BlockCache::new();
     let mut reference_machine = m.clone();
     let reference = run_fast(&mut reference_machine, fuel, &mut cache);
     let horizon = reference_machine.stats().instret.max(1);
-    let mut counts = OutcomeCounts::default();
-    for &seed in seeds {
-        let plan = InjectionPlan::from_seed(class, seed, horizon);
-        let (faulted, record) = run_with_plan(&mut m.clone(), &plan, fuel, &mut cache);
-        counts.record(classify(&reference, &faulted), record.applied());
-    }
-    counts
+    classes
+        .iter()
+        .map(|&class| {
+            let mut counts = OutcomeCounts::default();
+            for &seed in seeds {
+                let plan = InjectionPlan::from_seed(class, seed, horizon);
+                let (faulted, record) = run_with_plan(&mut m.clone(), &plan, fuel, &mut cache);
+                counts.record(classify(&reference, &faulted), record.applied());
+            }
+            counts
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -147,8 +158,9 @@ mod tests {
     #[test]
     fn campaign_counts_balance() {
         let seeds: Vec<u64> = (0..8).collect();
-        for class in FaultClass::ALL {
-            let counts = campaign(&mk(), 10_000, class, &seeds);
+        let counts = campaign(&mk(), 10_000, &FaultClass::ALL, &seeds);
+        assert_eq!(counts.len(), FaultClass::ALL.len());
+        for (class, counts) in FaultClass::ALL.iter().zip(counts) {
             assert_eq!(counts.total(), 8, "{class}");
             assert!(counts.not_applied <= counts.total());
         }

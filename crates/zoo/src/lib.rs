@@ -395,8 +395,8 @@ pub fn zoo_inject_jobs(
             jobs.push(Job::new(format!("zoo-inject/{design}/{name}"), move || {
                 let m = Machine::new(prog, safety);
                 let mut counts = OutcomeCounts::default();
-                for class in FaultClass::ALL {
-                    counts.merge(campaign(&m, fuel, class, &seeds));
+                for c in campaign(&m, fuel, &FaultClass::ALL, &seeds) {
+                    counts.merge(c);
                 }
                 Ok((di, counts))
             }));
