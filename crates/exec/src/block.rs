@@ -20,13 +20,14 @@ pub(crate) enum Field {
     Lock,
 }
 
-/// One pre-resolved operation. Immediates are already widened to the
-/// `u64` the execute stage adds, and PC-relative values (branch/jump
-/// targets, `auipc` results, link addresses) are computed at decode
-/// time — legal because a block is keyed by its entry PC and every
+/// One pre-resolved single-component operation that executes without
+/// [`Machine::step`]. Immediates are already widened to the `u64` the
+/// execute stage adds, and PC-relative values (branch/jump targets,
+/// `auipc` results, link addresses) are computed at decode time —
+/// legal because a block is keyed by its entry PC and every
 /// component's PC is fixed within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum OpKind {
+pub(crate) enum Simple {
     Lui {
         rd: Reg,
         imm: u64,
@@ -125,6 +126,15 @@ pub(crate) enum OpKind {
     Tchk {
         rs1: Reg,
     },
+}
+
+/// What the run loop dispatches on: a [`Simple`] op, an environment
+/// fallback or a fused superinstruction. Nesting the simple ops lets
+/// the run loop match each op once: one tag test sends a simple op
+/// straight to its arm in `exec_one`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpKind {
+    Simple(Simple),
     /// `ecall`/`csr*`/`ebreak`: environment interactions execute through
     /// [`Machine::step`] itself, so syscall, CSR-reconfiguration and
     /// breakpoint semantics can never drift from the cycle engine.
@@ -190,7 +200,7 @@ impl Op {
     fn ends_block(&self) -> bool {
         matches!(
             self.kind,
-            OpKind::Jal { .. } | OpKind::Jalr { .. } | OpKind::Branch { .. }
+            OpKind::Simple(Simple::Jal { .. } | Simple::Jalr { .. } | Simple::Branch { .. })
         )
     }
 }
@@ -353,20 +363,20 @@ fn decode_op(pc: u64, instr: Instr, next: Option<Instr>) -> Op {
         _ => {}
     }
     let kind = match instr {
-        Instr::Lui { rd, imm } => OpKind::Lui {
+        Instr::Lui { rd, imm } => Simple::Lui {
             rd,
             imm: imm as u64,
         },
-        Instr::Auipc { rd, imm } => OpKind::Auipc {
+        Instr::Auipc { rd, imm } => Simple::Auipc {
             rd,
             val: pc.wrapping_add(imm as u64),
         },
-        Instr::Jal { rd, offset } => OpKind::Jal {
+        Instr::Jal { rd, offset } => Simple::Jal {
             rd,
             link: pc.wrapping_add(4),
             target: pc.wrapping_add(offset as u64),
         },
-        Instr::Jalr { rd, rs1, offset } => OpKind::Jalr {
+        Instr::Jalr { rd, rs1, offset } => Simple::Jalr {
             rd,
             rs1,
             offset: offset as u64,
@@ -377,7 +387,7 @@ fn decode_op(pc: u64, instr: Instr, next: Option<Instr>) -> Op {
             rs1,
             rs2,
             offset,
-        } => OpKind::Branch {
+        } => Simple::Branch {
             cond,
             rs1,
             rs2,
@@ -389,7 +399,7 @@ fn decode_op(pc: u64, instr: Instr, next: Option<Instr>) -> Op {
             rs1,
             offset,
             checked,
-        } => OpKind::Load {
+        } => Simple::Load {
             width,
             rd,
             rs1,
@@ -402,68 +412,70 @@ fn decode_op(pc: u64, instr: Instr, next: Option<Instr>) -> Op {
             rs2,
             offset,
             checked,
-        } => OpKind::Store {
+        } => Simple::Store {
             width,
             rs1,
             rs2,
             offset: offset as u64,
             checked,
         },
-        Instr::AluImm { op, rd, rs1, imm } => OpKind::AluImm { op, rd, rs1, imm },
-        Instr::Alu { op, rd, rs1, rs2 } => OpKind::Alu { op, rd, rs1, rs2 },
-        Instr::Csr { .. } | Instr::Ecall | Instr::Ebreak => OpKind::Fallback,
-        Instr::Fence => OpKind::Fence,
-        Instr::Bndrs { rd, rs1, rs2 } => OpKind::Bndrs { rd, rs1, rs2 },
-        Instr::Bndrt { rd, rs1, rs2 } => OpKind::Bndrt { rd, rs1, rs2 },
-        Instr::SrfMv { rd, rs1 } => OpKind::SrfMv { rd, rs1 },
-        Instr::SrfClr { rd } => OpKind::SrfClr { rd },
-        Instr::Sbdl { rs1, rs2, offset } => OpKind::Sbdl {
+        Instr::AluImm { op, rd, rs1, imm } => Simple::AluImm { op, rd, rs1, imm },
+        Instr::Alu { op, rd, rs1, rs2 } => Simple::Alu { op, rd, rs1, rs2 },
+        Instr::Csr { .. } | Instr::Ecall | Instr::Ebreak => {
+            return Op::single(OpKind::Fallback, instr)
+        }
+        Instr::Fence => Simple::Fence,
+        Instr::Bndrs { rd, rs1, rs2 } => Simple::Bndrs { rd, rs1, rs2 },
+        Instr::Bndrt { rd, rs1, rs2 } => Simple::Bndrt { rd, rs1, rs2 },
+        Instr::SrfMv { rd, rs1 } => Simple::SrfMv { rd, rs1 },
+        Instr::SrfClr { rd } => Simple::SrfClr { rd },
+        Instr::Sbdl { rs1, rs2, offset } => Simple::Sbdl {
             rs1,
             rs2,
             offset: offset as u64,
         },
-        Instr::Sbdu { rs1, rs2, offset } => OpKind::Sbdu {
+        Instr::Sbdu { rs1, rs2, offset } => Simple::Sbdu {
             rs1,
             rs2,
             offset: offset as u64,
         },
-        Instr::Lbdls { rd, rs1, offset } => OpKind::Lbdls {
+        Instr::Lbdls { rd, rs1, offset } => Simple::Lbdls {
             rd,
             rs1,
             offset: offset as u64,
         },
-        Instr::Lbdus { rd, rs1, offset } => OpKind::Lbdus {
+        Instr::Lbdus { rd, rs1, offset } => Simple::Lbdus {
             rd,
             rs1,
             offset: offset as u64,
         },
-        Instr::Lbas { rd, rs1, offset } => OpKind::ShadowField {
+        Instr::Lbas { rd, rs1, offset } => Simple::ShadowField {
             field: Field::Base,
             rd,
             rs1,
             offset: offset as u64,
         },
-        Instr::Lbnd { rd, rs1, offset } => OpKind::ShadowField {
+        Instr::Lbnd { rd, rs1, offset } => Simple::ShadowField {
             field: Field::Bound,
             rd,
             rs1,
             offset: offset as u64,
         },
-        Instr::Lkey { rd, rs1, offset } => OpKind::ShadowField {
+        Instr::Lkey { rd, rs1, offset } => Simple::ShadowField {
             field: Field::Key,
             rd,
             rs1,
             offset: offset as u64,
         },
-        Instr::Lloc { rd, rs1, offset } => OpKind::ShadowField {
+        Instr::Lloc { rd, rs1, offset } => Simple::ShadowField {
             field: Field::Lock,
             rd,
             rs1,
             offset: offset as u64,
         },
-        Instr::Tchk { rs1 } => OpKind::Tchk { rs1 },
+        Instr::Tchk { rs1 } => Simple::Tchk { rs1 },
     };
-    Op::single(kind, instr)
+    Op::single(OpKind::Simple(kind), instr)
 }
 
 /// A cache of decoded blocks keyed by entry PC.
@@ -587,7 +599,7 @@ mod tests {
         let p = Program::from_instrs(0x1_0000, vec![sbdl(8), sbdu(16)]);
         let b = decode_block(&p, 0x1_0000).unwrap();
         assert_eq!(b.ops.len(), 2);
-        assert!(matches!(b.ops[0].kind, OpKind::Sbdl { .. }));
+        assert!(matches!(b.ops[0].kind, OpKind::Simple(Simple::Sbdl { .. })));
     }
 
     #[test]
@@ -685,7 +697,10 @@ mod tests {
         assert_eq!(whole.ops.len(), 1);
         let half = decode_block(&p, 0x1_0004).unwrap();
         assert_eq!(half.ops.len(), 1);
-        assert!(matches!(half.ops[0].kind, OpKind::Sbdu { .. }));
+        assert!(matches!(
+            half.ops[0].kind,
+            OpKind::Simple(Simple::Sbdu { .. })
+        ));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!
 //! [`RetireInfo::of`]: hwst_pipeline::RetireInfo::of
 
-use crate::block::{BlockCache, Field, Op, OpKind};
+use crate::block::{BlockCache, Field, OpKind, Simple};
 use hwst_sim::{ExitStatus, Machine, Trap};
 
 /// Runs `m` for at most `fuel` instructions through the decoded-block
@@ -207,7 +207,7 @@ pub fn run_fast(m: &mut Machine, fuel: u64, cache: &mut BlockCache) -> Result<Ex
                     k += 1;
                     pc = pc.wrapping_add(4);
                 }
-                _ => match exec_one(m, op, pc, spatial, temporal) {
+                OpKind::Simple(simple) => match exec_one(m, simple, pc, spatial, temporal) {
                     Ok(next) => {
                         if seam {
                             m.pipeline_mut().interlock_seam(&op.info[0]);
@@ -247,29 +247,34 @@ fn exit_status(m: &Machine, code: u64) -> ExitStatus {
     }
 }
 
-/// Executes one simple (single-component, non-fallback) op, mirroring
-/// [`Machine::step`] arm by arm, and charges its dynamic share. The
-/// static share is owed by the caller's block-prefix accounting.
-/// Returns the next PC; on a trap the caller leaves the machine PC at
-/// `pc`.
+/// Executes one simple op, mirroring [`Machine::step`] arm by arm, and
+/// charges its dynamic share. The static share is owed by the caller's
+/// block-prefix accounting. Returns the next PC; on a trap the caller
+/// leaves the machine PC at `pc`.
 #[inline(always)]
-fn exec_one(m: &mut Machine, op: &Op, pc: u64, spatial: bool, temporal: bool) -> Result<u64, Trap> {
+fn exec_one(
+    m: &mut Machine,
+    op: Simple,
+    pc: u64,
+    spatial: bool,
+    temporal: bool,
+) -> Result<u64, Trap> {
     let mut next = pc.wrapping_add(4);
-    match op.kind {
-        OpKind::Lui { rd, imm } => {
+    match op {
+        Simple::Lui { rd, imm } => {
             m.set_reg(rd, imm);
             m.srf_mut().clear(rd);
         }
-        OpKind::Auipc { rd, val } => {
+        Simple::Auipc { rd, val } => {
             m.set_reg(rd, val);
             m.srf_mut().clear(rd);
         }
-        OpKind::Jal { rd, link, target } => {
+        Simple::Jal { rd, link, target } => {
             m.set_reg(rd, link);
             m.srf_mut().clear(rd);
             next = target;
         }
-        OpKind::Jalr {
+        Simple::Jalr {
             rd,
             rs1,
             offset,
@@ -281,7 +286,7 @@ fn exec_one(m: &mut Machine, op: &Op, pc: u64, spatial: bool, temporal: bool) ->
             m.srf_mut().clear(rd);
             next = target;
         }
-        OpKind::Branch {
+        Simple::Branch {
             cond,
             rs1,
             rs2,
@@ -292,7 +297,7 @@ fn exec_one(m: &mut Machine, op: &Op, pc: u64, spatial: bool, temporal: bool) ->
                 m.pipeline_mut().charge_taken_branch();
             }
         }
-        OpKind::Load {
+        Simple::Load {
             width,
             rd,
             rs1,
@@ -308,7 +313,7 @@ fn exec_one(m: &mut Machine, op: &Op, pc: u64, spatial: bool, temporal: bool) ->
             m.srf_mut().clear(rd);
             m.pipeline_mut().charge_mem_dyn(addr);
         }
-        OpKind::Store {
+        Simple::Store {
             width,
             rs1,
             rs2,
@@ -323,16 +328,16 @@ fn exec_one(m: &mut Machine, op: &Op, pc: u64, spatial: bool, temporal: bool) ->
             m.mem_mut().write_le_fast(addr, width.bytes(), val);
             m.pipeline_mut().charge_mem_dyn(addr);
         }
-        OpKind::AluImm { op, rd, rs1, imm } => {
+        Simple::AluImm { op, rd, rs1, imm } => {
             m.set_reg(rd, op.eval(m.reg(rs1), imm));
             m.srf_mut().propagate(rd, Some(rs1), None);
         }
-        OpKind::Alu { op, rd, rs1, rs2 } => {
+        Simple::Alu { op, rd, rs1, rs2 } => {
             m.set_reg(rd, op.eval(m.reg(rs1), m.reg(rs2)));
             m.srf_mut().propagate(rd, Some(rs1), Some(rs2));
         }
-        OpKind::Fence => {}
-        OpKind::Bndrs { rd, rs1, rs2 } => {
+        Simple::Fence => {}
+        Simple::Bndrs { rd, rs1, rs2 } => {
             let (base, bound) = (m.reg(rs1), m.reg(rs2));
             let lower = m
                 .codec()
@@ -343,7 +348,7 @@ fn exec_one(m: &mut Machine, op: &Op, pc: u64, spatial: bool, temporal: bool) ->
                 })?;
             m.srf_mut().write_lower(rd, lower);
         }
-        OpKind::Bndrt { rd, rs1, rs2 } => {
+        Simple::Bndrt { rd, rs1, rs2 } => {
             let (key, lock) = (m.reg(rs1), m.reg(rs2));
             let upper = m
                 .codec()
@@ -354,37 +359,37 @@ fn exec_one(m: &mut Machine, op: &Op, pc: u64, spatial: bool, temporal: bool) ->
                 })?;
             m.srf_mut().write_upper(rd, upper);
         }
-        OpKind::SrfMv { rd, rs1 } => m.srf_mut().mv(rd, rs1),
-        OpKind::SrfClr { rd } => m.srf_mut().clear(rd),
-        OpKind::Sbdl { rs1, rs2, offset } => {
+        Simple::SrfMv { rd, rs1 } => m.srf_mut().mv(rd, rs1),
+        Simple::SrfClr { rd } => m.srf_mut().clear(rd),
+        Simple::Sbdl { rs1, rs2, offset } => {
             let container = m.reg(rs1).wrapping_add(offset);
             let s = m.shadow().shadow_addr(container);
             let lower = m.srf().read(rs2).map(|c| c.lower).unwrap_or(0);
             m.mem_mut().write_le_fast(s, 8, lower);
             m.pipeline_mut().charge_shadow_dyn(s);
         }
-        OpKind::Sbdu { rs1, rs2, offset } => {
+        Simple::Sbdu { rs1, rs2, offset } => {
             let container = m.reg(rs1).wrapping_add(offset);
             let s = m.shadow().upper_addr(container);
             let upper = m.srf().read(rs2).map(|c| c.upper).unwrap_or(0);
             m.mem_mut().write_le_fast(s, 8, upper);
             m.pipeline_mut().charge_shadow_dyn(s);
         }
-        OpKind::Lbdls { rd, rs1, offset } => {
+        Simple::Lbdls { rd, rs1, offset } => {
             let container = m.reg(rs1).wrapping_add(offset);
             let s = m.shadow().shadow_addr(container);
             let v = m.mem().read_le_fast(s, 8);
             m.srf_mut().write_lower(rd, v);
             m.pipeline_mut().charge_shadow_dyn(s);
         }
-        OpKind::Lbdus { rd, rs1, offset } => {
+        Simple::Lbdus { rd, rs1, offset } => {
             let container = m.reg(rs1).wrapping_add(offset);
             let s = m.shadow().upper_addr(container);
             let v = m.mem().read_le_fast(s, 8);
             m.srf_mut().write_upper(rd, v);
             m.pipeline_mut().charge_shadow_dyn(s);
         }
-        OpKind::ShadowField {
+        Simple::ShadowField {
             field,
             rd,
             rs1,
@@ -406,7 +411,7 @@ fn exec_one(m: &mut Machine, op: &Op, pc: u64, spatial: bool, temporal: bool) ->
             m.srf_mut().clear(rd);
             m.pipeline_mut().charge_shadow_dyn(s);
         }
-        OpKind::Tchk { rs1 } => {
+        Simple::Tchk { rs1 } => {
             if temporal {
                 if let Some(c) = m.srf().read(rs1) {
                     let (key, lock) = m.codec().decompress_temporal(c.upper);
@@ -428,16 +433,6 @@ fn exec_one(m: &mut Machine, op: &Op, pc: u64, spatial: bool, temporal: bool) ->
                     }
                 }
             }
-        }
-        // Handled by the caller; unreachable here.
-        OpKind::Fallback
-        | OpKind::FusedSbd { .. }
-        | OpKind::FusedLbd { .. }
-        | OpKind::FusedLbdlsLoad { .. } => {
-            return Err(Trap::MachineFault {
-                pc,
-                what: "decoded-block dispatch error",
-            })
         }
     }
     Ok(next)

@@ -28,6 +28,7 @@ impl BranchCond {
     }
 
     /// Evaluates the condition on two 64-bit register values.
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> bool {
         match self {
             BranchCond::Eq => a == b,
@@ -79,6 +80,7 @@ impl LoadWidth {
 
     /// Extends a raw little-endian value of [`bytes`](Self::bytes) width to
     /// a 64-bit register value (sign- or zero-extended as appropriate).
+    #[inline]
     pub fn extend(self, raw: u64) -> u64 {
         match self {
             LoadWidth::B => raw as u8 as i8 as i64 as u64,
@@ -153,6 +155,7 @@ impl AluImmOp {
     }
 
     /// Evaluates the operation.
+    #[inline]
     pub fn eval(self, rs1: u64, imm: i64) -> u64 {
         match self {
             AluImmOp::Addi => rs1.wrapping_add(imm as u64),
@@ -249,6 +252,7 @@ impl AluOp {
     // The div/rem arms mirror the RISC-V spec's case tables verbatim;
     // rewriting them via checked_div would obscure that correspondence.
     #[allow(clippy::manual_checked_ops)]
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> u64 {
         match self {
             AluOp::Add => a.wrapping_add(b),

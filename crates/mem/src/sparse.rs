@@ -10,6 +10,9 @@ const PAGE_SIZE: u64 = 1 << PAGE_BITS;
 /// empty TLB can never produce a false hit.
 const NO_PAGE: u64 = u64::MAX;
 
+/// TLB entries (a power of two).
+const TLB_ENTRIES: usize = 16;
+
 /// A sparse, byte-addressable 64-bit memory backed by 4 KiB pages
 /// allocated on first touch.
 ///
@@ -24,9 +27,9 @@ const NO_PAGE: u64 = u64::MAX;
 /// use hwst_mem::SparseMemory;
 ///
 /// let mut m = SparseMemory::new();
-/// m.write_u32(0x1000, 0xdeadbeef);
-/// assert_eq!(m.read_u32(0x1000), 0xdeadbeef);
-/// assert_eq!(m.read_u8(0x1003), 0xde); // little-endian
+/// m.write_u64(0x1000, 0x0123_4567_89ab_cdef);
+/// assert_eq!(m.read_u64(0x1000), 0x0123_4567_89ab_cdef);
+/// assert_eq!(m.read_u8(0x1007), 0x01); // little-endian
 /// assert_eq!(m.read_u64(0x8000_0000), 0, "untouched memory reads zero");
 /// ```
 #[derive(Debug, Clone)]
@@ -38,15 +41,16 @@ pub struct SparseMemory {
     frames: Vec<Box<[u8; PAGE_SIZE as usize]>>,
     /// Page number → frame index.
     index: HashMap<u64, u32>,
-    /// Direct-mapped 4-entry TLB for the `*_le_fast` bulk paths: the
-    /// last page resolved per (hashed) page-number class. Four entries
-    /// cover the typical working mix — code-adjacent data, stack,
-    /// heap and shadow region — where one entry thrashes on
-    /// pointer-chasing workloads. Interior mutability keeps
+    /// Direct-mapped TLB for the `*_le_fast` paths: the last page
+    /// resolved per slot ([`tlb_slot`]), so a hit skips the SipHash
+    /// lookup in `index`. A Fig. 4 kernel run touches 3–25 pages (data,
+    /// stack, heap, lock table, shadow region); over a perfbench `sweep`
+    /// pass four entries missed on about one fast access in seven,
+    /// sixteen on about one in a hundred. Interior mutability keeps
     /// `read_le_fast` a `&self` method; a stale entry is impossible
     /// (frames are append-only) and the sentinel page makes empty slots
     /// a guaranteed miss.
-    tlb: [Cell<(u64, u32)>; 4],
+    tlb: [Cell<(u64, u32)>; TLB_ENTRIES],
 }
 
 impl Default for SparseMemory {
@@ -54,17 +58,18 @@ impl Default for SparseMemory {
         Self {
             frames: Vec::new(),
             index: HashMap::new(),
-            tlb: [const { Cell::new((NO_PAGE, 0)) }; 4],
+            tlb: [const { Cell::new((NO_PAGE, 0)) }; TLB_ENTRIES],
         }
     }
 }
 
-/// The TLB slot for a page number: low bits folded so that regions
-/// separated by large power-of-two strides (user vs shadow) land in
-/// different slots.
+/// The TLB slot for a page number: the top bits of its Fibonacci hash,
+/// which every bit of the page number feeds, so neighbouring pages and
+/// regions a large power-of-two stride apart (user vs shadow) spread
+/// over the slots.
 #[inline]
 fn tlb_slot(page: u64) -> usize {
-    ((page ^ (page >> 7) ^ (page >> 29)) & 3) as usize
+    (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - TLB_ENTRIES.trailing_zeros())) as usize
 }
 
 impl SparseMemory {
@@ -77,13 +82,8 @@ impl SparseMemory {
     /// when the page was never touched.
     #[inline]
     fn frame(&self, page: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
-        let slot = &self.tlb[tlb_slot(page)];
-        let (tp, ti) = slot.get();
-        if tp == page {
-            return self.frames.get(ti as usize).map(|p| &**p);
-        }
-        let &i = self.index.get(&page)?;
-        slot.set((page, i));
+        let (tp, ti) = self.tlb[tlb_slot(page)].get();
+        let i = if tp == page { ti } else { self.tlb_fill(page)? };
         self.frames.get(i as usize).map(|p| &**p)
     }
 
@@ -91,42 +91,47 @@ impl SparseMemory {
     /// frame on first touch.
     #[inline]
     fn frame_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        let si = tlb_slot(page);
-        let (tp, ti) = self.tlb[si].get();
+        let (tp, ti) = self.tlb[tlb_slot(page)].get();
         let i = if tp == page {
             ti
         } else {
-            let i = match self.index.get(&page) {
-                Some(&i) => i,
-                None => {
-                    let i = self.frames.len() as u32;
-                    self.frames.push(Box::new([0u8; PAGE_SIZE as usize]));
-                    self.index.insert(page, i);
-                    i
-                }
-            };
-            self.tlb[si].set((page, i));
-            i
+            self.tlb_fill_mut(page)
         };
         &mut self.frames[i as usize]
+    }
+
+    /// The TLB miss path of [`frame`](Self::frame), kept out of line so
+    /// the hit path inlines: `page`'s frame index from `index`, cached
+    /// in its slot, or `None` for an untouched page.
+    #[cold]
+    #[inline(never)]
+    fn tlb_fill(&self, page: u64) -> Option<u32> {
+        let &i = self.index.get(&page)?;
+        self.tlb[tlb_slot(page)].set((page, i));
+        Some(i)
+    }
+
+    /// The TLB miss path of [`frame_mut`](Self::frame_mut), allocating
+    /// the frame on first touch.
+    #[cold]
+    #[inline(never)]
+    fn tlb_fill_mut(&mut self, page: u64) -> u32 {
+        let i = match self.index.get(&page) {
+            Some(&i) => i,
+            None => {
+                let i = self.frames.len() as u32;
+                self.frames.push(Box::new([0u8; PAGE_SIZE as usize]));
+                self.index.insert(page, i);
+                i
+            }
+        };
+        self.tlb[tlb_slot(page)].set((page, i));
+        i
     }
 
     /// Number of 4 KiB pages touched so far (resident set of the model).
     pub fn resident_pages(&self) -> usize {
         self.index.len()
-    }
-
-    /// Number of resident pages whose base address lies in `[lo, hi)` —
-    /// used to measure e.g. the shadow region's footprint separately
-    /// from user memory.
-    pub fn resident_pages_in(&self, lo: u64, hi: u64) -> usize {
-        self.index
-            .keys()
-            .filter(|&&p| {
-                let base = p << PAGE_BITS;
-                base >= lo && base < hi
-            })
-            .count()
     }
 
     /// Number of *nonzero* bytes stored in `[lo, hi)` — a byte-granular
@@ -190,11 +195,12 @@ impl SparseMemory {
     }
 
     /// Reads `n <= 8` bytes little-endian into a `u64`, resolving the
-    /// page once when the access stays inside it (the common case).
+    /// page once through the TLB and reading widths 1, 2, 4 and 8 as one
+    /// whole word.
     ///
-    /// Semantically identical to [`read_le`](Self::read_le) — accesses
-    /// straddling a page boundary fall back to the byte loop, and reads
-    /// of untouched pages return zero without allocating.
+    /// Semantically identical to [`read_le`](Self::read_le), which
+    /// serves the other widths and accesses straddling a page boundary;
+    /// reads of untouched pages return zero without allocating.
     ///
     /// # Panics
     ///
@@ -202,28 +208,21 @@ impl SparseMemory {
     #[inline]
     pub fn read_le_fast(&self, addr: u64, n: u64) -> u64 {
         assert!(n <= 8, "read_le supports at most 8 bytes");
-        let off = addr & (PAGE_SIZE - 1);
-        if off + n <= PAGE_SIZE {
-            match self.frame(addr >> PAGE_BITS) {
-                Some(p) => {
-                    let mut v = 0u64;
-                    for i in 0..n as usize {
-                        v |= (p[off as usize + i] as u64) << (8 * i);
-                    }
-                    v
-                }
-                None => 0,
-            }
-        } else {
-            self.read_le(addr, n)
+        match n {
+            8 => self.read_word::<8>(addr),
+            4 => self.read_word::<4>(addr),
+            2 => self.read_word::<2>(addr),
+            1 => self.read_word::<1>(addr),
+            _ => self.read_le_cold(addr, n),
         }
     }
 
     /// Writes the low `n <= 8` bytes of `val` little-endian, resolving
-    /// the page once when the access stays inside it.
+    /// the page once through the TLB and writing widths 1, 2, 4 and 8 as
+    /// one whole word.
     ///
-    /// Semantically identical to [`write_le`](Self::write_le); accesses
-    /// straddling a page boundary fall back to the byte loop.
+    /// Semantically identical to [`write_le`](Self::write_le), which
+    /// serves the other widths and accesses straddling a page boundary.
     ///
     /// # Panics
     ///
@@ -231,25 +230,56 @@ impl SparseMemory {
     #[inline]
     pub fn write_le_fast(&mut self, addr: u64, n: u64, val: u64) {
         assert!(n <= 8, "write_le supports at most 8 bytes");
-        let off = addr & (PAGE_SIZE - 1);
-        if off + n <= PAGE_SIZE {
-            let page = self.frame_mut(addr >> PAGE_BITS);
-            for i in 0..n as usize {
-                page[off as usize + i] = (val >> (8 * i)) as u8;
-            }
-        } else {
-            self.write_le(addr, n, val);
+        match n {
+            8 => self.write_word::<8>(addr, val),
+            4 => self.write_word::<4>(addr, val),
+            2 => self.write_word::<2>(addr, val),
+            1 => self.write_word::<1>(addr, val),
+            _ => self.write_le_cold(addr, n, val),
         }
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn read_u16(&self, addr: u64) -> u16 {
-        self.read_le(addr, 2) as u16
+    /// The `N`-byte little-endian word at `addr`, zero-extended.
+    #[inline(always)]
+    fn read_word<const N: usize>(&self, addr: u64) -> u64 {
+        let off = (addr & (PAGE_SIZE - 1)) as usize;
+        if off + N > PAGE_SIZE as usize {
+            return self.read_le_cold(addr, N as u64);
+        }
+        let Some(page) = self.frame(addr >> PAGE_BITS) else {
+            return 0;
+        };
+        let mut word = [0u8; 8];
+        word[..N].copy_from_slice(&page[off..off + N]);
+        u64::from_le_bytes(word)
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn read_u32(&self, addr: u64) -> u32 {
-        self.read_le(addr, 4) as u32
+    /// Writes the low `N` bytes of `val` little-endian at `addr`.
+    #[inline(always)]
+    fn write_word<const N: usize>(&mut self, addr: u64, val: u64) {
+        let off = (addr & (PAGE_SIZE - 1)) as usize;
+        if off + N > PAGE_SIZE as usize {
+            self.write_le_cold(addr, N as u64, val);
+        } else {
+            let page = self.frame_mut(addr >> PAGE_BITS);
+            page[off..off + N].copy_from_slice(&val.to_le_bytes()[..N]);
+        }
+    }
+
+    /// [`read_le`](Self::read_le) for the fast path's rare cases (page
+    /// straddles and widths other than 1, 2, 4 and 8), kept out of line
+    /// so that the common case inlines into its caller.
+    #[cold]
+    #[inline(never)]
+    fn read_le_cold(&self, addr: u64, n: u64) -> u64 {
+        self.read_le(addr, n)
+    }
+
+    /// [`write_le`](Self::write_le) for the fast path's rare cases.
+    #[cold]
+    #[inline(never)]
+    fn write_le_cold(&mut self, addr: u64, n: u64, val: u64) {
+        self.write_le(addr, n, val);
     }
 
     /// Reads a little-endian `u64`.
@@ -257,33 +287,9 @@ impl SparseMemory {
         self.read_le(addr, 8)
     }
 
-    /// Writes a little-endian `u16`.
-    pub fn write_u16(&mut self, addr: u64, val: u16) {
-        self.write_le(addr, 2, val as u64);
-    }
-
-    /// Writes a little-endian `u32`.
-    pub fn write_u32(&mut self, addr: u64, val: u32) {
-        self.write_le(addr, 4, val as u64);
-    }
-
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, val: u64) {
         self.write_le(addr, 8, val);
-    }
-
-    /// Copies a byte slice into memory starting at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
-        }
-    }
-
-    /// Reads `len` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len)
-            .map(|i| self.read_u8(addr.wrapping_add(i as u64)))
-            .collect()
     }
 
     /// Flips one bit of the 64-bit word at `addr` — the fault-injection
@@ -327,17 +333,6 @@ impl SparseMemory {
         }
         out
     }
-
-    /// Zeroes `len` bytes starting at `addr` (page-granular fast path).
-    pub fn zero(&mut self, addr: u64, len: u64) {
-        for i in 0..len {
-            // Skip pages that were never touched: they already read zero.
-            let a = addr.wrapping_add(i);
-            if self.index.contains_key(&(a >> PAGE_BITS)) {
-                self.write_u8(a, 0);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -359,19 +354,8 @@ mod tests {
         for i in 0..8 {
             assert_eq!(m.read_u8(0x100 + i), (i + 1) as u8);
         }
-        assert_eq!(m.read_u32(0x100), 0x0403_0201);
-        assert_eq!(m.read_u16(0x106), 0x0807);
-    }
-
-    #[test]
-    fn resident_pages_in_ranges() {
-        let mut m = SparseMemory::new();
-        m.write_u64(0x1000, 1);
-        m.write_u64(0x2000, 1);
-        m.write_u64(0x10_0000, 1);
-        assert_eq!(m.resident_pages_in(0, 0x10_0000), 2);
-        assert_eq!(m.resident_pages_in(0x10_0000, u64::MAX), 1);
-        assert_eq!(m.resident_pages_in(0x5000, 0x6000), 0);
+        assert_eq!(m.read_le(0x100, 4), 0x0403_0201);
+        assert_eq!(m.read_le(0x106, 2), 0x0807);
     }
 
     #[test]
@@ -397,26 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_round_trip() {
-        let mut m = SparseMemory::new();
-        let data = b"hello shadow memory";
-        m.write_bytes(0x2000, data);
-        assert_eq!(m.read_bytes(0x2000, data.len()), data);
-    }
-
-    #[test]
-    fn zero_clears_touched_pages_only() {
-        let mut m = SparseMemory::new();
-        m.write_u64(0x3000, u64::MAX);
-        m.zero(0x3000, 8);
-        assert_eq!(m.read_u64(0x3000), 0);
-        // Zeroing untouched space allocates nothing.
-        let before = m.resident_pages();
-        m.zero(0x10_0000, 64);
-        assert_eq!(m.resident_pages(), before);
-    }
-
-    #[test]
     #[should_panic(expected = "at most 8 bytes")]
     fn read_le_rejects_wide_access() {
         SparseMemory::new().read_le(0, 9);
@@ -436,34 +400,79 @@ mod tests {
 
     #[test]
     fn fast_paths_match_byte_loops() {
-        let mut m = SparseMemory::new();
-        // Seed a few pages with a recognisable pattern via the slow path.
-        for i in 0..64u64 {
-            m.write_u8(0x1000 + i, (i as u8).wrapping_mul(7).wrapping_add(1));
+        // Page 1 holds a byte pattern, page 5 was never touched; page 2
+        // and page 6, which the straddling accesses reach, are untouched.
+        let mut seeded = SparseMemory::new();
+        for i in 0..PAGE_SIZE {
+            seeded.write_u8(PAGE_SIZE + i, (i as u8).wrapping_mul(7).wrapping_add(1));
         }
-        for addr in [0x1000u64, 0x1003, 0x101f, 0x103d] {
+        let offsets = [0, 1, 7].into_iter().chain(PAGE_SIZE - 9..PAGE_SIZE);
+        for addr in offsets.flat_map(|off| [PAGE_SIZE + off, 5 * PAGE_SIZE + off]) {
             for n in 0..=8u64 {
                 assert_eq!(
-                    m.read_le_fast(addr, n),
-                    m.read_le(addr, n),
+                    seeded.read_le_fast(addr, n),
+                    seeded.read_le(addr, n),
                     "read {addr:#x} n={n}"
+                );
+                let val = 0x1122_3344_5566_7788u64.rotate_left((addr + n) as u32);
+                let mut fast = seeded.clone();
+                let mut slow = seeded.clone();
+                fast.write_le_fast(addr, n, val);
+                slow.write_le(addr, n, val);
+                for a in addr - 8..addr + 16 {
+                    assert_eq!(
+                        fast.read_u8(a),
+                        slow.read_u8(a),
+                        "byte {a:#x} after write {addr:#x} n={n}"
+                    );
+                }
+                assert_eq!(
+                    fast.resident_pages(),
+                    slow.resident_pages(),
+                    "pages after write {addr:#x} n={n}"
                 );
             }
         }
-        // Fast writes land exactly where slow writes would.
-        let mut fast = SparseMemory::new();
-        let mut slow = SparseMemory::new();
-        for (i, addr) in [0x2000u64, 0x2005, 0x2ffb].iter().enumerate() {
-            let val = 0x1122_3344_5566_7788u64.rotate_left(i as u32 * 9);
-            for n in 1..=8u64 {
-                fast.write_le_fast(addr + n * 16, n, val);
-                slow.write_le(addr + n * 16, n, val);
+    }
+
+    #[test]
+    fn tlb_evictions_keep_pages_apart() {
+        // Forty live pages, more than the TLB holds, the first eight of
+        // them sharing one slot.
+        let shared = tlb_slot(3);
+        let mut pages: Vec<u64> = (3..).filter(|&p| tlb_slot(p) == shared).take(8).collect();
+        pages.extend((100..132).map(|p| p * 0x1_0001));
+        assert!(pages.len() > TLB_ENTRIES);
+        let mut m = SparseMemory::new();
+        for round in 0..3u64 {
+            for (i, &p) in pages.iter().enumerate() {
+                m.write_le_fast((p << PAGE_BITS) + 8 * round, 8, p ^ round);
+                // Read back an earlier page, usually from another slot.
+                let q = pages[i * 7 % (i + 1)];
+                let a = (q << PAGE_BITS) + 8 * round;
+                assert_eq!(m.read_le_fast(a, 8), m.read_le(a, 8), "page {q:#x}");
+            }
+            for &p in pages.iter().rev() {
+                let a = (p << PAGE_BITS) + 8 * round;
+                assert_eq!(m.read_le_fast(a, 8), p ^ round, "page {p:#x}");
+                assert_eq!(m.read_le_fast(a + 4, 4), (p ^ round) >> 32);
             }
         }
-        assert_eq!(
-            fast.read_bytes(0x2000, 0x1100),
-            slow.read_bytes(0x2000, 0x1100)
-        );
+        assert_eq!(m.resident_pages(), pages.len());
+
+        // An untouched page whose slot holds a live page reads zero and
+        // allocates nothing.
+        let untouched = (pages[7] + 1..)
+            .find(|&p| tlb_slot(p) == shared && !pages.contains(&p))
+            .unwrap();
+        let (live, cold) = ((pages[7] << PAGE_BITS) + 16, (untouched << PAGE_BITS) + 16);
+        assert_eq!(m.read_le_fast(live, 8), pages[7] ^ 2);
+        assert_eq!(m.read_le_fast(cold, 8), 0);
+        assert_eq!(m.resident_pages(), pages.len());
+        // Writing it evicts the live page without touching its frame.
+        m.write_le_fast(cold, 8, 1);
+        assert_eq!(m.read_le_fast(live, 8), pages[7] ^ 2);
+        assert_eq!(m.read_le_fast(cold, 8), 1);
     }
 
     #[test]

@@ -96,50 +96,29 @@ impl Cache {
         let line = addr >> self.line_shift;
         let set = (line as usize) & self.set_mask;
         let ways = &mut self.tags[set * self.cfg.ways..][..self.cfg.ways];
-        // MRU hit: the overwhelmingly common case in looping code, and
-        // it needs no reordering at all.
-        if ways[0] == line {
-            self.hits += 1;
-            return 0;
-        }
+        // One pass from the front shifts each tag one way back until the
+        // line turns up (a hit, which ends the shift in the line's old
+        // way) or the back tag falls off (a miss, evicting the LRU line
+        // or a sentinel while the set is still filling). Either way the
+        // line ends up at the front and the rest keep their LRU order.
         // A real line never equals the sentinel, so empty ways can't
-        // false-hit here.
-        if let Some(pos) = ways.iter().position(|&t| t == line) {
-            // Move to MRU: rotating the `[0, pos]` prefix right by one
-            // is `remove(pos)` + `insert(0, ..)` without the shifts
-            // running over the slice twice.
-            ways[..=pos].rotate_right(1);
-            self.hits += 1;
-            0
-        } else {
-            // Evict the back — the LRU line, or a sentinel while the
-            // set is still filling; both cases are "shift right, write
-            // the new MRU at the front".
-            ways.rotate_right(1);
-            ways[0] = line;
-            self.misses += 1;
-            self.cfg.miss_penalty
+        // false-hit.
+        let mut carry = line;
+        for way in ways.iter_mut() {
+            let tag = std::mem::replace(way, carry);
+            if tag == line {
+                self.hits += 1;
+                return 0;
+            }
+            carry = tag;
         }
-    }
-
-    /// Invalidates every line (e.g. on context switch).
-    pub fn flush(&mut self) {
-        self.tags.fill(EMPTY);
+        self.misses += 1;
+        self.cfg.miss_penalty
     }
 
     /// `(hits, misses)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
-    }
-
-    /// Hit rate in `[0, 1]`; 0 when no accesses were made.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
@@ -173,24 +152,6 @@ mod tests {
         assert_eq!(c.access(128), 10); // C evicts B (LRU)
         assert_eq!(c.access(0), 0); // A still resident
         assert_eq!(c.access(64), 10); // B was evicted
-    }
-
-    #[test]
-    fn flush_cools_the_cache() {
-        let mut c = Cache::new(CacheConfig::default());
-        c.access(0);
-        assert_eq!(c.access(0), 0);
-        c.flush();
-        assert_eq!(c.access(0), 20);
-    }
-
-    #[test]
-    fn hit_rate_bounds() {
-        let mut c = Cache::new(CacheConfig::default());
-        assert_eq!(c.hit_rate(), 0.0);
-        c.access(0);
-        c.access(0);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

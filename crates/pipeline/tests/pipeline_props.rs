@@ -149,6 +149,50 @@ proptest! {
         prop_assert_eq!(h + m, addrs.len() as u64 * 2);
     }
 
+    /// The cache is exactly LRU: against a naive model (one `Vec` per
+    /// set, MRU first; a hit removes its line and reinserts it at the
+    /// front, a miss inserts and drops the back) it charges the same
+    /// penalty on every access and ends with the same counters. Lines
+    /// are drawn from `ways + 2` tags in up to four sets, so hits reach
+    /// every way and misses evict.
+    #[test]
+    fn cache_matches_naive_lru(stream in prop::collection::vec(any::<u64>(), 200..201)) {
+        for ways in [1usize, 2, 3, 4, 8] {
+            for sets in [1usize, 4, 64] {
+                let cfg = CacheConfig { sets, ways, line_bytes: 64, miss_penalty: 7 };
+                let mut c = Cache::new(cfg);
+                let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets];
+                let (mut hits, mut misses, mut deep_hits) = (0u64, 0u64, 0u64);
+                let used_sets = sets.min(4) as u64;
+                for &r in &stream {
+                    let set = (r % used_sets) * (sets as u64 / used_sets);
+                    let line = (r >> 8) % (ways as u64 + 2) * sets as u64 + set;
+                    let lines = &mut model[set as usize];
+                    let want = match lines.iter().position(|&l| l == line) {
+                        Some(pos) => {
+                            lines.remove(pos);
+                            hits += 1;
+                            deep_hits += (pos >= 2) as u64;
+                            0
+                        }
+                        None => {
+                            lines.truncate(ways - 1);
+                            misses += 1;
+                            cfg.miss_penalty
+                        }
+                    };
+                    lines.insert(0, line);
+                    let addr = line * 64 + (r >> 32) % 64;
+                    prop_assert_eq!(c.access(addr), want, "ways {} sets {} addr {:#x}", ways, sets, addr);
+                }
+                prop_assert_eq!(c.stats(), (hits, misses), "ways {} sets {}", ways, sets);
+                if ways >= 3 {
+                    prop_assert!(deep_hits > 0, "ways {} sets {}: no hit past the second way", ways, sets);
+                }
+            }
+        }
+    }
+
     /// Keybuffer: a fill is immediately visible, capacity is respected,
     /// and clear wipes everything.
     #[test]
