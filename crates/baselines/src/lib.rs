@@ -242,16 +242,6 @@ impl ZooCost {
         ZooCost::HeapSafe,
     ];
 
-    /// Display label (matches the scheme/detector labels).
-    pub const fn label(self) -> &'static str {
-        match self {
-            ZooCost::RvCure => "RV-CURE",
-            ZooCost::L4Pointer => "L4Pointer",
-            ZooCost::CryptSan => "CryptSan",
-            ZooCost::HeapSafe => "HeapSafe",
-        }
-    }
-
     /// The mechanism's per-event cost model (see the type-level doc).
     pub const fn cost_model(self) -> CostModel {
         match self {
@@ -286,12 +276,6 @@ impl ZooCost {
     /// measured workload profile.
     pub fn overhead_pct(self, p: &WorkloadProfile) -> f64 {
         (self.cost_model().cycles(p) as f64 / p.baseline_cycles as f64 - 1.0) * 100.0
-    }
-}
-
-impl std::fmt::Display for ZooCost {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
     }
 }
 

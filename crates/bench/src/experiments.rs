@@ -25,8 +25,8 @@ use hwst128::workloads::{all, spec_suite, Scale, Suite, Workload};
 use hwst_bench::exec::{exec_geomean, try_exec_row};
 use hwst_bench::profile::{profile_mean_fractions, try_profile_row, try_profile_trace};
 use hwst_bench::runs::{
-    binval_jobs, fig6_jobs, keybuffer_jobs, profile_workloads, resilience_jobs, resilience_rows,
-    workload_jobs, BoundsRow, BoundsRun, BINVAL_MASTER_SEED,
+    binval_jobs, fig6_jobs, keybuffer_jobs, resilience_jobs, resilience_rows, workload_jobs,
+    BoundsRow, BoundsRun, BINVAL_MASTER_SEED,
 };
 use hwst_bench::summary::{
     binval_sim, boundscheck_sim, exec_payloads, fig4_o1_sim, fig4_sim, fig5_sim, fig6_sim,
@@ -45,15 +45,6 @@ use hwst_zoo::{
 /// A percentage column.
 fn pct(v: f64) -> String {
     format!("{v:>8.1}%")
-}
-
-/// The ` [smoke]` header tag.
-fn smoke_tag(smoke: bool) -> &'static str {
-    if smoke {
-        " [smoke]"
-    } else {
-        ""
-    }
 }
 
 fn print_failed(failed: &[FailedJob]) {
@@ -703,19 +694,17 @@ pub fn codesize(cx: &mut Ctx) -> Result<Outcome, String> {
 
 /// A9 and the binary-level translation-validation gate: every workload
 /// under every scheme lowered, validated against the IR-level verifier
-/// and attacked by the seeded mutation campaign (2 seeds per scheme
-/// under `--smoke`, else 8). Any divergence, lowering finding or
-/// surviving mutant fails the run. At `--opt O1` the
-/// register-allocation campaign replaces the metadata-plumbing one.
+/// and attacked by the seeded mutation campaign (8 seeds per scheme).
+/// Any divergence, lowering finding or surviving mutant fails the run.
+/// At `--opt O1` the register-allocation campaign replaces the
+/// metadata-plumbing one.
 pub fn binval(cx: &mut Ctx) -> Result<Outcome, String> {
-    let smoke = cx.args.smoke;
     let scale = cx.scale();
     let opt = cx.args.opt;
-    let seeds_per_scheme: u64 = if smoke { 2 } else { 8 };
+    let seeds_per_scheme: u64 = 8;
     println!(
-        "binval — binary-level translation validation [-{}]{}",
-        opt.label(),
-        smoke_tag(smoke)
+        "binval — binary-level translation validation [-{}]",
+        opt.label()
     );
     println!(
         "mutation campaign ({}): {seeds_per_scheme} seed(s)/scheme, master seed {:#x}",
@@ -822,21 +811,12 @@ fn outcome_cell(c: &OutcomeCounts) -> String {
 
 /// R1: metadata-path fault-injection campaigns under HWST128_tchk,
 /// AVF-style (detected / masked / silent / machine-fault per fault
-/// class, split by target group). `--smoke` runs the reduced CI
-/// configuration. The run fails when lock/shadow corruption is ever
-/// silent on the clean workloads.
+/// class, split by target group). The run fails when lock/shadow
+/// corruption is ever silent on the clean workloads.
 pub fn resilience(cx: &mut Ctx) -> Result<Outcome, String> {
-    let smoke = cx.args.smoke;
     let scale = cx.scale();
-    let rc = if smoke {
-        ResilienceConfig::smoke()
-    } else {
-        ResilienceConfig::default()
-    };
-    println!(
-        "R1 — metadata-path fault injection (HWST128_tchk){}",
-        smoke_tag(smoke)
-    );
+    let rc = ResilienceConfig::default();
+    println!("R1 — metadata-path fault injection (HWST128_tchk)");
     println!(
         "targets: {} (Fig. 4 subset) + Juliet sample ({} reachable case(s)/CWE)",
         rc.workloads.join(", "),
@@ -965,16 +945,11 @@ fn bounds_row(wl: &Workload, scale: Scale, seeds: &[u64]) -> Result<BoundsRow, S
 /// runs the witness-forging mutation campaign; RCE adding a dynamic
 /// `tchk` or a forgery surviving validation fails the job. A sampled
 /// Juliet pass then requires the bounds build to detect exactly what
-/// the RCE build detects. `--smoke` keeps every fourth workload, one
-/// campaign seed and two Juliet cases per CWE.
+/// the RCE build detects.
 pub fn ablation_boundscheck(cx: &mut Ctx) -> Result<Outcome, String> {
     let scale = cx.scale();
-    let smoke = cx.args.smoke;
-    let campaign_seeds: Vec<u64> = if smoke { vec![3] } else { vec![3, 5, 9] };
-    println!(
-        "A10 — static bounds-proof check elimination (scale {scale:?}{})",
-        smoke_tag(smoke),
-    );
+    let campaign_seeds: [u64; 3] = [3, 5, 9];
+    println!("A10 — static bounds-proof check elimination (scale {scale:?})");
     println!(
         "{:<12} {:>7} {:>7} {:>7} {:>7} {:>12} {:>12} {:>8} {:>8}",
         "workload",
@@ -987,12 +962,7 @@ pub fn ablation_boundscheck(cx: &mut Ctx) -> Result<Outcome, String> {
         "ovh rce",
         "ovh bnd"
     );
-    let workloads: Vec<_> = all()
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| !smoke || i % 4 == 0)
-        .map(|(_, wl)| wl)
-        .collect();
+    let workloads = all();
     let total_workloads = workloads.len();
     let (rows, failed) = cx.settle(workload_jobs("a10", workloads, move |wl| {
         bounds_row(wl, scale, &campaign_seeds)
@@ -1025,7 +995,7 @@ pub fn ablation_boundscheck(cx: &mut Ctx) -> Result<Outcome, String> {
     // Sampled Juliet detection gate: the bounds pass must cost zero
     // true positives (the root cell matrix checks the same under every
     // scheme and tier; this keeps the bench honest on every run).
-    let juliet_cases = sample_reachable(if smoke { 2 } else { 5 });
+    let juliet_cases = sample_reachable(5);
     let mut juliet_detected = 0usize;
     let mut juliet_lost = 0usize;
     for case in &juliet_cases {
@@ -1055,14 +1025,13 @@ pub fn ablation_boundscheck(cx: &mut Ctx) -> Result<Outcome, String> {
     })
 }
 
-/// P1: per-function overhead attribution. Every workload (or the
-/// `--smoke` subset) runs under HWST128_tchk with per-PC cycle
-/// attribution folded through the compiler's symbol ranges.
+/// P1: per-function overhead attribution. Every workload runs under
+/// HWST128_tchk with per-PC cycle attribution folded through the
+/// compiler's symbol ranges.
 /// `--trace WL` writes `TRACE_WL.json` (Chrome trace-event JSON,
 /// Perfetto-loadable) and `--collapse WL` writes `FLAME_WL.txt`
 /// (collapsed stacks) for workload `WL`.
 pub fn profile(cx: &mut Ctx) -> Result<Outcome, String> {
-    let smoke = cx.args.smoke;
     let scale = cx.scale();
     let mut exports = Vec::new();
     for (name, prefix, ext) in [
@@ -1073,10 +1042,9 @@ pub fn profile(cx: &mut Ctx) -> Result<Outcome, String> {
             exports.push((workload(name)?, prefix, ext));
         }
     }
-    let workloads = profile_workloads(smoke);
+    let workloads = all();
     println!(
-        "P1 — per-function overhead attribution{} ({} workloads)",
-        smoke_tag(smoke),
+        "P1 — per-function overhead attribution ({} workloads)",
         workloads.len()
     );
     let (rows, failed) = cx.settle(workload_jobs("profile", workloads, move |wl| {
@@ -1128,21 +1096,18 @@ pub fn profile(cx: &mut Ctx) -> Result<Outcome, String> {
     Ok(Outcome::new(profile_sim(&rows, &mean), failed))
 }
 
-/// X1: decoded-block fast-engine speedup. Every workload (or the
-/// `--smoke` subset) runs under HWST128_tchk on both the reference
-/// interpreter and the fast engine, timed on the host clock; any
-/// divergence between the two is a failed row, so a green table
-/// certifies bit-identity over the measured set. `--opt O1` measures
-/// the optimized back-end's images.
+/// X1: decoded-block fast-engine speedup. Every workload runs under
+/// HWST128_tchk on both the reference interpreter and the fast engine,
+/// timed on the host clock; any divergence between the two is a failed
+/// row, so a green table certifies bit-identity over the measured set.
+/// `--opt O1` measures the optimized back-end's images.
 pub fn exec(cx: &mut Ctx) -> Result<Outcome, String> {
-    let smoke = cx.args.smoke;
     let scale = cx.scale();
     let opt = cx.args.opt;
-    let workloads = profile_workloads(smoke);
+    let workloads = all();
     println!(
-        "X1 — fast-engine speedup [-{}]{} ({} workloads), scale {scale:?}",
+        "X1 — fast-engine speedup [-{}] ({} workloads), scale {scale:?}",
         opt.label(),
-        smoke_tag(smoke),
         workloads.len(),
     );
     let (rows, failed) = cx.settle(workload_jobs("exec", workloads, move |wl| {
@@ -1176,14 +1141,12 @@ pub fn exec(cx: &mut Ctx) -> Result<Outcome, String> {
 
 /// O1: the Fig. 4 matrix at both back-end tiers — does HWST128's
 /// relative overhead grow or shrink when the baseline it is measured
-/// against is optimized? `--smoke` runs the 4-workload CI subset.
+/// against is optimized?
 pub fn fig4_o1(cx: &mut Ctx) -> Result<Outcome, String> {
     let scale = cx.scale();
-    let smoke = cx.args.smoke;
-    let workloads = profile_workloads(smoke);
+    let workloads = all();
     println!(
-        "O1 experiment — Fig. 4 at both back-end tiers{}, scale {scale:?}, {} workload(s)",
-        smoke_tag(smoke),
+        "O1 experiment — Fig. 4 at both back-end tiers, scale {scale:?}, {} workload(s)",
         workloads.len(),
     );
     println!(
@@ -1243,28 +1206,13 @@ pub fn fig4_o1(cx: &mut Ctx) -> Result<Outcome, String> {
 
 /// Z1/Z2: the comparative detector zoo — coverage × overhead frontier
 /// over the published four designs plus RV-CURE, L4 Pointer, CryptSan
-/// and HeapSafe, with a fault-injection campaign per design.
-/// `--scheme A,B,...` narrows the *printed* frontier table; the sweep
-/// and the JSON always carry every design. A calibration or agreement
-/// violation fails the run (`--smoke` keeps the structural gates only:
-/// the calibration bands are stated for the full-suite geomean).
+/// and HeapSafe, with a fault-injection campaign per design. A
+/// calibration or agreement violation fails the run.
 pub fn zoo(cx: &mut Ctx) -> Result<Outcome, String> {
-    let smoke = cx.args.smoke;
     let scale = cx.scale();
-    let cfg = if smoke {
-        ZooConfig::smoke()
-    } else {
-        ZooConfig::default()
-    };
-    let shown: Vec<Design> = match &cx.args.schemes {
-        None => Design::ALL.to_vec(),
-        Some(schemes) => Design::ALL
-            .into_iter()
-            .filter(|d| schemes.contains(&d.scheme()))
-            .collect(),
-    };
-    println!("Z1/Z2 — comparative detector zoo{}", smoke_tag(smoke));
-    let (rows, mut failed) = cx.settle(zoo_row_jobs(&cfg, scale));
+    let cfg = ZooConfig::default();
+    println!("Z1/Z2 — comparative detector zoo");
+    let (rows, mut failed) = cx.settle(zoo_row_jobs(all(), scale));
     let (coverage, cov_failed) = cx.settle(zoo_coverage_jobs(&cfg));
     failed.extend(cov_failed);
     let (cells, inj_failed) = cx.settle(zoo_inject_jobs(&cfg, scale)?);
@@ -1283,9 +1231,6 @@ pub fn zoo(cx: &mut Ctx) -> Result<Outcome, String> {
         "design", "overhead%", "model%", "cover%", "det", "mask", "silent", "mfault"
     );
     for (di, &design) in Design::ALL.iter().enumerate() {
-        if !shown.contains(&design) {
-            continue;
-        }
         let model_s = Design::ZOO
             .iter()
             .position(|&d| d == design)
@@ -1307,10 +1252,7 @@ pub fn zoo(cx: &mut Ctx) -> Result<Outcome, String> {
     }
     print_failed(&failed);
 
-    let violations: Vec<String> = zoo_violations(&report)
-        .into_iter()
-        .filter(|v| !(smoke && v.contains("calibration band")))
-        .collect();
+    let violations = zoo_violations(&report);
     if violations.is_empty() {
         println!("gate: calibration bands, orderings, model tracking, sample agreement — PASS");
     }

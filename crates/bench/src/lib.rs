@@ -234,16 +234,6 @@ impl Default for ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// The fast CI smoke configuration: fewer seeds, fewer targets.
-    pub fn smoke() -> Self {
-        ResilienceConfig {
-            seeds_per_target: 3,
-            juliet_per_cwe: 1,
-            workloads: &["bzip2", "math"],
-            ..Self::default()
-        }
-    }
-
     /// The deterministic seed sequence used for every campaign cell.
     pub fn seeds(&self) -> Vec<u64> {
         (0..self.seeds_per_target)

@@ -122,7 +122,7 @@ const EXPERIMENTS: [Experiment; 19] = [
     },
     Experiment {
         name: "binval",
-        flags: "--jobs N --bench-scale --smoke --opt O0|O1",
+        flags: "--jobs N --bench-scale --opt O0|O1",
         about: "A9: binary translation validation + mutation campaign",
         run: experiments::binval,
     },
@@ -134,37 +134,37 @@ const EXPERIMENTS: [Experiment; 19] = [
     },
     Experiment {
         name: "resilience",
-        flags: "--jobs N --bench-scale --smoke",
+        flags: "--jobs N --bench-scale",
         about: "R1: metadata-path fault injection",
         run: experiments::resilience,
     },
     Experiment {
         name: "ablation_boundscheck",
-        flags: "--jobs N --bench-scale --smoke",
+        flags: "--jobs N --bench-scale",
         about: "A8/A10: RCE and static bounds-proof check elimination",
         run: experiments::ablation_boundscheck,
     },
     Experiment {
         name: "profile",
-        flags: "--jobs N --bench-scale --smoke --trace WL --collapse WL",
+        flags: "--jobs N --bench-scale --trace WL --collapse WL",
         about: "P1: per-function overhead attribution, trace export",
         run: experiments::profile,
     },
     Experiment {
         name: "exec",
-        flags: "--jobs N --bench-scale --smoke --opt O0|O1",
+        flags: "--jobs N --bench-scale --opt O0|O1",
         about: "X1: fast engine vs reference interpreter, differential",
         run: experiments::exec,
     },
     Experiment {
         name: "fig4_o1",
-        flags: "--jobs N --bench-scale --smoke",
+        flags: "--jobs N --bench-scale",
         about: "O1: Fig. 4 at -O0 and -O1",
         run: experiments::fig4_o1,
     },
     Experiment {
         name: "zoo",
-        flags: "--jobs N --bench-scale --smoke --scheme LIST",
+        flags: "--jobs N --bench-scale",
         about: "Z1/Z2: detector zoo frontier + fault campaign",
         run: experiments::zoo,
     },
@@ -176,7 +176,6 @@ struct Args {
     jobs: Option<usize>,
     json: Option<PathBuf>,
     bench_scale: bool,
-    smoke: bool,
     opt: OptLevel,
     stride: Option<usize>,
     /// `--scheme A,B,...` (repeatable), deduplicated in first-seen
@@ -247,7 +246,6 @@ impl Args {
                     }
                 }
                 "--bench-scale" => args.bench_scale = true,
-                "--smoke" => args.smoke = true,
                 _ => return Err(format!("unknown flag `{word}`")),
             }
         }
@@ -540,8 +538,12 @@ mod tests {
         assert_eq!(a.jobs, Some(4));
         assert_eq!(a.json, Some(PathBuf::from("out.json")));
         assert_eq!(a.opt, OptLevel::O1);
-        assert!(!a.smoke && !a.bench_scale);
-        let a = parse("zoo", &["--scheme", "rv-cure", "--scheme", "none,RV-CURE"]).unwrap();
+        assert!(!a.bench_scale);
+        let a = parse(
+            "codesize",
+            &["--scheme", "rv-cure", "--scheme", "none,RV-CURE"],
+        )
+        .unwrap();
         assert_eq!(a.schemes, Some(vec![Scheme::RvCure, Scheme::None]));
         assert_eq!(parse("hwcost", &["4"]).unwrap().positional, ["4"]);
     }

@@ -345,20 +345,6 @@ pub fn binval_jobs(scale: Scale, seeds_per_scheme: u64, opt: OptLevel) -> Vec<Jo
     jobs
 }
 
-/// The P1 smoke subset, in Fig. 4 order: one workload per suite flavour
-/// (string-heavy, arithmetic, pointer-chasing, temporal-heavy) — the CI
-/// configuration.
-pub const PROFILE_SMOKE_WORKLOADS: [&str; 4] = ["string", "math", "treeadd", "bzip2"];
-
-/// The workloads of the P1, X1 and O1 sweeps: the smoke subset, or
-/// every Fig. 4 workload, in the paper's row order.
-pub fn profile_workloads(smoke: bool) -> Vec<Workload> {
-    all()
-        .into_iter()
-        .filter(|wl| !smoke || PROFILE_SMOKE_WORKLOADS.contains(&wl.name))
-        .collect()
-}
-
 /// One build configuration of the A10 bounds ablation: a workload
 /// compiled with a given scheme/pass combination and executed once.
 #[derive(Debug, Clone, Copy)]
@@ -417,13 +403,17 @@ mod tests {
     /// regardless of worker count.
     #[test]
     fn workload_jobs_match_serial_rows() {
-        let workloads = profile_workloads(true);
+        let names = ["string", "math", "treeadd", "bzip2"];
+        let workloads: Vec<Workload> = names
+            .iter()
+            .map(|n| Workload::by_name(n).unwrap())
+            .collect();
         let row = |wl: &Workload| try_fig4_row(wl, Scale::Test, OptLevel::O0);
         let labels: Vec<String> = workload_jobs("fig4", workloads.clone(), row)
             .iter()
             .map(|j| j.label().to_string())
             .collect();
-        assert_eq!(labels, PROFILE_SMOKE_WORKLOADS.map(|n| format!("fig4/{n}")));
+        assert_eq!(labels, names.map(|n| format!("fig4/{n}")));
         let serial: Vec<_> = workloads.iter().map(|wl| row(wl).unwrap()).collect();
         let (rows, failed) = collect_ok(run(workload_jobs("fig4", workloads, row), 4));
         assert!(failed.is_empty(), "{failed:?}");

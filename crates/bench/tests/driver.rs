@@ -86,8 +86,15 @@ fn unknown_experiment_exits_2() {
 #[test]
 fn unknown_flag_exits_2() {
     assert_usage_error(&["fig4_o1", "--smok"], "unknown flag `--smok`");
+    // Each experiment has one configuration: no reduced mode.
+    for name in EXPERIMENTS {
+        assert_usage_error(&[name, "--smoke"], "unknown flag `--smoke`");
+    }
+    // `--scheme` changes only `codesize`'s columns; the zoo always
+    // sweeps and prints every design.
+    assert_usage_error(&["zoo", "--scheme", "tchk"], "unknown flag `--scheme`");
     // A flag another experiment takes is still unknown here.
-    assert_usage_error(&["fig4", "--smoke"], "unknown flag `--smoke`");
+    assert_usage_error(&["fig4", "--opt", "O1"], "unknown flag `--opt`");
     assert_usage_error(
         &["ablation_compression", "--jobs", "2"],
         "unknown flag `--jobs`",
@@ -152,7 +159,7 @@ fn json_write_failure_exits_2() {
 #[test]
 fn pool_table_is_identical_at_any_worker_count() {
     let run = |jobs: &str| {
-        let out = hwst_bench(&["fig4_o1", "--smoke", "--jobs", jobs]);
+        let out = hwst_bench(&["fig6", "--stride", "97", "--jobs", jobs]);
         assert_eq!(out.status.code(), Some(0), "--jobs {jobs}");
         let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
         assert!(stderr.contains(&format!("on {jobs} worker(s)")), "{stderr}");

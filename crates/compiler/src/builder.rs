@@ -282,11 +282,6 @@ impl FuncBuilder<'_> {
         self.cur = b.0 as usize;
     }
 
-    /// The current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        BlockId(self.cur as u32)
-    }
-
     fn terminate(&mut self, t: Terminator) {
         assert!(
             self.blocks[self.cur].term.is_none(),

@@ -262,48 +262,7 @@ impl Asm {
 
     /// Materialises a 64-bit immediate into `rd`.
     fn li(&mut self, rd: Reg, v: i64) {
-        if (-2048..=2047).contains(&v) {
-            self.push(Instr::AluImm {
-                op: AluImmOp::Addi,
-                rd,
-                rs1: Reg::Zero,
-                imm: v,
-            });
-        } else if v >= i32::MIN as i64 && v <= i32::MAX as i64 {
-            let lo = (v << 52) >> 52; // sign-extended low 12
-            let hi = v - lo;
-            // hi is a multiple of 4096 that fits the U-format.
-            self.push(Instr::Lui {
-                rd,
-                imm: ((hi as i32) as i64),
-            });
-            if lo != 0 {
-                self.push(Instr::AluImm {
-                    op: AluImmOp::Addiw,
-                    rd,
-                    rs1: rd,
-                    imm: lo,
-                });
-            }
-        } else {
-            let lo = (v << 52) >> 52;
-            let rest = v.wrapping_sub(lo) >> 12;
-            self.li(rd, rest);
-            self.push(Instr::AluImm {
-                op: AluImmOp::Slli,
-                rd,
-                rs1: rd,
-                imm: 12,
-            });
-            if lo != 0 {
-                self.push(Instr::AluImm {
-                    op: AluImmOp::Addi,
-                    rd,
-                    rs1: rd,
-                    imm: lo,
-                });
-            }
-        }
+        hwst_isa::asm::li(&mut self.instrs, rd, v);
     }
 
     fn resolve(&mut self) -> Result<(), CompileError> {

@@ -8,7 +8,10 @@
 //! ```
 //!
 //! `--scheme` takes any `Scheme::label` or the aliases `none` and
-//! `tchk` (default `tchk`). Figures and tables come from `hwst-bench`.
+//! `tchk` (default `tchk`). Each command takes its one positional
+//! argument first (none for `list`), then only the flags its help line
+//! lists; any other word is an error. Figures and tables come from
+//! `hwst-bench`.
 
 use hwst128::compiler::{compile, Scheme};
 use hwst128::isa::asm::assemble;
@@ -37,7 +40,7 @@ fn run(args: &[String]) -> CliResult {
         "run" => cmd_run(&args[1..]),
         "disasm" => cmd_disasm(&args[1..]),
         "ir" => cmd_ir(&args[1..]),
-        "list" => cmd_list(),
+        "list" => cmd_list(&args[1..]),
         "help" | "--help" | "-h" => {
             print!("{}", HELP);
             Ok(())
@@ -61,6 +64,34 @@ hwst128-cli — the HWST128 memory-safety accelerator, on the command line
 schemes: none | SBCETS | HWST128 | tchk | SHORE | RV-CURE | L4Pointer |
          CryptSan | HeapSafe, any case (default tchk)
 ";
+
+/// Checks the words after a command: its positional argument first (when
+/// `positional`), then only `flags`, each followed by its value, and
+/// `switches`. Returns the positional argument, if one was given.
+fn check_args<'a>(
+    args: &'a [String],
+    positional: bool,
+    flags: &[&str],
+    switches: &[&str],
+) -> Result<Option<&'a String>, String> {
+    let (first, rest) = match args.split_first() {
+        Some((first, rest)) if positional && !first.starts_with("--") => (Some(first), rest),
+        _ => (None, args),
+    };
+    let mut words = rest.iter();
+    while let Some(word) = words.next() {
+        if flags.contains(&word.as_str()) {
+            words.next();
+        } else if !switches.contains(&word.as_str()) {
+            return Err(if word.starts_with("--") {
+                format!("unknown flag {word:?}")
+            } else {
+                format!("unexpected argument {word:?}")
+            });
+        }
+    }
+    Ok(first)
+}
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
@@ -121,10 +152,8 @@ fn run_machine(mut m: Machine, trace: usize) -> CliResult {
 }
 
 fn cmd_asm(args: &[String]) -> CliResult {
-    let path = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("usage: asm <file.s> [--run]")?;
+    let path =
+        check_args(args, true, &["--trace"], &["--run"])?.ok_or("usage: asm <file.s> [--run]")?;
     let src = std::fs::read_to_string(path)?;
     let base = hwst128::mem::MemoryLayout::default().text_base;
     let prog = assemble(base, &src)?;
@@ -143,7 +172,7 @@ fn lookup_workload(name: Option<&String>) -> Result<Workload, String> {
 }
 
 fn cmd_run(args: &[String]) -> CliResult {
-    let wl = lookup_workload(args.first())?;
+    let wl = lookup_workload(check_args(args, true, &["--scheme", "--trace"], &[])?)?;
     let scheme = parse_scheme(args)?;
     let trace = parse_trace(args)?;
     println!("{} [{}] under {}", wl.name, wl.suite, scheme.label());
@@ -153,7 +182,7 @@ fn cmd_run(args: &[String]) -> CliResult {
 }
 
 fn cmd_disasm(args: &[String]) -> CliResult {
-    let wl = lookup_workload(args.first())?;
+    let wl = lookup_workload(check_args(args, true, &["--scheme"], &[])?)?;
     let scheme = parse_scheme(args)?;
     let prog = compile(&wl.module(Scale::Test), scheme)?;
     print!("{prog}");
@@ -163,10 +192,8 @@ fn cmd_disasm(args: &[String]) -> CliResult {
 fn cmd_debug(args: &[String]) -> CliResult {
     use hwst128::debugger::{Debugger, Outcome};
     use std::io::{BufRead, Write};
-    let target = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("usage: debug <file.s | workload>")?;
+    let target =
+        check_args(args, true, &["--scheme"], &[])?.ok_or("usage: debug <file.s | workload>")?;
     let prog = if std::path::Path::new(target).exists() {
         let src = std::fs::read_to_string(target)?;
         assemble(hwst128::mem::MemoryLayout::default().text_base, &src)?
@@ -205,7 +232,7 @@ fn cmd_debug(args: &[String]) -> CliResult {
 
 fn cmd_ir(args: &[String]) -> CliResult {
     use hwst128::compiler::{analysis, instrument};
-    let wl = lookup_workload(args.first())?;
+    let wl = lookup_workload(check_args(args, true, &["--scheme"], &[])?)?;
     let scheme = parse_scheme(args)?;
     let module = wl.module(Scale::Test);
     let info = analysis::analyze(&module)?;
@@ -213,7 +240,8 @@ fn cmd_ir(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_list() -> CliResult {
+fn cmd_list(args: &[String]) -> CliResult {
+    check_args(args, false, &[], &[])?;
     for w in workloads::all() {
         println!("{:<12} [{:<7}] {}", w.name, w.suite.to_string(), w.profile);
     }

@@ -1,5 +1,6 @@
-//! `hwst128-cli` argument errors: a bad flag value exits 1 with an
-//! `error: …` line instead of being ignored.
+//! `hwst128-cli` argument errors: a bad flag value or a word the
+//! command does not take exits 1 with an `error: …` line instead of
+//! being ignored.
 
 use std::process::Command;
 
@@ -40,5 +41,37 @@ fn malformed_scheme_is_an_error() {
         (None, "--scheme needs a scheme"),
     ] {
         assert_flag_error("--scheme", value, message);
+    }
+}
+
+/// A word a command does not take — a misspelt flag, a flag of another
+/// command, a second positional argument or any argument to `list` — is
+/// an error that names it, not a run that ignores it.
+#[test]
+fn unknown_and_stray_arguments_are_errors() {
+    for (args, message) in [
+        (
+            &["run", "health", "--schme", "sbcets"][..],
+            r#"unknown flag "--schme""#,
+        ),
+        (
+            &["run", "health", "sbcets"],
+            r#"unexpected argument "sbcets""#,
+        ),
+        (
+            &["disasm", "math", "--trace", "5"],
+            r#"unknown flag "--trace""#,
+        ),
+        (&["ir", "math", "extra"], r#"unexpected argument "extra""#),
+        (&["list", "--scheme", "x"], r#"unknown flag "--scheme""#),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hwst128-cli"))
+            .args(args)
+            .output()
+            .expect("hwst128-cli starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), format!("error: {message}"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
     }
 }

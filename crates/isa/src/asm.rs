@@ -141,21 +141,11 @@ fn statement_len(line: usize, stmt: &str) -> Result<usize, AsmError> {
     })
 }
 
+/// Number of instructions [`li`] expands `v` into.
 fn li_len(v: i64) -> usize {
-    if (-2048..=2047).contains(&v) {
-        1
-    } else if v >= i32::MIN as i64 && v <= i32::MAX as i64 {
-        let lo = (v << 52) >> 52;
-        if lo == 0 {
-            1
-        } else {
-            2
-        }
-    } else {
-        let lo = (v << 52) >> 52;
-        let rest = v.wrapping_sub(lo) >> 12;
-        li_len(rest) + 1 + usize::from(lo != 0)
-    }
+    let mut out = Vec::new();
+    li(&mut out, Reg::Zero, v);
+    out.len()
 }
 
 fn split_mnemonic(stmt: &str) -> (&str, &str) {
@@ -346,7 +336,7 @@ fn encode_statement(
             want(2)?;
             let rd = reg(0)?;
             let v = imm(1)?;
-            emit_li(out, rd, v);
+            li(out, rd, v);
             return Ok(());
         }
         "mv" => {
@@ -615,7 +605,11 @@ fn alu_hwst(line: usize, ops: &[&str], f: fn(Reg, Reg, Reg) -> Instr) -> Result<
     ))
 }
 
-fn emit_li(out: &mut Vec<Instr>, rd: Reg, v: i64) {
+/// Appends the `li rd, v` expansion: materialises any 64-bit immediate
+/// in `rd` with `addi`, `lui`+`addiw`, or a recursive `slli`/`addi`
+/// chain. The assembler's `li` pseudo-instruction and the compiler's
+/// lowering both emit it.
+pub fn li(out: &mut Vec<Instr>, rd: Reg, v: i64) {
     if (-2048..=2047).contains(&v) {
         out.push(Instr::AluImm {
             op: AluImmOp::Addi,
@@ -624,8 +618,9 @@ fn emit_li(out: &mut Vec<Instr>, rd: Reg, v: i64) {
             imm: v,
         });
     } else if v >= i32::MIN as i64 && v <= i32::MAX as i64 {
-        let lo = (v << 52) >> 52;
+        let lo = (v << 52) >> 52; // sign-extended low 12
         let hi = v - lo;
+        // hi is a multiple of 4096 that fits the U-format.
         out.push(Instr::Lui {
             rd,
             imm: (hi as i32) as i64,
@@ -641,7 +636,7 @@ fn emit_li(out: &mut Vec<Instr>, rd: Reg, v: i64) {
     } else {
         let lo = (v << 52) >> 52;
         let rest = v.wrapping_sub(lo) >> 12;
-        emit_li(out, rd, rest);
+        li(out, rd, rest);
         out.push(Instr::AluImm {
             op: AluImmOp::Slli,
             rd,

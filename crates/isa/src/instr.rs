@@ -146,14 +146,6 @@ pub enum AluImmOp {
 }
 
 impl AluImmOp {
-    /// Whether this is a 32-bit (`W`-suffixed) operation.
-    pub const fn is_word(self) -> bool {
-        matches!(
-            self,
-            AluImmOp::Addiw | AluImmOp::Slliw | AluImmOp::Srliw | AluImmOp::Sraiw
-        )
-    }
-
     /// Evaluates the operation.
     #[inline]
     pub fn eval(self, rs1: u64, imm: i64) -> u64 {
@@ -211,23 +203,6 @@ pub enum AluOp {
 }
 
 impl AluOp {
-    /// Whether this is a 32-bit (`W`-suffixed) operation.
-    pub const fn is_word(self) -> bool {
-        matches!(
-            self,
-            AluOp::Addw
-                | AluOp::Subw
-                | AluOp::Sllw
-                | AluOp::Srlw
-                | AluOp::Sraw
-                | AluOp::Mulw
-                | AluOp::Divw
-                | AluOp::Divuw
-                | AluOp::Remw
-                | AluOp::Remuw
-        )
-    }
-
     /// Whether this is an M-extension (multi-cycle) operation.
     pub const fn is_muldiv(self) -> bool {
         matches!(
@@ -634,31 +609,6 @@ impl Instr {
         ) || matches!(
             self,
             Instr::Load { checked: true, .. } | Instr::Store { checked: true, .. }
-        )
-    }
-
-    /// Whether the instruction accesses data memory (user or shadow).
-    pub const fn is_mem(self) -> bool {
-        matches!(
-            self,
-            Instr::Load { .. }
-                | Instr::Store { .. }
-                | Instr::Sbdl { .. }
-                | Instr::Sbdu { .. }
-                | Instr::Lbdls { .. }
-                | Instr::Lbdus { .. }
-                | Instr::Lbas { .. }
-                | Instr::Lbnd { .. }
-                | Instr::Lkey { .. }
-                | Instr::Lloc { .. }
-        )
-    }
-
-    /// Whether the instruction may redirect control flow.
-    pub const fn is_control(self) -> bool {
-        matches!(
-            self,
-            Instr::Jal { .. } | Instr::Jalr { .. } | Instr::Branch { .. }
         )
     }
 

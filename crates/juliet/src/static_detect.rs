@@ -69,11 +69,6 @@ impl StaticRow {
     pub fn rate(&self) -> f64 {
         100.0 * self.detected as f64 / self.total as f64
     }
-
-    /// Binary-level detection rate in percent.
-    pub fn binval_rate(&self) -> f64 {
-        100.0 * self.binval_detected as f64 / self.total as f64
-    }
 }
 
 /// Computes the full-suite static-detection table (one lint run and

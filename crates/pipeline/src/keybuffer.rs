@@ -104,16 +104,6 @@ impl KeyBuffer {
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.clears)
     }
-
-    /// Hit rate in `[0, 1]`; 0 when no lookups were made.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ mod common;
 
 use common::{check_kernels, tier1_kernels};
 use hwst128::compiler::OptLevel;
+use hwst128::workloads::all;
 
 /// Tier-1: every `-O0` cell of the tier-1 kernels.
 #[test]
@@ -39,7 +40,12 @@ fn emitted_bench_exec_artifact_is_valid() {
             .unwrap_or_else(|| panic!("{payload}.rows"))
     };
     let (sim_rows, host_rows) = (rows("sim"), rows("host"));
-    assert!(!sim_rows.is_empty(), "at least the smoke subset");
+    let names: Vec<&str> = sim_rows
+        .iter()
+        .filter_map(|r| r.get("name").and_then(Json::as_str))
+        .collect();
+    let expect: Vec<&str> = all().iter().map(|wl| wl.name).collect();
+    assert_eq!(names, expect, "one row per workload, in Fig. 4 order");
     assert_eq!(sim_rows.len(), host_rows.len(), "one timing per row");
     for (sim_row, host_row) in sim_rows.iter().zip(host_rows) {
         let name = sim_row

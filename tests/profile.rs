@@ -4,12 +4,12 @@
 //! parallel P1 sweep must be byte-identical to the serial one on any
 //! worker count, and the trace exports must round-trip.
 
-use hwst128::workloads::{Scale, Workload};
+use hwst128::workloads::{all, Scale, Workload};
 use hwst_bench::profile::{
     check_profile_parity, profile_mean_fractions, profile_row, try_profile_row, try_profile_trace,
     ProfileRow,
 };
-use hwst_bench::runs::{profile_workloads, workload_jobs, PROFILE_SMOKE_WORKLOADS};
+use hwst_bench::runs::workload_jobs;
 use hwst_bench::summary::profile_sim;
 use hwst_harness::{collect_ok, run, Json};
 
@@ -20,17 +20,23 @@ fn assert_rows_identical(serial: &[ProfileRow], parallel: &[ProfileRow]) {
     }
 }
 
-/// The P1 smoke sweep through 1-, 2- and 8-worker pools: identical rows
-/// and an identical JSON `rows` subtree, regardless of worker count.
+/// A four-workload P1 sweep (one per suite flavour: string-heavy,
+/// arithmetic, pointer-chasing, temporal-heavy) through 1-, 2- and
+/// 8-worker pools: identical rows and an identical JSON `rows` subtree,
+/// regardless of worker count.
 #[test]
 fn profile_sweep_identical_on_any_worker_count() {
-    let serial: Vec<ProfileRow> = PROFILE_SMOKE_WORKLOADS
+    let workloads: Vec<Workload> = ["string", "math", "treeadd", "bzip2"]
         .iter()
-        .map(|n| profile_row(&Workload::by_name(n).unwrap(), Scale::Test))
+        .map(|n| Workload::by_name(n).unwrap())
+        .collect();
+    let serial: Vec<ProfileRow> = workloads
+        .iter()
+        .map(|wl| profile_row(wl, Scale::Test))
         .collect();
     let mut rows_subtrees = Vec::new();
     for workers in [1usize, 2, 8] {
-        let jobs = workload_jobs("profile", profile_workloads(true), |wl| {
+        let jobs = workload_jobs("profile", workloads.clone(), |wl| {
             try_profile_row(wl, Scale::Test)
         });
         let (rows, failed) = collect_ok(run(jobs, workers));
@@ -145,7 +151,12 @@ fn emitted_bench_profile_artifact_is_valid() {
         .and_then(|sim| sim.get("rows"))
         .and_then(Json::as_arr)
         .expect("sim.rows");
-    assert!(!rows.is_empty(), "at least the smoke subset");
+    let names: Vec<&str> = rows
+        .iter()
+        .filter_map(|r| r.get("name").and_then(Json::as_str))
+        .collect();
+    let expect: Vec<&str> = all().iter().map(|wl| wl.name).collect();
+    assert_eq!(names, expect, "one row per workload, in Fig. 4 order");
     for row in rows {
         let name = row.get("name").and_then(Json::as_str).expect("row name");
         let attr = row
@@ -169,17 +180,16 @@ fn emitted_bench_profile_artifact_is_valid() {
         assert_eq!(parts, total, "{name}: categories must sum to the total");
     }
     // Cross-check one row against a fresh serial computation.
-    if let Some(row) = rows
+    let row = rows
         .iter()
         .find(|r| r.get("name").and_then(Json::as_str) == Some("math"))
-    {
-        let fresh = profile_row(&Workload::by_name("math").unwrap(), Scale::Test);
-        assert_eq!(
-            row.get("total_cycles").and_then(Json::as_f64),
-            Some(fresh.total.total() as f64),
-            "artifact must carry the exact serial cycle count"
-        );
-    }
+        .expect("math row");
+    let fresh = profile_row(&Workload::by_name("math").unwrap(), Scale::Test);
+    assert_eq!(
+        row.get("total_cycles").and_then(Json::as_f64),
+        Some(fresh.total.total() as f64),
+        "artifact must carry the exact serial cycle count"
+    );
 }
 
 /// The mean-fraction summary line is a true mean of per-row fractions
